@@ -85,6 +85,30 @@ class SearchConfig:
     #: bit-identity gate is unaffected.
     shared_cache: bool = False
 
+    def __post_init__(self) -> None:
+        for name, low in (
+            ("num_colors", 1),
+            ("horizon", 1),
+            ("num_resources", 1),
+            ("offline_resources", 1),
+            ("iterations", 0),
+            ("restarts", 1),
+            ("mutations_per_step", 0),
+        ):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
+        if not self.bounds or min(self.bounds) < 1:
+            raise ValueError(
+                f"bounds must be a non-empty list of positive delay bounds, "
+                f"got {tuple(self.bounds)}"
+            )
+        if self.denominator not in ("lower", "upper"):
+            raise ValueError(
+                f"denominator must be 'lower' or 'upper', "
+                f"got {self.denominator!r}"
+            )
+
 
 @dataclass
 class SearchResult:

@@ -169,13 +169,17 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     module_name, class_name = _SCHEME_CHOICES[args.scheme].split(":")
     scheme_factory = getattr(importlib.import_module(module_name), class_name)
-    config = SearchConfig(
-        iterations=args.iterations,
-        restarts=args.restarts,
-        seed=args.seed,
-        horizon=args.horizon,
-        shared_cache=args.shared_cache,
-    )
+    try:
+        config = SearchConfig(
+            iterations=args.iterations,
+            restarts=args.restarts,
+            seed=args.seed,
+            horizon=args.horizon,
+            shared_cache=args.shared_cache,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     # Restarts are pre-seeded, so parallel results match serial exactly.
     runner = (
         ParallelRunner(max_workers=args.jobs)

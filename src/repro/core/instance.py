@@ -16,11 +16,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.cost import CostModel
-from repro.core.job import Job, jobs_by_round
+from repro.core.job import Job
 from repro.core.rounds import is_multiple, is_power_of_two
+
+#: The fields of :class:`Job`'s dataclass order, least significant first.
+#: One stable sort per field yields that order from C-level keys without
+#: building a key tuple per job (which costs time and peak memory).
+_JOB_ORDER_KEYS = tuple(
+    attrgetter(name) for name in ("jid", "delay_bound", "color", "arrival")
+)
+_ARRIVAL = _JOB_ORDER_KEYS[-1]
 
 
 class BatchMode(enum.Enum):
@@ -119,11 +129,17 @@ class RequestSequence:
         *,
         open_horizon: bool = False,
     ) -> None:
-        self._jobs: tuple[Job, ...] = tuple(sorted(jobs))
+        ordered = list(jobs)
+        for key in _JOB_ORDER_KEYS:
+            ordered.sort(key=key)
+        self._jobs: tuple[Job, ...] = tuple(ordered)
         ids = [job.jid for job in self._jobs]
         if len(set(ids)) != len(ids):
             raise ValueError("job ids within a request sequence must be unique")
-        self._by_round: dict[int, list[Job]] = jobs_by_round(list(self._jobs))
+        self._by_round: dict[int, list[Job]] = {
+            arrival: list(group)
+            for arrival, group in groupby(self._jobs, key=_ARRIVAL)
+        }
         self._open_horizon = bool(open_horizon)
         last_deadline = max((job.deadline for job in self._jobs), default=0)
         # The drop phase of round `last_deadline` is the final event that can

@@ -26,8 +26,9 @@ BLACK: int = -1
 class Job:
     """A unit job.
 
-    Ordering is lexicographic on ``(arrival, color, jid)`` which gives a
-    stable, deterministic order for jobs arriving in the same round.
+    Ordering is lexicographic on ``(arrival, color, delay_bound, jid)``,
+    which gives a stable, deterministic order for jobs arriving in the
+    same round.
 
     Attributes
     ----------
@@ -105,14 +106,6 @@ class JobFactory:
         if n < 0:
             raise ValueError(f"batch size must be nonnegative, got {n}")
         return [self.make(arrival, color, delay_bound) for _ in range(n)]
-
-
-def jobs_by_round(jobs: list[Job]) -> dict[int, list[Job]]:
-    """Group jobs by arrival round, preserving deterministic order."""
-    grouped: dict[int, list[Job]] = {}
-    for job in sorted(jobs):
-        grouped.setdefault(job.arrival, []).append(job)
-    return grouped
 
 
 def iter_colors(jobs: list[Job]) -> Iterator[int]:

@@ -10,6 +10,8 @@ exact optimum: ``lower_bound <= optimal <= heuristic``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable
 
 from repro.algorithms.greedy import GreedyPendingPolicy
 from repro.algorithms.static import StaticPartitionPolicy
@@ -54,19 +56,17 @@ class LookaheadPolicy(GeneralPolicy):
                 series[i] += series[i - 1]
         self._future = cumulative
 
-    def _score(self, engine: GeneralEngine, color: int) -> int:
-        assert self._future is not None
+    def reconfigure(self, engine: GeneralEngine) -> None:
+        margin = self.hysteresis * engine.delta
         k = engine.round_index
         horizon = engine.instance.horizon
         end = min(horizon, k + self.window)
-        upcoming = self._future[color][end] - self._future[color][min(k + 1, horizon)]
-        return engine.pending_count(color) + upcoming
-
-    def reconfigure(self, engine: GeneralEngine) -> None:
-        margin = self.hysteresis * engine.delta
+        start = min(k + 1, horizon)
+        pending = engine.pending
+        # Backlog plus the arrivals in rounds (k, k + window).
         scores = {
-            color: self._score(engine, color)
-            for color in engine.instance.spec.delay_bounds
+            color: len(pending[color]) + series[end] - series[start]
+            for color, series in self._future.items()
         }
         challengers = sorted(
             (c for c in scores if c not in engine.cache and scores[c] > 0),
@@ -88,14 +88,27 @@ class LookaheadPolicy(GeneralPolicy):
 
 @dataclass(frozen=True)
 class HeuristicOutcome:
-    """Best heuristic schedule found and the candidates considered."""
+    """Cheapest heuristic of a portfolio and the candidates considered.
 
-    best: RunResult
+    Candidates are scored on the engine's ``record="costs"`` path, so
+    :attr:`cost` and :attr:`candidates` never build a schedule; reading
+    :attr:`best` replays only the winning policy with ``record="full"``.
+    """
+
+    instance: Instance
+    num_resources: int
     candidates: tuple[tuple[str, int], ...]
+    #: Builds a fresh instance of the winning (first cheapest) policy.
+    winner: Callable[[], GeneralPolicy]
 
     @property
     def cost(self) -> int:
-        return self.best.total_cost
+        return min(cost for _, cost in self.candidates)
+
+    @cached_property
+    def best(self) -> RunResult:
+        """The winning policy's full run: schedule, trace and costs."""
+        return simulate_general(self.instance, self.winner(), self.num_resources)
 
 
 def best_offline_heuristic(
@@ -111,24 +124,31 @@ def best_offline_heuristic(
     hysteresis values, plain (online) greedy, and a static partition
     weighted by total per-color demand.
     """
-    candidates: list[tuple[str, RunResult]] = []
-    for window in windows:
-        for hysteresis in hysteresis_values:
-            policy = LookaheadPolicy(window, hysteresis)
-            label = f"lookahead(w={window},h={hysteresis})"
-            candidates.append(
-                (label, simulate_general(instance, policy, num_resources))
-            )
-    candidates.append(
-        ("greedy", simulate_general(instance, GreedyPendingPolicy(), num_resources))
-    )
+    portfolio: list[tuple[str, Callable[[], GeneralPolicy]]] = [
+        (
+            f"lookahead(w={window},h={hysteresis})",
+            partial(LookaheadPolicy, window, hysteresis),
+        )
+        for window in windows
+        for hysteresis in hysteresis_values
+    ]
+    portfolio.append(("greedy", GreedyPendingPolicy))
     demand = instance.sequence.count_by_color()
     if demand:
-        static = StaticPartitionPolicy(weights={c: float(n) for c, n in demand.items()})
-        candidates.append(
-            ("static-demand", simulate_general(instance, static, num_resources))
+        weights = {c: float(n) for c, n in demand.items()}
+        portfolio.append(
+            ("static-demand", partial(StaticPartitionPolicy, weights=weights))
         )
-    best_label, best = min(candidates, key=lambda pair: pair[1].total_cost)
-    summary = tuple((label, run.total_cost) for label, run in candidates)
-    outcome = HeuristicOutcome(best, summary)
-    return outcome
+    candidates = tuple(
+        (
+            label,
+            simulate_general(
+                instance, make(), num_resources, record="costs"
+            ).total_cost,
+        )
+        for label, make in portfolio
+    )
+    winner = min(range(len(candidates)), key=lambda i: candidates[i][1])
+    return HeuristicOutcome(
+        instance, num_resources, candidates, portfolio[winner][1]
+    )

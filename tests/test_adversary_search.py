@@ -122,3 +122,42 @@ def test_upper_denominator_mode():
     )
     result = search_adversary(DeltaLRUEDF, config)
     assert result.best_ratio >= 0
+
+
+class TestConfigValidation:
+    def test_misspelled_denominator_rejected(self):
+        # "uper" used to fall through to the combined lower bound.
+        with pytest.raises(ValueError, match="denominator"):
+            SearchConfig(denominator="uper")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("restarts", 0),
+            ("iterations", -5),
+            ("horizon", 0),
+            ("horizon", -8),
+            ("num_colors", 0),
+            ("mutations_per_step", -1),
+            ("num_resources", 0),
+            ("offline_resources", 0),
+            ("bounds", ()),
+            ("bounds", (2, 0)),
+        ],
+    )
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+
+    def test_smallest_valid_values_accepted(self):
+        config = SearchConfig(
+            num_colors=1,
+            bounds=(1,),
+            horizon=1,
+            num_resources=2,  # ΔLRU-EDF runs its resources in pairs
+            iterations=0,
+            restarts=1,
+            mutations_per_step=0,
+        )
+        result = search_adversary(DeltaLRUEDF, config)
+        assert result.evaluations == 1

@@ -84,6 +84,24 @@ def test_search_rejects_unknown_scheme():
         main(["search", "nope"])
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--restarts", "0", "restarts"),  # was a bare ZeroDivisionError
+        ("--horizon", "-8", "horizon"),  # was numpy's negative dimensions
+        ("--horizon", "0", "horizon"),  # was "best ratio: 0.000"
+        ("--iterations", "-5", "iterations"),  # ran one evaluation per restart
+    ],
+)
+def test_search_rejects_out_of_range_config(capsys, flag, value, field):
+    assert main(["search", "dlru-edf", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and field in lines[0]
+
+
 def test_describe_command_json(tmp_path, capsys):
     from repro.workloads.random_batched import random_rate_limited
     from repro.workloads.traces import save_instance

@@ -19,6 +19,8 @@ that contract:
   final drop round, in both engine cores.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.algorithms.greedy import GreedyPendingPolicy
@@ -29,6 +31,7 @@ from repro.analysis.credits import CreditScheme
 from repro.core.instance import BatchMode, make_instance
 from repro.core.job import JobFactory
 from repro.obs import MemorySink, MetricsRegistry, Tracer
+from repro.offline.heuristic import LookaheadPolicy
 from repro.simulation.engine import (
     STATIONARY_TOKEN,
     ReconfigurationScheme,
@@ -49,6 +52,7 @@ GENERAL_POLICIES = [
     pytest.param(StaticPartitionPolicy, id="static"),
     pytest.param(AlwaysReconfigurePolicy, id="always"),
     pytest.param(NeverReconfigurePolicy, id="never"),
+    pytest.param(partial(LookaheadPolicy, 16), id="lookahead"),
 ]
 
 

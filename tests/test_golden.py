@@ -9,6 +9,7 @@ and update with a note in the commit.
 import pytest
 
 from repro import DeltaLRU, DeltaLRUEDF, EDF, simulate
+from repro.offline.heuristic import best_offline_heuristic
 from repro.reductions.pipeline import run_pipeline
 from repro.workloads.adversarial import appendix_a_instance, appendix_b_instance
 from repro.workloads.random_batched import random_general, random_rate_limited
@@ -74,3 +75,25 @@ def test_pipeline_pinned():
     assert summary["total"] == 16
     assert summary["num_drops"] == 0
     assert summary["executions"] == 54
+
+
+@pytest.mark.parametrize(
+    "instance, m, costs",
+    [
+        (
+            random_rate_limited(4, 2, 72, seed=3, bound_choices=(2, 4, 8)),
+            1,
+            [122, 115, 102, 106, 106, 104, 106, 106, 104, 121, 104],
+        ),
+        # greedy ties lookahead(w=64,h=2.0) at 24: the first cheapest wins.
+        (
+            random_general(4, 2, 48, seed=3, rate=0.3, bound_choices=(2, 4, 8)),
+            2,
+            [35, 27, 25, 36, 26, 24, 36, 26, 24, 24, 26],
+        ),
+    ],
+)
+def test_hindsight_portfolio_pinned(instance, m, costs):
+    outcome = best_offline_heuristic(instance, m)
+    assert [cost for _, cost in outcome.candidates] == costs
+    assert outcome.best.algorithm == "offline-lookahead"

@@ -1,6 +1,8 @@
 """Unit tests for repro.core.instance."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cost import CostModel
 from repro.core.instance import (
@@ -86,6 +88,50 @@ class TestRequestSequence:
         assert len(seq) == 0
         assert seq.horizon == 1
         assert seq.colors == ()
+
+
+@st.composite
+def shuffled_jobs(draw):
+    """Jobs with unique ids in any order; color 0 carries two delay bounds.
+
+    A spec allows one bound per color, so only a bare
+    :class:`RequestSequence` can hold such jobs; they make the order's
+    ``delay_bound`` component decide between otherwise equal jobs.
+    """
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 12), st.integers(0, 3), st.sampled_from((2, 4))
+            ),
+            max_size=24,
+        )
+    )
+    arrival = draw(st.integers(0, 12))
+    shapes += [(arrival, 0, 4), (arrival, 0, 2)]
+    jids = draw(st.permutations(range(len(shapes))))
+    jobs = [Job(a, c, d, jid) for (a, c, d), jid in zip(shapes, jids)]
+    return draw(st.permutations(jobs))
+
+
+class TestRequestSequenceOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_jobs())
+    def test_jobs_and_rounds_follow_job_order(self, jobs):
+        seq = RequestSequence(jobs)
+        ordered = tuple(sorted(jobs))
+        assert seq.jobs == ordered
+        for k in range(seq.horizon):
+            assert list(seq.arrivals(k)) == [j for j in ordered if j.arrival == k]
+        assert list(seq.arrival_rounds()) == sorted({job.arrival for job in jobs})
+
+    @settings(max_examples=30, deadline=None)
+    @given(shuffled_jobs(), st.data())
+    def test_duplicate_jids_still_rejected(self, jobs, data):
+        twin = data.draw(st.sampled_from(jobs))
+        clash = Job(twin.arrival + 1, twin.color, twin.delay_bound, twin.jid)
+        position = data.draw(st.integers(0, len(jobs)))
+        with pytest.raises(ValueError, match="unique"):
+            RequestSequence(jobs[:position] + [clash] + jobs[position:])
 
 
 class TestInstanceValidation:

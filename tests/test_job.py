@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.job import BLACK, Job, JobFactory, iter_colors, jobs_by_round
+from repro.core.job import BLACK, Job, JobFactory, iter_colors
 
 
 class TestJobValidation:
@@ -98,13 +98,6 @@ class TestJobFactory:
 
 
 class TestGroupingHelpers:
-    def test_jobs_by_round_groups_and_orders(self):
-        factory = JobFactory()
-        jobs = factory.batch(4, 0, 2, 2) + factory.batch(0, 1, 2, 1)
-        grouped = jobs_by_round(jobs)
-        assert set(grouped) == {0, 4}
-        assert len(grouped[4]) == 2
-
     def test_iter_colors_sorted_distinct(self):
         factory = JobFactory()
         jobs = factory.batch(0, 3, 2, 1) + factory.batch(0, 1, 2, 2)

@@ -4,6 +4,8 @@ and the handcrafted appendix schedules."""
 import pytest
 
 from repro.algorithms.dlru_edf import DeltaLRUEDF
+from repro.algorithms.greedy import GreedyPendingPolicy
+from repro.algorithms.static import StaticPartitionPolicy
 from repro.core.instance import BatchMode, make_instance
 from repro.core.job import JobFactory
 from repro.core.validation import verify_schedule
@@ -20,6 +22,7 @@ from repro.offline.lower_bounds import (
 )
 from repro.offline.optimal import SearchSpaceExceeded, optimal_offline
 from repro.simulation.engine import simulate
+from repro.simulation.general import simulate_general
 from repro.workloads.adversarial import appendix_a_instance, appendix_b_instance
 from repro.workloads.random_batched import random_general, random_rate_limited
 
@@ -169,6 +172,58 @@ class TestHeuristics:
         assert any(label.startswith("lookahead") for label in labels)
         assert "greedy" in labels
         assert outcome.cost == min(cost for _, cost in outcome.candidates)
+
+
+def _full_record_candidates(instance, m, windows, hysteresis_values):
+    """The portfolio's (label, cost) pairs, each policy run with record="full"."""
+    policies = [
+        (f"lookahead(w={w},h={h})", LookaheadPolicy(w, h))
+        for w in windows
+        for h in hysteresis_values
+    ]
+    policies.append(("greedy", GreedyPendingPolicy()))
+    demand = instance.sequence.count_by_color()
+    if demand:
+        weights = {c: float(n) for c, n in demand.items()}
+        policies.append(("static-demand", StaticPartitionPolicy(weights=weights)))
+    return tuple(
+        (label, simulate_general(instance, policy, m, record="full").total_cost)
+        for label, policy in policies
+    )
+
+
+class TestPortfolioAgainstFullRecord:
+    """The costs-only portfolio agrees with a full-record reference."""
+
+    GRIDS = {
+        "default": {"windows": (16, 64, 256), "hysteresis_values": (0.5, 1.0, 2.0)},
+        # SearchConfig's offline_windows / offline_hysteresis defaults.
+        "search": {"windows": (32,), "hysteresis_values": (1.0,)},
+    }
+
+    @staticmethod
+    def _instances(seed):
+        # The shape repro search scores: 4 colors, bounds (2, 4, 8), the
+        # 64-round block grid plus the largest bound, one offline resource.
+        yield random_rate_limited(4, 2, 72, seed=seed, bound_choices=(2, 4, 8)), 1
+        yield random_general(
+            4, 2, 48, seed=seed, rate=0.3, bound_choices=(2, 4, 8)
+        ), 2
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_costs_match_and_best_replays_the_winner(self, grid, seed):
+        for instance, m in self._instances(seed):
+            outcome = best_offline_heuristic(instance, m, **self.GRIDS[grid])
+            expected = _full_record_candidates(instance, m, **self.GRIDS[grid])
+            assert outcome.candidates == expected
+            assert outcome.cost == min(cost for _, cost in expected)
+            assert "best" not in vars(outcome)  # no replay paid so far
+            best = outcome.best
+            assert best.record == "full"
+            assert best.total_cost == outcome.cost
+            assert verify_schedule(instance, best.schedule).ok
+            assert outcome.best is best
 
 
 class TestHandcraftedSchedules:
