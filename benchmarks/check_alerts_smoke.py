@@ -7,7 +7,7 @@ Four acceptance promises:
 
 1. **Live scrapes survive the run.**  A background scraper hits
    ``/series`` and ``/alerts`` continuously; every response must be
-   HTTP 200 with the right schema (``repro-series/v1`` /
+   HTTP 200 with the right schema (``repro-series/v2`` /
    ``repro-alerts/v1``).
 2. **The stall alert fires and resolves deterministically.**  The
    critical stall rule on ``stream.offered`` fires exactly once (inside
@@ -120,6 +120,7 @@ def _fetch_json(url: str) -> tuple[int, dict]:
 
 def _check_live_surface() -> int:
     from repro.obs.service import OpsService, OpsState
+    from repro.obs.timeseries import SERIES_SCHEMA
 
     failures = 0
     session, recorder = _build()
@@ -136,7 +137,7 @@ def _check_live_surface() -> int:
             while not stop_scraping.is_set():
                 try:
                     status, series = _fetch_json(base + "/series")
-                    if status != 200 or series.get("schema") != "repro-series/v1":
+                    if status != 200 or series.get("schema") != SERIES_SCHEMA:
                         scrape_errors.append(f"/series HTTP {status} {series}")
                     status, alerts = _fetch_json(base + "/alerts")
                     if status != 200 or alerts.get("schema") != "repro-alerts/v1":

@@ -235,7 +235,7 @@ def render_series(source, *, names: Sequence[str] | None = None, width: int = 48
     """Fixed-width sparkline table of recorded metric series.
 
     ``source`` is a :class:`~repro.obs.timeseries.SeriesRecorder`, a
-    recorder/JSONL snapshot dict (``{"schema": "repro-series/v1", ...}``),
+    recorder/JSONL snapshot dict (``{"schema": "repro-series/v2", ...}``),
     or a plain ``{name: Series}`` mapping.  ``names`` restricts (and
     orders) the rendered series; default is all, sorted.
     """

@@ -44,6 +44,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.registry import RunRegistry
+from repro.obs.timeseries import SERIES_SCHEMA
 
 
 class OpsState:
@@ -197,7 +198,7 @@ class OpsState:
     def series_payload(self, *, name_prefix: str | None = None) -> dict[str, Any]:
         with self._lock:
             payload: dict[str, Any] = {
-                "schema": "repro-series/v1",
+                "schema": SERIES_SCHEMA,
                 "active": self.series_snapshot is not None,
                 "updates": self.series_updates,
             }

@@ -26,21 +26,26 @@ effective sample stride.  A million-round stream sampled every segment
 therefore keeps a bounded, progressively coarser history instead of
 growing without bound or silently dropping the past.
 
-Persistence is schema-tagged JSONL (``repro-series/v1``): one header
+Persistence is schema-tagged JSONL (``repro-series/v2``): one header
 line with the recorder configuration, then one line per series — written
 with :func:`write_series_jsonl`, read back with
 :func:`read_series_jsonl`, evaluated post hoc with ``repro alerts
-check``.
+check``.  A point is a ``[round, value]`` pair while it is a single
+sample and the seven-field list of :class:`SeriesPoint` once compacted;
+``repro-series/v1`` files, whose points are all seven-field lists, are
+still read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
-SERIES_SCHEMA = "repro-series/v1"
+SERIES_SCHEMA = "repro-series/v2"
+
+#: Earlier schemas :func:`read_series_jsonl` still reads.
+_READABLE_SCHEMAS = (SERIES_SCHEMA, "repro-series/v1")
 
 #: Default ring capacity per series; at one sample per 4096-round
 #: segment this holds ~1M rounds before the first compaction.
@@ -50,14 +55,14 @@ DEFAULT_CAPACITY = 256
 DEFAULT_EWMA_ALPHA = 0.25
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     """One (possibly compacted) observation of a series.
 
-    An uncompacted sample has ``start == end`` and ``count == 1``; a
-    compacted point covers the round window ``[start, end]`` and carries
-    the aggregates of everything merged into it.  ``last`` is the value
-    at ``end`` — the one alert evaluation reads.
+    An uncompacted sample has ``start == end`` and ``count == 1`` (and
+    ``last == min == max == total``); a compacted point covers the round
+    window ``[start, end]`` and carries the aggregates of everything
+    merged into it.  ``last`` is the value at ``end`` — the one alert
+    evaluation reads.
     """
 
     start: int
@@ -74,51 +79,53 @@ class SeriesPoint:
 
     @classmethod
     def sample(cls, round_index: int, value: float) -> "SeriesPoint":
-        return cls(
-            start=round_index,
-            end=round_index,
-            count=1,
-            last=value,
-            min=value,
-            max=value,
-            total=value,
-        )
+        return cls(round_index, round_index, 1, value, value, value, value)
 
     def merge(self, other: "SeriesPoint") -> "SeriesPoint":
         """Combine with the chronologically *later* point ``other``."""
         return SeriesPoint(
-            start=self.start,
-            end=other.end,
-            count=self.count + other.count,
-            last=other.last,
-            min=min(self.min, other.min),
-            max=max(self.max, other.max),
-            total=self.total + other.total,
+            self.start,
+            other.end,
+            self.count + other.count,
+            other.last,
+            min(self.min, other.min),
+            max(self.max, other.max),
+            self.total + other.total,
         )
 
     def to_list(self) -> list:
-        return [
-            self.start,
-            self.end,
-            self.count,
-            self.last,
-            self.min,
-            self.max,
-            self.total,
-        ]
+        """``[round, value]`` for a single sample, else all seven fields."""
+        if self.count == 1:
+            return [self.start, self.last]
+        return list(self)
 
     @classmethod
-    def from_list(cls, data: Iterable) -> "SeriesPoint":
+    def from_list(cls, data: Sequence) -> "SeriesPoint":
+        """Inverse of :meth:`to_list`; also reads a single sample written
+        as seven fields (``repro-series/v1``), but only a consistent one,
+        so the two-number form loses nothing."""
+        if len(data) == 2:
+            return cls.sample(int(data[0]), float(data[1]))
         start, end, count, last, low, high, total = data
-        return cls(
-            start=int(start),
-            end=int(end),
-            count=int(count),
-            last=float(last),
-            min=float(low),
-            max=float(high),
-            total=float(total),
+        point = cls(
+            int(start),
+            int(end),
+            int(count),
+            float(last),
+            float(low),
+            float(high),
+            float(total),
         )
+        # Compared by repr, so -0.0 vs 0.0 counts as a disagreement and
+        # a recorded NaN sample still agrees with itself.
+        if point.count == 1 and (
+            point.start != point.end or len(set(map(repr, point[3:]))) != 1
+        ):
+            raise ValueError(
+                f"series point {data!r} has count 1 but is not a single "
+                "sample (needs start == end and last == min == max == total)"
+            )
+        return point
 
 
 class Series:
@@ -427,8 +434,10 @@ def write_series_jsonl(
 def read_series_jsonl(path: str | Path) -> dict[str, Any]:
     """Read a :func:`write_series_jsonl` file back into a snapshot dict.
 
-    Raises ``ValueError`` on a missing/foreign schema header or a
-    corrupt line, naming the line number.
+    Reads ``repro-series/v2`` and ``repro-series/v1`` files; the
+    snapshot carries every series in the current encoding.  Raises
+    ``ValueError`` naming the file and line on a missing, foreign or
+    malformed header, or on a line that is not a valid series.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -440,10 +449,15 @@ def read_series_jsonl(path: str | Path) -> dict[str, Any]:
         raise ValueError(
             f"series file {path} line 1 is not JSON: {error}"
         ) from error
-    if header.get("schema") != SERIES_SCHEMA:
+    if not isinstance(header, dict):
+        raise ValueError(
+            f"series file {path} line 1 is a JSON "
+            f"{type(header).__name__}, not a header object"
+        )
+    if header.get("schema") not in _READABLE_SCHEMAS:
         raise ValueError(
             f"series file {path} has schema {header.get('schema')!r}; "
-            f"expected {SERIES_SCHEMA}"
+            f"expected one of {', '.join(_READABLE_SCHEMAS)}"
         )
     series: dict[str, Any] = {}
     for number, line in enumerate(lines[1:], start=2):
@@ -455,7 +469,14 @@ def read_series_jsonl(path: str | Path) -> dict[str, Any]:
             raise ValueError(
                 f"series file {path} line {number} is corrupt: {error}"
             ) from error
-        series[data["name"]] = data
+        try:
+            one = Series.from_dict(data)
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(
+                f"series file {path} line {number} is not a valid series "
+                f"({type(error).__name__}: {error})"
+            ) from error
+        series[one.name] = one.to_dict()
     return {
         "schema": SERIES_SCHEMA,
         "capacity": header.get("capacity"),

@@ -6,7 +6,13 @@ state, pending queues, cache slots, accumulated costs), the scheme's
 decision state (RNG streams, mark sets, credit vectors), the ingestion
 counters, and any source state.  A configuration echo (spec digest,
 scheme/engine/resources/speed) guards against resuming into a different
-experiment, and a payload digest guards against torn or edited files.
+experiment, and a body digest guards against torn or edited files.
+
+On disk a checkpoint is two lines: a header
+``{"digest": <sha256 of the body bytes>, "schema": ...}`` and the body,
+the compact sort-keyed JSON of :meth:`StreamCheckpoint.to_payload`.
+Saving encodes the body once; loading checks the digest on the raw body
+bytes and decodes them once.
 
 Restore contract: a session resumed from a checkpoint produces the same
 ``CostBreakdown`` as the uninterrupted session, bit for bit.  This is
@@ -25,7 +31,22 @@ from pathlib import Path
 
 from repro.core.instance import ProblemSpec
 
-CHECKPOINT_SCHEMA = "repro-stream-checkpoint/v1"
+CHECKPOINT_SCHEMA = "repro-stream-checkpoint/v2"
+
+#: Body fields a checkpoint cannot be resumed without.
+_REQUIRED_FIELDS = (
+    "round",
+    "config",
+    "engine_state",
+    "scheme_state",
+    "ingest_state",
+)
+
+
+def _canonical_json(payload) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
+        "utf-8"
+    )
 
 
 def spec_digest(spec: ProblemSpec) -> str:
@@ -37,17 +58,23 @@ def spec_digest(spec: ProblemSpec) -> str:
         "batch_mode": spec.batch_mode.value,
         "require_power_of_two": spec.require_power_of_two,
     }
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def _payload_digest(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_json(payload)).hexdigest()[:16]
 
 
 class CheckpointError(ValueError):
     """A checkpoint file is corrupt or does not match the session."""
+
+
+def _json_object(raw: bytes, part: str) -> dict:
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except ValueError as error:  # UnicodeDecodeError or JSONDecodeError
+        raise CheckpointError(f"{part} is not UTF-8 JSON: {error}") from error
+    if not isinstance(value, dict):
+        raise CheckpointError(
+            f"{part} is a JSON {type(value).__name__}, not an object"
+        )
+    return value
 
 
 @dataclass
@@ -68,12 +95,13 @@ class StreamCheckpoint:
     #: (and the series recorded from it) continues instead of resetting.
     checkpoints_written: int = 0
     #: Observability carry-over (series recorder + alert engine state);
-    #: optional so v1 checkpoints written before it existed still load.
+    #: empty for a session without registry or recorder, and optional
+    #: in :meth:`from_payload`, which reads its absence as empty.
     obs_state: dict = field(default_factory=dict)
 
     def to_payload(self) -> dict:
-        body = {
-            "schema": CHECKPOINT_SCHEMA,
+        """The checkpoint body as a JSON-ready dict."""
+        return {
             "round": self.round,
             "config": self.config,
             "engine_state": self.engine_state,
@@ -85,25 +113,13 @@ class StreamCheckpoint:
             "checkpoints_written": self.checkpoints_written,
             "obs_state": self.obs_state,
         }
-        body["digest"] = _payload_digest(
-            {k: v for k, v in body.items() if k != "digest"}
-        )
-        return body
 
     @classmethod
     def from_payload(cls, payload: dict) -> "StreamCheckpoint":
-        if payload.get("schema") != CHECKPOINT_SCHEMA:
+        missing = [key for key in _REQUIRED_FIELDS if key not in payload]
+        if missing:
             raise CheckpointError(
-                f"unsupported checkpoint schema {payload.get('schema')!r}; "
-                f"expected {CHECKPOINT_SCHEMA}"
-            )
-        digest = payload.get("digest")
-        expected = _payload_digest(
-            {k: v for k, v in payload.items() if k != "digest"}
-        )
-        if digest != expected:
-            raise CheckpointError(
-                "checkpoint digest mismatch (torn write or edited file)"
+                f"missing required field(s) {', '.join(missing)}"
             )
         return cls(
             round=payload["round"],
@@ -123,19 +139,52 @@ class StreamCheckpoint:
         leaves the previous checkpoint intact."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(self.to_payload(), sort_keys=True), encoding="utf-8"
+        body = _canonical_json(self.to_payload())
+        header = _canonical_json(
+            {
+                "digest": hashlib.sha256(body).hexdigest(),
+                "schema": CHECKPOINT_SCHEMA,
+            }
         )
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_bytes(b"\n".join((header, body, b"")))
         os.replace(tmp, path)
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "StreamCheckpoint":
+        """Read a :meth:`save` file.
+
+        Raises :class:`CheckpointError`, naming ``path``, when the file
+        is unreadable or truncated, its header or body is not a UTF-8
+        JSON object, its schema is not :data:`CHECKPOINT_SCHEMA`, the
+        body fails the header's digest, or a required field is missing.
+        """
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
+            return cls._parse(Path(path).read_bytes())
+        except (OSError, CheckpointError) as error:
             raise CheckpointError(
-                f"cannot read checkpoint {path}: {error}"
+                f"cannot load checkpoint {path}: {error}"
             ) from error
-        return cls.from_payload(payload)
+
+    @classmethod
+    def _parse(cls, data: bytes) -> "StreamCheckpoint":
+        header_line, _, rest = data.partition(b"\n")
+        header = _json_object(header_line, "header")
+        schema = header.get("schema")
+        if schema != CHECKPOINT_SCHEMA:
+            raise CheckpointError(
+                f"unsupported schema {schema!r}; this version reads only "
+                f"{CHECKPOINT_SCHEMA}"
+            )
+        body, newline, tail = rest.partition(b"\n")
+        if not newline or tail:
+            raise CheckpointError(
+                "truncated or trailing data: expected a header line and "
+                "one body line"
+            )
+        if hashlib.sha256(body).hexdigest() != header.get("digest"):
+            raise CheckpointError(
+                "digest mismatch (torn write or edited file)"
+            )
+        return cls.from_payload(_json_object(body, "body"))

@@ -124,3 +124,34 @@ def test_describe_command_csv(tmp_path, capsys):
     assert main(["describe", str(path)]) == 0
     out = capsys.readouterr().out
     assert "total load" in out
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_stream_resume_refuses_corrupt_checkpoint(tmp_path, capsys, where):
+    path = tmp_path / "ckpt.json"
+    args = ["stream", "--segment", "64", "--checkpoint", str(path)]
+    series = ["--series", str(tmp_path / "series.jsonl")]
+    assert main([*args, "--rounds", "256", *series]) == 0
+    data = bytearray(path.read_bytes())
+    data[5 if where == "header" else len(data) // 2] = 0xFF
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main([*args, "--rounds", "512", "--resume"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and str(path) in lines[0]
+
+
+def test_alerts_check_rejects_malformed_series(tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    assert main(["alerts", "example", "--out", str(rules)]) == 0
+    series = tmp_path / "series.jsonl"
+    series.write_text(
+        '{"schema": "repro-series/v1"}\n'
+        '{"name": "x", "capacity": 4, "points": [[1, 2, 3]]}\n'
+    )
+    capsys.readouterr()
+    assert main(["alerts", "check", str(series), "--rules", str(rules)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "line 2" in lines[0]

@@ -144,22 +144,22 @@ class TestRunRegistry:
         assert sum(1 for r in records if r.kind == "simulate") == 4
 
     def test_get_supports_abbreviation_and_ambiguity(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        record = registry.append(RunRecord(kind="simulate"))
-        assert registry.get(record.run_id[:5]).run_id == record.run_id
-        with pytest.raises(KeyError):
-            registry.get("nope")
-        # Empty prefix matches every record: unique while there is one
-        # record, ambiguous as soon as there are two.
-        assert registry.get("").run_id == record.run_id
-        registry.append(RunRecord(kind="simulate"))
-        with pytest.raises(KeyError):
-            registry.get("")
+        with RunRegistry(tmp_path) as registry:
+            record = registry.append(RunRecord(kind="simulate"))
+            assert registry.get(record.run_id[:5]).run_id == record.run_id
+            with pytest.raises(KeyError):
+                registry.get("nope")
+            # Empty prefix matches every record: unique while there is
+            # one record, ambiguous as soon as there are two.
+            assert registry.get("").run_id == record.run_id
+            registry.append(RunRecord(kind="simulate"))
+            with pytest.raises(KeyError):
+                registry.get("")
 
     def test_last_filters_by_kind(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        for kind in ("simulate", "search", "simulate"):
-            registry.append(RunRecord(kind=kind))
+        with RunRegistry(tmp_path) as registry:
+            for kind in ("simulate", "search", "simulate"):
+                registry.append(RunRecord(kind=kind))
         assert len(registry.last(10, kind="simulate")) == 2
         assert len(registry.last(1, kind="simulate")) == 1
 
@@ -179,6 +179,7 @@ class TestRegistrySink:
         instance = _instance()
         result = simulate(instance, DeltaLRU(), 2, engine="sparse")
         record = sink.record_simulate(result, engine="sparse", seed=1)
+        sink.close()
         assert record.kind == "simulate"
         assert record.cost["total"] == result.total_cost
         assert record.instance_digest == instance_digest(instance)
@@ -190,6 +191,7 @@ class TestRegistrySink:
         search = search_adversary(DeltaLRU, config, recorder=sink)
         instance = random_general(3, 2, 16, seed=0, rate=0.4)
         solve = optimal_offline(instance, 2, recorder=sink)
+        sink.close()
         records = sink.registry.records()
         kinds = [r.kind for r in records]
         assert kinds.count("search") == 1
@@ -213,6 +215,7 @@ class TestRegistrySink:
             publish=state.publish_snapshot,
             runner=ParallelRunner(max_workers=2, chunk_size=1),
         )
+        sink.close()
         assert (plain.total_costs == wired.total_costs).all()
         records = sink.registry.records()
         assert len(records) == 4
@@ -237,6 +240,7 @@ class TestRunDiff:
             simulate(instance, DeltaLRU(), 2, engine="dense"),
             engine="dense",
         )
+        sink.close()
         # Survive the disk round-trip before diffing.
         registry = RunRegistry(tmp_path)
         diff = diff_runs(registry.get(a.run_id), registry.get(b.run_id))
@@ -266,8 +270,8 @@ class TestRunDiff:
 
 class TestOpsService:
     def test_endpoints(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        recorded = registry.append(RunRecord(kind="simulate", seed=1))
+        with RunRegistry(tmp_path) as registry:
+            recorded = registry.append(RunRecord(kind="simulate", seed=1))
         state = OpsState(run_registry=registry)
         state.publish_snapshot(
             {"counters": {"engine.drops": 7}, "gauges": {}, "histograms": {}}
@@ -295,6 +299,7 @@ class TestOpsService:
 
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(service.url + "/runs/zzzz")
+            err.value.close()  # the error holds the response socket
             assert err.value.code == 404
 
     def test_health_degrades_on_violations(self):

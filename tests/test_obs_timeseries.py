@@ -9,7 +9,12 @@ same history.
 
 from __future__ import annotations
 
+import json
+import sys
+
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.render import render_series, sparkline
@@ -188,7 +193,7 @@ class TestSeriesPersistence:
         path = tmp_path / "series.jsonl"
         write_series_jsonl(recorder, path)
         snapshot = read_series_jsonl(path)
-        assert snapshot["schema"] == "repro-series/v1"
+        assert snapshot["schema"] == "repro-series/v2"
         assert snapshot["samples"] == recorder.samples
         restored = series_from_snapshot(snapshot)
         assert set(restored) == set(recorder.names())
@@ -206,7 +211,7 @@ class TestSeriesPersistence:
         path.write_text('{"schema": "something-else/v9"}\n')
         with pytest.raises(ValueError, match="schema"):
             read_series_jsonl(path)
-        with pytest.raises(ValueError, match="expected a repro-series/v1"):
+        with pytest.raises(ValueError, match="expected a repro-series/v2"):
             write_series_jsonl({"schema": "nope"}, tmp_path / "out.jsonl")
 
     def test_corrupt_line_names_line_number(self, tmp_path):
@@ -224,6 +229,137 @@ class TestSeriesPersistence:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             read_series_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "lines, where",
+        [
+            (["[]"], "line 1"),
+            (['{"schema": "repro-series/v2"}', '{"capacity": 4}'], "line 2"),
+            (['{"schema": "repro-series/v2"}', "[1, 2]"], "line 2"),
+            (
+                [
+                    '{"schema": "repro-series/v2"}',
+                    '{"name": "x", "capacity": 4, "points": [[1, 2, 3]]}',
+                ],
+                "line 2",
+            ),
+        ],
+        ids=["header-not-object", "no-name", "line-is-list", "three-field-point"],
+    )
+    def test_malformed_file_names_file_and_line(self, tmp_path, lines, where):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=where) as caught:
+            read_series_jsonl(path)
+        assert str(path) in str(caught.value)
+
+
+# Values that stress the float encoding: signed zeros, infinities,
+# subnormals and magnitudes whose sums overflow when points compact.
+_values = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, float("inf"), float("-inf"), 5e-324, -5e-324,
+         sys.float_info.min / 3, sys.float_info.max, -1e308]
+    ),
+    st.floats(allow_nan=False),
+)
+_appends = st.lists(
+    st.tuples(st.integers(1, 5000), _values), min_size=1, max_size=40
+)
+
+
+def _series(capacity, appends):
+    series = Series("x", capacity)
+    round_index = 0
+    for gap, value in appends:
+        round_index += gap
+        series.append(round_index, value)
+    return series
+
+
+def _exact(points):
+    # repr tells -0.0 from 0.0 and matches NaN (from inf + -inf) with
+    # itself, where == would not.
+    return repr(list(points))
+
+
+class TestSeriesEncodingLossless:
+    @settings(max_examples=100, deadline=None)
+    @given(capacity=st.integers(2, 9), appends=_appends)
+    def test_json_round_trip_and_short_samples(self, capacity, appends):
+        series = _series(capacity, appends)
+        encoded = series.to_dict()
+        for point, data in zip(series.points, encoded["points"]):
+            assert len(data) == (2 if point.count == 1 else 7)
+        restored = Series.from_dict(json.loads(json.dumps(encoded)))
+        assert (restored.name, restored.capacity, restored.compactions) == (
+            series.name, series.capacity, series.compactions
+        )
+        assert _exact(restored.points) == _exact(series.points)
+
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(capacity=st.integers(2, 9), appends=_appends)
+    def test_v1_file_reads_back(self, tmp_path, capacity, appends):
+        series = _series(capacity, appends)
+        line = dict(series.to_dict(), points=[list(p) for p in series.points])
+        path = tmp_path / "v1.jsonl"
+        path.write_text(
+            json.dumps({"schema": "repro-series/v1", "capacity": capacity})
+            + "\n" + json.dumps(line) + "\n"
+        )
+        snapshot = read_series_jsonl(path)
+        assert snapshot["schema"] == "repro-series/v2"
+        restored = series_from_snapshot(snapshot)["x"]
+        assert restored.compactions == series.compactions
+        assert _exact(restored.points) == _exact(series.points)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        capacity=st.integers(2, 9),
+        steps=st.lists(
+            st.tuples(st.integers(1, 5000), st.integers(0, 10**6), _values),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_recorder_state_json_round_trip(self, capacity, steps):
+        registry = MetricsRegistry()
+        recorder = SeriesRecorder(registry, capacity=capacity)
+        round_index = 0
+        for gap, increment, value in steps:
+            round_index += gap
+            registry.counter("stream.offered").inc(increment)
+            registry.gauge("stream.level").set(value)
+            recorder.sample(round_index)
+        state = recorder.state_dict()
+        restored = SeriesRecorder(MetricsRegistry(), capacity=capacity)
+        restored.load_state(json.loads(json.dumps(state)))
+        assert json.dumps(restored.state_dict(), sort_keys=True) == json.dumps(
+            state, sort_keys=True
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        round_index=st.integers(0, 10**9),
+        value=_values,
+        field=st.sampled_from([1, 4, 5, 6]),
+        other=_values,
+    )
+    def test_inconsistent_single_sample_rejected(
+        self, round_index, value, field, other
+    ):
+        fields = list(SeriesPoint.sample(round_index, value))
+        if field == 1:
+            fields[1] = round_index + 1
+        else:
+            assume(repr(other) != repr(value))
+            fields[field] = other
+        with pytest.raises(ValueError, match="count 1"):
+            SeriesPoint.from_list(fields)
 
 
 class TestSparkline:

@@ -9,8 +9,10 @@ exercise the resume path simply by comparing against uninterrupted runs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.core.job import Job
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.registry import RunRecord, RunRegistry
 from repro.obs.service import OpsState
+from repro.obs.timeseries import SeriesRecorder
 from repro.runtime.parallel import ParallelRunner
 from repro.simulation.engine import BatchedEngine, RunResult, simulate
 from repro.streaming import (
@@ -34,7 +37,7 @@ from repro.streaming import (
     StreamSession,
     rate_limited_source,
 )
-from repro.streaming.checkpoint import CheckpointError
+from repro.streaming.checkpoint import CHECKPOINT_SCHEMA, CheckpointError
 from repro.workloads.random_batched import random_rate_limited
 
 ENGINES = ("sparse", "dense", "vectorized")
@@ -205,9 +208,10 @@ class TestCheckpointResume:
         session.run(320)
         path = tmp_path / "ckpt.json"
         session.checkpoint().save(path)
-        payload = json.loads(path.read_text())
-        payload["round"] += 1  # tamper
-        path.write_text(json.dumps(payload))
+        data = bytearray(path.read_bytes())
+        body_start = data.index(b"\n") + 1
+        data[body_start + (len(data) - body_start) // 2] ^= 0x01  # tamper
+        path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="digest"):
             StreamCheckpoint.load(path)
 
@@ -231,6 +235,99 @@ class TestCheckpointResume:
         session.run(320, checkpoint_every=64, checkpoint_path=path)
         assert not path.with_name(path.name + ".tmp").exists()
         assert StreamCheckpoint.load(path).round == 320
+
+
+def _v2_file(body: bytes, schema: str = CHECKPOINT_SCHEMA) -> bytes:
+    """A two-line checkpoint file whose header digest matches ``body``."""
+    header = {"digest": hashlib.sha256(body).hexdigest(), "schema": schema}
+    return json.dumps(header).encode() + b"\n" + body + b"\n"
+
+
+class TestCheckpointFaultInjection:
+    """A damaged checkpoint raises CheckpointError naming the file, and
+    nothing else: the CLI's ``--resume`` catches only that."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        registry = MetricsRegistry()
+        session = StreamSession(
+            rate_limited_source(8, 32, seed=2),
+            DeltaLRU(),
+            6,
+            registry=registry,
+            recorder=SeriesRecorder(registry, capacity=8),
+            segment_rounds=32,
+        )
+        path = tmp_path / "ckpt.json"
+        session.run(640, checkpoint_every=320, checkpoint_path=path)
+        # Recorder history dominates a real checkpoint, and 20 samples
+        # at capacity 8 put compacted and single-sample points in it.
+        series = StreamCheckpoint.load(path).obs_state["series"]["series"]
+        lengths = {len(p) for s in series.values() for p in s["points"]}
+        assert lengths == {2, 7}
+        return path
+
+    def _refused(self, path, data: bytes) -> str:
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError) as caught:
+            StreamCheckpoint.load(path)
+        assert str(path) in str(caught.value)
+        return str(caught.value)
+
+    def test_byte_flips(self, saved):
+        data = saved.read_bytes()
+        header_end = data.index(b"\n") + 1
+        rng = random.Random(14)
+        offsets = rng.sample(range(header_end), 16) + rng.sample(
+            range(header_end, len(data)), 48
+        )
+        for offset in offsets:
+            damaged = bytearray(data)
+            damaged[offset] ^= rng.randrange(1, 256)
+            self._refused(saved, bytes(damaged))
+
+    def test_truncations(self, saved):
+        data = saved.read_bytes()
+        header_end = data.index(b"\n") + 1
+        rng = random.Random(15)
+        lengths = {0, header_end // 2, header_end - 1, header_end}
+        lengths.add(len(data) - 1)
+        while len(lengths) < 16:
+            lengths.add(rng.randrange(1, len(data)))
+        for length in sorted(lengths):
+            self._refused(saved, data[:length])
+
+    def test_v1_layout_refused_naming_both_schemas(self, saved):
+        # The v1 writer: one JSON document, schema and digest inside.
+        payload = StreamCheckpoint.load(saved).to_payload()
+        payload["schema"] = "repro-stream-checkpoint/v1"
+        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        payload["digest"] = hashlib.sha256(canon.encode()).hexdigest()
+        message = self._refused(
+            saved, json.dumps(payload, sort_keys=True).encode()
+        )
+        assert "repro-stream-checkpoint/v1" in message
+        assert CHECKPOINT_SCHEMA in message
+
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            (b"[]", "header is a JSON list"),
+            (b'"x"', "header is a JSON str"),
+            (b"\xff\xfe{}\n{}\n", "header is not UTF-8"),
+            (_v2_file(b"[]"), "body is a JSON list"),
+            (_v2_file(b"{}", schema="repro-stream-checkpoint/v9"), "v9"),
+            (_v2_file(b'{"round":3}'), "missing required field"),
+            (_v2_file(b"{}") + b"{}\n", "trailing data"),
+        ],
+    )
+    def test_malformed_files(self, tmp_path, data, problem):
+        assert problem in self._refused(tmp_path / "ckpt.json", data)
+
+    def test_unreadable_file(self, tmp_path):
+        for path in (tmp_path / "missing.json", tmp_path):
+            with pytest.raises(CheckpointError, match="cannot load"):
+                StreamCheckpoint.load(path)
 
 
 class TestIngestion:
@@ -477,16 +574,16 @@ class TestRegistryDuplicateRunIds:
     """Satellite 4: ambiguous addressing raises instead of guessing."""
 
     def test_duplicate_exact_run_ids_raise(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        registry.append(RunRecord(kind="simulate", run_id="aaaa1111"))
-        registry.append(RunRecord(kind="simulate", run_id="aaaa1111"))
+        with RunRegistry(tmp_path) as registry:
+            registry.append(RunRecord(kind="simulate", run_id="aaaa1111"))
+            registry.append(RunRecord(kind="simulate", run_id="aaaa1111"))
         with pytest.raises(KeyError, match="duplicate"):
             registry.get("aaaa1111")
 
     def test_colliding_digest_prefixes_raise(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        registry.append(RunRecord(kind="simulate", run_id="aaaa1111"))
-        registry.append(RunRecord(kind="simulate", run_id="aaaa2222"))
+        with RunRegistry(tmp_path) as registry:
+            registry.append(RunRecord(kind="simulate", run_id="aaaa1111"))
+            registry.append(RunRecord(kind="simulate", run_id="aaaa2222"))
         with pytest.raises(KeyError, match="ambiguous"):
             registry.get("aaaa")
         assert registry.get("aaaa1").run_id == "aaaa1111"
@@ -599,11 +696,6 @@ class TestResumeMetricReseed:
         payload = session.checkpoint().to_payload()
         # Simulate a checkpoint written before obs_state existed.
         del payload["obs_state"]
-        from repro.streaming.checkpoint import _payload_digest
-
-        payload["digest"] = _payload_digest(
-            {k: v for k, v in payload.items() if k != "digest"}
-        )
         restored = StreamCheckpoint.from_payload(payload)
         assert restored.obs_state == {}
         assert restored.round == 400
