@@ -28,8 +28,9 @@ from repro.offline.optimal import optimal_offline, optimal_offline_exhaustive
 from repro.runtime.telemetry import OFFLINE_BENCH_SCHEMA, write_bench_json
 from repro.workloads.random_batched import random_general
 
-#: The EXP-P mini-grid cell family (colors, resources, rate, bounds).
+#: The EXP-P mini-grid cell family (colors, Δ, resources, rate, bounds).
 COLORS = 3
+DELTA = 2
 RESOURCES = 2
 RATE = 0.4
 BOUND_CHOICES = (2, 4)
@@ -54,7 +55,7 @@ def make_cell(seed: int, horizon: int):
     """One EXP-P mini-grid instance."""
     return random_general(
         COLORS,
-        RESOURCES,
+        DELTA,
         horizon,
         seed=seed,
         rate=RATE,

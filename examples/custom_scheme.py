@@ -57,6 +57,9 @@ class AdaptiveHybrid(DeltaLRUEDF):
     """ΔLRU-EDF whose LRU fraction adapts to the observed failure mode."""
 
     name = "adaptive-hybrid"
+    # Its nudges read the round index and the cost counters, which the
+    # stationarity contract forbids, so it must not inherit the flag.
+    stationary = False
 
     def __init__(self) -> None:
         super().__init__(lru_fraction=0.5)

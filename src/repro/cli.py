@@ -44,6 +44,19 @@ from pathlib import Path
 #: Where ``--registry-dir`` points when passed without a value.
 DEFAULT_REGISTRY_DIR = ".repro/runs"
 
+#: Reconfiguration cost Δ of ``repro offline``'s workloads: the EXP-P
+#: cell family, ``random_general(colors, 2, horizon, ...)``.
+OFFLINE_DELTA = 2
+
+
+def _usage_error(message: str, service=None) -> int:
+    """Print one ``error:`` line, stop the ops service if one runs, and
+    return the usage exit status."""
+    print(f"error: {message}", file=sys.stderr)
+    if service is not None:
+        service.stop()
+    return 2
+
 
 def _recorder_for(args: argparse.Namespace):
     """RegistrySink for ``--registry-dir``, or None when not requested."""
@@ -178,8 +191,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             shared_cache=args.shared_cache,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(str(error))
     # Restarts are pre-seeded, so parallel results match serial exactly.
     runner = (
         ParallelRunner(max_workers=args.jobs)
@@ -211,9 +223,17 @@ def _cmd_offline(args: argparse.Namespace) -> int:
     )
     from repro.workloads.random_batched import random_general
 
+    for flag in ("horizon", "colors", "resources"):
+        if getattr(args, flag) < 1:
+            return _usage_error(
+                f"--{flag} must be at least 1, got {getattr(args, flag)}"
+            )
+    if args.rate < 0:
+        return _usage_error(f"--rate must be nonnegative, got {args.rate}")
+    # The EXP-P cell family fixes Δ; --resources sizes the solver only.
     instance = random_general(
         args.colors,
-        args.resources,
+        OFFLINE_DELTA,
         args.horizon,
         seed=args.seed,
         rate=args.rate,
@@ -301,7 +321,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
         flame_table,
         render_metrics,
     )
-    from repro.simulation.engine import simulate
+    from repro.obs.sampling import SamplingController, SamplingTracer
+    from repro.simulation.engine import check_geometry, simulate
     from repro.workloads.random_batched import random_batched
 
     module_name, class_name = _SCHEME_CHOICES[args.scheme].split(":")
@@ -309,39 +330,46 @@ def _cmd_record(args: argparse.Namespace) -> int:
     if args.epochs and args.record != "full":
         print("--epochs needs the full event trace; pass --record full")
         return 2
-    instance = random_batched(
-        args.colors,
-        args.delta,
-        args.horizon,
-        seed=args.seed,
-        load=args.load,
-        name=f"record-seed{args.seed}",
-    )
     if args.sample is not None and args.epochs:
         print("--epochs reads the full trace; it cannot ride a sampled one")
         return 2
+    for flag in ("colors", "horizon"):
+        if getattr(args, flag) < 1:
+            return _usage_error(
+                f"--{flag} must be at least 1, got {getattr(args, flag)}"
+            )
+    probability = None
+    if args.sample not in (None, "adaptive"):
+        try:
+            probability = float(args.sample)
+        except ValueError:
+            return _usage_error(
+                "--sample takes a keep probability in [0, 1] or 'adaptive'"
+            )
+    controller = None
+    try:
+        # simulate() below runs at its default replication, copies=2.
+        check_geometry(args.resources, 2, args.speed)
+        instance = random_batched(
+            args.colors,
+            args.delta,
+            args.horizon,
+            seed=args.seed,
+            load=args.load,
+            name=f"record-seed{args.seed}",
+        )
+        if args.sample == "adaptive":
+            controller = SamplingController(
+                target_overhead=args.sample_target, seed=args.seed
+            )
+        elif args.sample is not None:
+            controller = SamplingController(probability=probability, seed=args.seed)
+    except ValueError as error:
+        return _usage_error(str(error))
     registry = MetricsRegistry()
     profiler = PhaseProfiler() if args.profile else None
     with JsonlSink(args.out) as sink:
-        if args.sample is not None:
-            from repro.obs.sampling import SamplingController, SamplingTracer
-
-            if args.sample == "adaptive":
-                controller = SamplingController(
-                    target_overhead=args.sample_target, seed=args.seed
-                )
-            else:
-                try:
-                    probability = float(args.sample)
-                except ValueError:
-                    print(
-                        "--sample takes a keep probability in [0, 1] "
-                        "or 'adaptive'"
-                    )
-                    return 2
-                controller = SamplingController(
-                    probability=probability, seed=args.seed
-                )
+        if controller is not None:
             tracer = SamplingTracer(sink, controller=controller)
         else:
             tracer = Tracer(sink)
@@ -662,59 +690,55 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     module_name, class_name = _SCHEME_CHOICES[args.scheme].split(":")
     scheme_factory = getattr(importlib.import_module(module_name), class_name)
+    if args.rounds < 0:
+        return _usage_error(f"--rounds must be nonnegative, got {args.rounds}")
+    if args.checkpoint is None:
+        if args.resume:
+            return _usage_error("--resume needs --checkpoint PATH")
+        if args.checkpoint_every is not None:
+            return _usage_error("--checkpoint-every needs --checkpoint PATH")
+    if args.checkpoint_every is not None and args.checkpoint_every < 1:
+        return _usage_error(
+            f"--checkpoint-every must be at least 1, got {args.checkpoint_every}"
+        )
 
     def make_source():
         return rate_limited_source(
             args.colors, args.delta, seed=args.seed, load=args.load
         )
 
-    policy = (
-        AdmissionPolicy(queue_cap=args.queue_cap)
-        if args.queue_cap is not None
-        else None
-    )
     service = None
     state = None
-    if args.serve is not None:
-        from repro.obs.service import OpsService, OpsState
-
-        state = OpsState()
-        service = OpsService(state, port=args.serve).start()
-        print(
-            f"serving on {service.url} "
-            "(endpoints: /metrics /stream /series /alerts /health)"
-        )
-        registry = state.metrics
-    else:
-        registry = MetricsRegistry()
-
-    recorder = None
-    if args.series is not None or args.rules is not None or state is not None:
-        from repro.obs.timeseries import SeriesRecorder
-
-        rules = None
-        if args.rules is not None:
-            from repro.obs.alerts import load_rules
-
-            try:
-                rules = load_rules(args.rules)
-            except ValueError as error:
-                print(f"error: {error}", file=sys.stderr)
-                if service is not None:
-                    service.stop()
-                return 2
-        recorder = SeriesRecorder(
-            registry, capacity=args.series_capacity, rules=rules
-        )
-
     try:
+        policy = (
+            AdmissionPolicy(queue_cap=args.queue_cap)
+            if args.queue_cap is not None
+            else None
+        )
+        if args.serve is not None:
+            from repro.obs.service import OpsService, OpsState
+
+            state = OpsState()
+            service = OpsService(state, port=args.serve).start()
+            print(
+                f"serving on {service.url} "
+                "(endpoints: /metrics /stream /series /alerts /health)"
+            )
+            registry = state.metrics
+        else:
+            registry = MetricsRegistry()
+
+        recorder = None
+        if args.series is not None or args.rules is not None or state is not None:
+            from repro.obs.alerts import load_rules
+            from repro.obs.timeseries import SeriesRecorder
+
+            rules = load_rules(args.rules) if args.rules is not None else None
+            recorder = SeriesRecorder(
+                registry, capacity=args.series_capacity, rules=rules
+            )
+
         if args.resume:
-            if args.checkpoint is None:
-                print(
-                    "error: --resume needs --checkpoint PATH",
-                    file=sys.stderr,
-                )
-                return 2
             session = StreamSession.resume(
                 make_source(),
                 scheme_factory(),
@@ -742,6 +766,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         if service is not None:
             service.stop()
         return 1
+    except ValueError as error:
+        return _usage_error(str(error), service)
 
     def publish(_checkpoint=None) -> None:
         if state is None:
@@ -784,9 +810,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     try:
         result = session.run(
             remaining,
-            checkpoint_every=args.checkpoint_every
-            if args.checkpoint is not None
-            else None,
+            checkpoint_every=args.checkpoint_every,
             checkpoint_path=args.checkpoint,
             on_checkpoint=publish,
         )
@@ -1060,7 +1084,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve a seeded workload to the exact offline optimum",
     )
     p_offline.add_argument("--colors", type=int, default=3)
-    p_offline.add_argument("--resources", type=int, default=2)
+    p_offline.add_argument(
+        "--resources",
+        type=int,
+        default=2,
+        help="resources m of the solver (the workload's Δ is fixed at "
+        f"{OFFLINE_DELTA}, the EXP-P cell family)",
+    )
     p_offline.add_argument("--horizon", type=int, default=48)
     p_offline.add_argument("--seed", type=int, default=0)
     p_offline.add_argument("--rate", type=float, default=0.4)

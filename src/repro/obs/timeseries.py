@@ -241,6 +241,10 @@ class SeriesRecorder:
     ) -> None:
         if not 0.0 < ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
+        if capacity < 2:
+            # Checked here too, so a bad capacity fails at construction
+            # rather than at the first sample.
+            raise ValueError("series capacity must be at least 2")
         self.registry = registry
         self.capacity = capacity
         self.prefixes = tuple(prefixes) if prefixes is not None else None

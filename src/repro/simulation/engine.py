@@ -47,6 +47,15 @@ default ``sparse=True`` core exploits this three ways:
   skip immediately, schemes with verifiable decision state (RNG digests,
   credit vectors) skip after a one-round probe, and schemes returning
   ``None`` are never skipped.
+* **Drain settling** — with no tracer attached, a stationary scheme
+  whose last completed pass is still current (:meth:`at_fixed_point`)
+  would do nothing until the next boundary or the next queue to run
+  empty; those rounds are pure execution, at ``min(copies, pending)``
+  jobs per cached color and mini-round.  The core settles such a drain
+  stretch in one step: it pops the executed jobs and charges them with
+  one ``record_execution`` per color, and an attached registry gets the
+  same queue-depth samples, execution ages and fixed-point skips the
+  simulated rounds would have recorded.
 
 ``sparse=False`` keeps the PR-1 dense round loop; the two cores are
 cost- and trace-exact against each other (property-tested), and the
@@ -298,6 +307,14 @@ class ReconfigurationScheme(ABC):
     #: engine core fast-forwards inactive stretches immediately for
     #: stationary schemes; non-stationary schemes can still opt into
     #: probe-verified skipping via :meth:`fixed_point_token`.
+    #:
+    #: A stationary scheme that calls :meth:`BatchedEngine.mark_fixed_point`
+    #: also lets the sparse core skip *every* ``reconfigure`` call while
+    #: its last completed pass is current (see
+    #: :meth:`BatchedEngine.at_fixed_point`), pending work or not: such
+    #: drain stretches are settled without calling the scheme at all.
+    #: A scheme or subclass whose decisions read the round index, the
+    #: cost counters, or pending counts must therefore not set this flag.
     stationary: bool = False
 
     def setup(self, engine: "BatchedEngine") -> None:
@@ -460,6 +477,17 @@ class RunResult:
         return verify_schedule(self.instance, self.schedule, strict=strict)
 
 
+def check_geometry(num_resources: int, copies: int, speed: int) -> None:
+    """Reject a resource count or speed no batched engine can run."""
+    if num_resources <= 0 or num_resources % copies != 0:
+        raise ValueError(
+            f"num_resources ({num_resources}) must be a positive "
+            f"multiple of copies ({copies})"
+        )
+    if speed not in (1, 2):
+        raise ValueError("speed must be 1 (uni) or 2 (double)")
+
+
 class BatchedEngine:
     """Drives a reconfiguration scheme over a batched instance.
 
@@ -482,9 +510,9 @@ class BatchedEngine:
     sparse:
         ``True`` (default) runs the boundary-calendar core with cached
         orderings and (in ``"costs"`` mode, for stationary schemes)
-        inactive-stretch skipping.  ``False`` runs the dense per-round
-        all-colors loop; both produce identical costs, schedules, and
-        traces.
+        inactive-stretch skipping and drain settling.  ``False`` runs
+        the dense per-round all-colors loop; both produce identical
+        costs, schedules, and traces.
     start_round:
         First round to simulate (default 0).  Streaming sessions run a
         long horizon as a chain of segment engines: each segment covers
@@ -516,13 +544,7 @@ class BatchedEngine:
                 "BatchedEngine requires a batched instance; wrap general "
                 "instances with the VarBatch reduction first"
             )
-        if num_resources <= 0 or num_resources % copies != 0:
-            raise ValueError(
-                f"num_resources ({num_resources}) must be a positive "
-                f"multiple of copies ({copies})"
-            )
-        if speed not in (1, 2):
-            raise ValueError("speed must be 1 (uni) or 2 (double)")
+        check_geometry(num_resources, copies, speed)
         if record not in ("full", "costs"):
             raise ValueError("record must be 'full' or 'costs'")
         if not 0 <= start_round <= instance.horizon:
@@ -765,7 +787,20 @@ class BatchedEngine:
         self.rounds_executed = self.instance.horizon - self.start_round
 
     def _run_sparse(self) -> None:
-        """Boundary-calendar loop with inactive-stretch fast-forwarding."""
+        """Boundary-calendar loop that fast-forwards what it can prove.
+
+        After each simulated round the loop tries two skips, both only in
+        ``record="costs"`` mode without a metrics collector:
+
+        * an *inactive stretch* (no pending work, no eligible uncached
+          color) jumps to the next boundary when the scheme's
+          ``fixed_point_token()`` proves its rounds are no-ops;
+        * a *drain stretch* (a stationary scheme whose last completed
+          pass is still current, no tracer attached) is settled by
+          :meth:`_settle_drain`: only execution happens until the next
+          boundary or the first queue to run empty, so the executed jobs
+          are popped and charged in one step per color.
+        """
         horizon = self.instance.horizon
         calendar, boundary_rounds = self._build_calendar(horizon)
         # Skipping is only sound when nothing observes the skipped rounds
@@ -777,12 +812,15 @@ class BatchedEngine:
         # empty rounds.
         can_skip = self.record == "costs" and self.metrics is None
         token_fn = self.scheme.fixed_point_token
-        tr, obs = self.tracer, self.obs
+        tr, obs, prof = self.tracer, self.obs, self.profiler
+        # A tracer asks for per-round events (execute, cache_hit), so
+        # traced runs keep simulating drain rounds one by one.
+        can_settle = can_skip and tr is None
         queue_append = obs._queue_samples.append if obs is not None else None
         # Metrics-only runs take the plain branch below; the span/phase
         # indirection is only worth paying when a tracer or profiler
         # actually consumes the markers.
-        instrumented = tr is not None or self.profiler is not None
+        instrumented = tr is not None or prof is not None
         num_boundaries = len(boundary_rounds)
         bi = 0  # index of the first boundary round >= current k
         k = self.start_round
@@ -820,52 +858,73 @@ class BatchedEngine:
                     self.metrics.end_round(k, self)
             self.rounds_executed += 1
             k += 1
-            if (
-                can_skip
-                and self._total_pending == 0
-                and self._num_eligible_uncached == 0
-            ):
-                token = token_fn()
-                if token is None:
-                    self._probe_state = None
+            if not can_skip:
+                continue
+            if self._total_pending or self._num_eligible_uncached:
+                self._probe_state = None
+                if not (
+                    can_settle
+                    and self._scheme_pass_epoch == self.order_epoch
+                    and token_fn() is STATIONARY_TOKEN
+                ):
                     continue
-                skip = token is STATIONARY_TOKEN
-                if not skip:
-                    state = (self.order_epoch, self._cache_epoch, token)
-                    # Probe protocol: skip only after one fully executed
-                    # inactive round left the token and both engine
-                    # epochs unchanged — that round was observably an
-                    # identity map, and nothing differs for the rounds
-                    # up to the next boundary.
-                    skip = state == self._probe_state
-                    self._probe_state = state
-                if not skip:
-                    continue
+                # Drain stretch: up to the next boundary every reconfigure
+                # call would return at at_fixed_point, so only execution
+                # happens and it settles in closed form.
                 while bi < num_boundaries and boundary_rounds[bi] < k:
                     bi += 1
-                next_boundary = (
-                    boundary_rounds[bi] if bi < num_boundaries else horizon
-                )
-                # Every round in [k, next_boundary) is a global no-op:
-                # no drops or arrivals (no boundary), no executions (no
-                # pending work), and the token contract proves the
-                # reconfiguration phases perform no mutations.  The clamp
-                # keeps a fast-forward from overshooting the horizon; no
-                # end-of-horizon drop can be lost to it because instances
-                # place every deadline before ``horizon``, making each
-                # drop round a calendar round the skip lands on, never
-                # jumps over — pinned by the horizon-edge boundary tests.
-                target = min(next_boundary, horizon)
-                if target > k:
-                    if tr is not None:
-                        tr.event(
-                            "fast_forward", k, to_round=target, rounds=target - k
-                        )
-                    if obs is not None:
-                        obs.rounds_fast_forwarded.inc(target - k)
-                k = target
-            else:
+                end = boundary_rounds[bi] if bi < num_boundaries else horizon
+                if end == k:
+                    continue  # round k is a boundary round
+                if prof is None:
+                    k = self._settle_drain(k, end)
+                else:
+                    t0 = time.perf_counter()
+                    k = self._settle_drain(k, end)
+                    prof.add("execute", time.perf_counter() - t0)
+                if self._total_pending or self._num_eligible_uncached:
+                    continue
+                # The settle ran the last queue empty: what follows is an
+                # inactive stretch, skipped as after a simulated round.
+            token = token_fn()
+            if token is None:
                 self._probe_state = None
+                continue
+            skip = token is STATIONARY_TOKEN
+            if not skip:
+                state = (self.order_epoch, self._cache_epoch, token)
+                # Probe protocol: skip only after one fully executed
+                # inactive round left the token and both engine
+                # epochs unchanged — that round was observably an
+                # identity map, and nothing differs for the rounds
+                # up to the next boundary.
+                skip = state == self._probe_state
+                self._probe_state = state
+            if not skip:
+                continue
+            while bi < num_boundaries and boundary_rounds[bi] < k:
+                bi += 1
+            next_boundary = (
+                boundary_rounds[bi] if bi < num_boundaries else horizon
+            )
+            # Every round in [k, next_boundary) is a global no-op:
+            # no drops or arrivals (no boundary), no executions (no
+            # pending work), and the token contract proves the
+            # reconfiguration phases perform no mutations.  The clamp
+            # keeps a fast-forward from overshooting the horizon; no
+            # end-of-horizon drop can be lost to it because instances
+            # place every deadline before ``horizon``, making each
+            # drop round a calendar round the skip lands on, never
+            # jumps over — pinned by the horizon-edge boundary tests.
+            target = min(next_boundary, horizon)
+            if target > k:
+                if tr is not None:
+                    tr.event(
+                        "fast_forward", k, to_round=target, rounds=target - k
+                    )
+                if obs is not None:
+                    obs.rounds_fast_forwarded.inc(target - k)
+            k = target
 
     def _build_calendar(
         self, horizon: int
@@ -888,6 +947,68 @@ class BatchedEngine:
                 else:
                     bucket.append(color)
         return calendar, sorted(calendar)
+
+    def _settle_drain(self, k: int, end: int) -> int:
+        """Settle the drain stretch that starts at round ``k``.
+
+        The caller guarantees that ``[k, end)`` holds no boundary and
+        that the stationary scheme's last pass is current, so every
+        ``reconfigure`` call would return at :meth:`at_fixed_point` and
+        each cached color just runs ``min(copies, pending)`` jobs per
+        mini-round.  That holds until a queue runs empty (the idle flip
+        bumps ``order_epoch``): the stretch therefore ends at ``end`` or
+        with the first round in which a queue empties, provided it
+        empties in that round's last mini-round; an earlier emptying
+        reruns the pass within the round, which then runs normally.
+        Returns the next round to simulate (``k`` if none settles).
+        """
+        copies, speed = self.copies, self.speed
+        per_round = copies * speed
+        states = self.states
+        draining = []
+        dt = end - k
+        for slot in self.cache.occupied_slots():
+            st = states[slot.occupant]
+            pending = len(st.pending)
+            if pending:
+                draining.append(st)
+                # Mini-rounds until the queue empties, in whole rounds.
+                dt = min(dt, -(-pending // copies) // speed)
+        if dt <= 0:
+            return k
+        obs = self.obs
+        if obs is not None:
+            # Before the last settled round every draining color still
+            # has more than per_round * dt - copies jobs, so each runs
+            # exactly per_round jobs per round; the depth falls linearly.
+            depth, rate = self._total_pending, per_round * len(draining)
+            obs._queue_samples.extend([depth - rate * j for j in range(1, dt)])
+            exec_ages = obs._exec_ages
+        budget = per_round * dt
+        for st in draining:
+            pending = st.pending
+            n = min(budget, len(pending))
+            if obs is None:
+                for _ in range(n):
+                    pending.popleft()
+            else:
+                ages = exec_ages.get(st.color)
+                if ages is None:
+                    ages = exec_ages[st.color] = []
+                age_append = ages.append
+                # The i-th job taken runs in round k + i // per_round.
+                for i in range(n):
+                    age_append(k + i // per_round - pending.popleft().arrival)
+            self._total_pending -= n
+            if not pending:
+                self.order_epoch += 1
+                self._rank_cache = None
+            self.cost.record_execution(st.color, n)
+        if obs is not None:
+            obs._queue_samples.append(self._total_pending)
+            obs.fixed_point_skips.inc(dt * speed)
+            obs.rounds_fast_forwarded.inc(dt)
+        return k + dt
 
     # --------------------------------------------------------------- phases
 
@@ -1093,6 +1214,12 @@ class BatchedEngine:
         since their last completed pass, and a completed pass of a
         stationary scheme is idempotent.  Only honored by the sparse
         core so dense runs keep the unoptimized baseline behavior.
+
+        For a stationary scheme the sparse core goes one step further:
+        while this would return True it skips the ``reconfigure`` calls
+        altogether and settles the rounds in closed form (untraced
+        ``record="costs"`` runs), counting each skipped call in
+        ``engine.fixed_point_skips`` as if it had returned here.
         """
         if self.sparse and self._scheme_pass_epoch == self.order_epoch:
             if self.tracer is not None:

@@ -35,6 +35,7 @@ from repro.simulation.engine import (
     ENGINE_NAMES,
     BatchedEngine,
     ReconfigurationScheme,
+    check_geometry,
 )
 from repro.streaming.checkpoint import (
     CheckpointError,
@@ -121,6 +122,9 @@ class StreamSession:
             raise ValueError("streaming sessions require a batched spec")
         if segment_rounds < 1:
             raise ValueError("segment_rounds must be at least 1")
+        # Checked here, not at the first segment's engine, so a bad
+        # geometry fails before any arrival is drawn.
+        check_geometry(num_resources, copies, speed)
         self.source = source
         self.scheme = scheme
         self.spec = source.spec

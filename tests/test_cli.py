@@ -84,6 +84,14 @@ def test_search_rejects_unknown_scheme():
         main(["search", "nope"])
 
 
+def _assert_one_error_line(capsys, field):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and field in lines[0]
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [
@@ -95,11 +103,77 @@ def test_search_rejects_unknown_scheme():
 )
 def test_search_rejects_out_of_range_config(capsys, flag, value, field):
     assert main(["search", "dlru-edf", flag, value]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and field in lines[0]
+    _assert_one_error_line(capsys, field)
+
+
+def test_offline_resources_size_only_the_solver(capsys):
+    # --resources used to land in random_general's Δ slot as well, so
+    # --resources 4 solved a Δ = 4 instance (cost 13).
+    from repro.offline.optimal import optimal_offline
+    from repro.workloads.random_batched import random_general
+
+    instance = random_general(3, 2, 48, seed=0, rate=0.4, bound_choices=(2, 4))
+    expected = optimal_offline(instance, 4).cost
+    assert expected == 7
+    assert main(["offline", "--resources", "4"]) == 0
+    assert f"optimal cost:   {expected}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--horizon", "-3"),  # was numpy's negative dimensions
+        ("--horizon", "0"),  # was "optimal cost: 0"
+        ("--colors", "0"),  # was "max() arg is an empty sequence"
+        ("--resources", "0"),  # was reported as a Δ error
+        ("--rate", "-0.5"),  # was a traceback
+    ],
+)
+def test_offline_rejects_out_of_range_config(capsys, flag, value):
+    assert main(["offline", flag, value]) == 2
+    _assert_one_error_line(capsys, flag)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["--resources", "3"], "num_resources"),
+        (["--resources", "0"], "num_resources"),
+        (["--speed", "3"], "speed"),
+        (["--colors", "0"], "num_colors"),
+        (["--load", "2"], "load"),
+        (["--delta", "0"], "Δ"),
+        (["--segment", "0"], "segment_rounds"),
+        (["--queue-cap", "-1"], "queue_cap"),
+        (["--series-capacity", "0", "--series", "s.jsonl"], "capacity"),
+        (["--checkpoint-every", "0", "--checkpoint", "c.json"], "--checkpoint-every"),
+        (["--checkpoint-every", "50"], "--checkpoint-every"),  # was ignored
+        (["--rounds", "-5"], "--rounds"),  # named a checkpoint that is not there
+    ],
+)
+def test_stream_rejects_out_of_range_config(tmp_path, monkeypatch, capsys, args, field):
+    monkeypatch.chdir(tmp_path)
+    assert main(["stream", "--rounds", "64", *args]) == 2
+    _assert_one_error_line(capsys, field)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["--colors", "0"], "--colors"),  # was "max() arg is an empty sequence"
+        (["--resources", "3"], "num_resources"),
+        (["--speed", "3"], "speed"),
+        (["--delta", "0"], "Δ"),
+        (["--horizon", "0"], "--horizon"),  # simulated an empty instance
+        (["--horizon", "-4"], "--horizon"),
+    ],
+)
+def test_record_rejects_out_of_range_config(tmp_path, monkeypatch, capsys, args, field):
+    monkeypatch.chdir(tmp_path)
+    assert main(["record", "trace.jsonl", *args]) == 2
+    _assert_one_error_line(capsys, field)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_describe_command_json(tmp_path, capsys):

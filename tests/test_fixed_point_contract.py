@@ -16,12 +16,19 @@ that contract:
 * ``reset()`` makes back-to-back runs of one scheme instance
   bit-identical (the RNG-lifecycle regression);
 * fast-forward targets are clamped at the horizon and never jump a
-  final drop round, in both engine cores.
+  final drop round, in both engine cores;
+* drain stretches a stationary scheme provably sits out are settled in
+  closed form without moving a cost counter or a registry instrument,
+  under every attachment and segmentation that allows them.
 """
 
+import importlib.util
 from functools import partial
+from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.greedy import GreedyPendingPolicy
 from repro.algorithms.never import AlwaysReconfigurePolicy, NeverReconfigurePolicy
@@ -30,7 +37,11 @@ from repro.algorithms.static import StaticPartitionPolicy
 from repro.analysis.credits import CreditScheme
 from repro.core.instance import BatchMode, make_instance
 from repro.core.job import JobFactory
-from repro.obs import MemorySink, MetricsRegistry, Tracer
+from repro.algorithms.dlru import DeltaLRU
+from repro.algorithms.dlru_edf import DeltaLRUEDF
+from repro.algorithms.edf import EDF
+from repro.algorithms.seq_edf import SeqEDF
+from repro.obs import MemorySink, MetricsRegistry, PhaseProfiler, Tracer
 from repro.offline.heuristic import LookaheadPolicy
 from repro.simulation.engine import (
     STATIONARY_TOKEN,
@@ -39,7 +50,12 @@ from repro.simulation.engine import (
 )
 from repro.simulation.general import simulate_general
 from repro.simulation.vectorized import numpy_available
-from repro.workloads.random_batched import random_general, random_rate_limited
+from repro.streaming import InstanceSource, StreamSession
+from repro.workloads.random_batched import (
+    random_batched,
+    random_general,
+    random_rate_limited,
+)
 
 TOKEN_SCHEMES = [
     pytest.param(RandomEvict, id="random-evict"),
@@ -530,3 +546,165 @@ class TestReductionsCostsMode:
         assert result.inner.active_round_fraction < 1.0
         full = run_distribute(instance, 8)
         _assert_costs_identical(full.cost, result.cost)
+
+
+#: ``(scheme, copies)`` of the four stationary kernel schemes, each run
+#: at both speeds by the drain-settling tests.
+DRAIN_CASES = [
+    (scheme_cls, copies, speed)
+    for scheme_cls, copies in (
+        (DeltaLRU, 2),
+        (EDF, 2),
+        (DeltaLRUEDF, 2),
+        (SeqEDF, 1),
+    )
+    for speed in (1, 2)
+]
+
+#: A fixed budget of drawn instances per test, replayed identically on
+#: every run; no shrink phase, so a failure reports its first
+#: counterexample instead of re-running dozens of simulations.
+drain_settings = settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    phases=(Phase.explicit, Phase.generate),
+)
+
+#: Rate-limited batches, and batched ones whose bursts of up to 3·D_ℓ
+#: jobs break the rate limit and leave long drains behind.
+drain_instances = st.builds(
+    lambda make, colors, seed, load, bounds: make(
+        colors, 3, 384, seed=seed, load=load, bound_choices=bounds
+    ),
+    make=st.sampled_from([random_rate_limited, random_batched]),
+    colors=st.integers(4, 16),
+    seed=st.integers(0, 2**16),
+    load=st.floats(0.2, 0.6),
+    bounds=st.sampled_from([(16, 32), (32, 64, 128), (16, 32, 64, 128)]),
+)
+
+
+def _counters_without_split(snapshot):
+    """Snapshot minus the executed/fast-forwarded split, plus its sum."""
+    counters = dict(snapshot["counters"])
+    covered = counters.pop("engine.rounds_executed", 0) + counters.pop(
+        "engine.rounds_fast_forwarded", 0
+    )
+    return {**snapshot, "counters": counters}, covered
+
+
+class TestDrainSettling:
+    """Drain stretches settled in closed form by the sparse core.
+
+    After a round in which a stationary scheme completed its pass, every
+    round up to the next boundary (or the first queue to run empty) is
+    pure execution; the sparse core settles it in one step.  That must
+    be invisible in costs, in registry instruments, and across stream
+    segmentations.
+    """
+
+    @drain_settings
+    @given(instance=drain_instances)
+    def test_sparse_matches_dense(self, instance):
+        settled = 0
+        for scheme_cls, copies, speed in DRAIN_CASES:
+            kwargs = dict(copies=copies, speed=speed, record="costs")
+            dense = simulate(instance, scheme_cls(), 8, engine="dense", **kwargs)
+            registry = MetricsRegistry()
+            sparse = simulate(instance, scheme_cls(), 8, registry=registry, **kwargs)
+            _assert_costs_identical(dense.cost, sparse.cost)
+            # Settled rounds count as fast-forwarded, not executed.
+            counters = registry.snapshot()["counters"]
+            assert counters["engine.rounds_executed"] == sparse.rounds_executed
+            assert counters["engine.rounds_fast_forwarded"] > 0
+            traced = simulate(
+                instance, scheme_cls(), 8, tracer=Tracer(MemorySink()), **kwargs
+            )
+            settled += traced.rounds_executed - sparse.rounds_executed
+        # A silent disable of the settle would leave these equal.
+        assert settled > 0
+
+    @drain_settings
+    @given(instance=drain_instances)
+    def test_registry_matches_traced_run(self, instance):
+        # A tracer keeps the per-round loop, so its registry records
+        # every drain round as simulated; the settled run must record
+        # the same samples, ages and skips, and only move rounds from
+        # executed to fast-forwarded.
+        for scheme_cls, copies, speed in DRAIN_CASES:
+            kwargs = dict(copies=copies, speed=speed, record="costs")
+            plain, traced = MetricsRegistry(), MetricsRegistry()
+            simulate(instance, scheme_cls(), 8, registry=plain, **kwargs)
+            simulate(
+                instance, scheme_cls(), 8, registry=traced,
+                tracer=Tracer(MemorySink()), **kwargs,
+            )
+            assert _counters_without_split(
+                plain.snapshot()
+            ) == _counters_without_split(traced.snapshot())
+
+    @drain_settings
+    @given(instance=drain_instances)
+    def test_profiler_keeps_the_settled_path(self, instance):
+        for scheme_cls, copies, speed in DRAIN_CASES:
+            kwargs = dict(copies=copies, speed=speed, record="costs")
+            plain = simulate(instance, scheme_cls(), 8, **kwargs)
+            profiler = PhaseProfiler()
+            profiled = simulate(
+                instance, scheme_cls(), 8, profiler=profiler, **kwargs
+            )
+            _assert_costs_identical(plain.cost, profiled.cost)
+            assert profiled.rounds_executed == plain.rounds_executed
+            assert profiler.seconds["execute"] > 0
+
+    @drain_settings
+    @given(instance=drain_instances)
+    def test_stream_segments_match_one_shot(self, instance):
+        for scheme_cls, copies, speed in DRAIN_CASES:
+            one_shot = simulate(
+                instance, scheme_cls(), 8, copies=copies, speed=speed,
+                record="costs",
+            )
+            for segment in (7, 64, 1000):
+                for registry in (None, MetricsRegistry()):
+                    session = StreamSession(
+                        InstanceSource(instance), scheme_cls(), 8,
+                        copies=copies, speed=speed, registry=registry,
+                        segment_rounds=segment,
+                    )
+                    _assert_costs_identical(one_shot.cost, session.run().cost)
+
+
+def _load_example(name):
+    path = Path(__file__).resolve().parents[1] / "examples" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"example_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestExampleSchemeParity:
+    """The schemes ``examples/custom_scheme.py`` teaches users to write.
+
+    Their stationarity claims decide what the sparse core may skip: a
+    scheme whose nudges read the round index or the cost counters must
+    not claim it, or the skipped calls change its costs.
+    """
+
+    @pytest.mark.parametrize("name", ["StickyEDF", "AdaptiveHybrid"])
+    @pytest.mark.parametrize("speed", [1, 2])
+    def test_sparse_matches_dense(self, name, speed):
+        scheme_cls = getattr(_load_example("custom_scheme"), name)
+        for seed in range(20):
+            instance = random_rate_limited(
+                8, 3, 512, seed=seed, load=0.3, bound_choices=(32, 64, 128)
+            )
+            dense = simulate(
+                instance, scheme_cls(), 8, speed=speed, record="costs",
+                engine="dense",
+            )
+            sparse = simulate(
+                instance, scheme_cls(), 8, speed=speed, record="costs"
+            )
+            _assert_costs_identical(dense.cost, sparse.cost)

@@ -112,6 +112,16 @@ class TestStreamBitIdentity:
         with pytest.raises(ValueError, match="horizon"):
             session.run(instance.horizon + 1)
 
+    @pytest.mark.parametrize(
+        "resources, speed, match",
+        [(3, 1, "num_resources"), (0, 1, "num_resources"), (8, 3, "speed")],
+    )
+    def test_bad_geometry_rejected_at_construction(self, resources, speed, match):
+        # Not at the first segment's engine: no arrival is drawn first.
+        source = rate_limited_source(6, 24, seed=1)
+        with pytest.raises(ValueError, match=match):
+            StreamSession(source, DeltaLRU(), resources, speed=speed)
+
 
 class TestCheckpointResume:
     @pytest.mark.parametrize("engine", ENGINES)
