@@ -7,7 +7,7 @@ Subcommands::
     repro run-all [--quick]         # run every experiment
     repro export EXP-A --dir out/   # run + write .txt/.json/.csv bundle
     repro search dlru-edf           # adversary-hunt a scheme
-    repro offline --method rds      # exact offline optimum of a seeded workload
+    repro offline --check exhaustive  # exact offline optimum, cross-checked
     repro describe trace.json       # workload statistics for a saved trace
     repro record run.jsonl          # traced run: JSONL trace + metrics
     repro stream --rounds 1000000   # unbounded arrivals, bounded memory,
@@ -214,6 +214,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_offline(args: argparse.Namespace) -> int:
+    import math
     import time
 
     from repro.offline.optimal import (
@@ -223,13 +224,20 @@ def _cmd_offline(args: argparse.Namespace) -> int:
     )
     from repro.workloads.random_batched import random_general
 
-    for flag in ("horizon", "colors", "resources"):
-        if getattr(args, flag) < 1:
+    for flag in ("horizon", "colors", "resources", "max_states"):
+        value = getattr(args, flag)
+        if value < 1:
             return _usage_error(
-                f"--{flag} must be at least 1, got {getattr(args, flag)}"
+                f"--{flag.replace('_', '-')} must be at least 1, got {value}"
             )
-    if args.rate < 0:
-        return _usage_error(f"--rate must be nonnegative, got {args.rate}")
+    if min(args.bounds) < 1:
+        return _usage_error(
+            f"--bounds must be at least 1, got {min(args.bounds)}"
+        )
+    if not (math.isfinite(args.rate) and args.rate >= 0):
+        return _usage_error(
+            f"--rate must be finite and nonnegative, got {args.rate}"
+        )
     # The EXP-P cell family fixes Δ; --resources sizes the solver only.
     instance = random_general(
         args.colors,
@@ -246,23 +254,26 @@ def _cmd_offline(args: argparse.Namespace) -> int:
 
         sink = JsonlSink(args.trace)
         tracer = Tracer(sink)
+
+    def exceeded(exc: SearchSpaceExceeded, solver: str = "") -> int:
+        print(
+            f"{solver}search space exceeded after {exc.nodes_expanded} nodes "
+            f"(best incumbent {exc.best_incumbent}, "
+            f"top bound source {exc.bound_source}); raise --max-states"
+        )
+        return 1
+
     started = time.perf_counter()
     try:
         result = optimal_offline(
             instance,
             args.resources,
-            method=args.method,
             max_states=args.max_states,
             tracer=tracer,
             recorder=_recorder_for(args),
         )
     except SearchSpaceExceeded as exc:
-        print(
-            f"search space exceeded after {exc.nodes_expanded} nodes "
-            f"(best incumbent {exc.best_incumbent}, "
-            f"top bound source {exc.bound_source}); raise --max-states"
-        )
-        return 1
+        return exceeded(exc)
     finally:
         if sink is not None:
             sink.close()
@@ -276,8 +287,7 @@ def _cmd_offline(args: argparse.Namespace) -> int:
     )
     print(f"nodes expanded: {result.nodes_expanded}")
     print(f"pruned:         {result.candidates_pruned}")
-    if result.warm_start_cost is not None:
-        print(f"warm start:     {result.warm_start_cost}")
+    print(f"warm start:     {result.warm_start_cost}")
     if result.bound_source_histogram:
         hist = result.bound_source_histogram
         parts = [
@@ -287,16 +297,12 @@ def _cmd_offline(args: argparse.Namespace) -> int:
         print("bound sources:  " + "  ".join(parts))
     print(f"wall clock:     {elapsed:.3f}s")
     if args.check:
-        check = (
-            optimal_offline_exhaustive(instance, args.resources)
-            if args.check == "exhaustive"
-            else optimal_offline(
-                instance,
-                args.resources,
-                method=args.check,
-                max_states=args.max_states,
+        try:
+            check = optimal_offline_exhaustive(
+                instance, args.resources, max_states=args.max_states
             )
-        )
+        except SearchSpaceExceeded as exc:
+            return exceeded(exc, f"cross-check:    {args.check} ")
         agree = check.cost == result.cost
         print(
             f"cross-check:    {args.check} cost {check.cost} "
@@ -1102,20 +1108,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="delay-bound choices for the random workload",
     )
     p_offline.add_argument(
-        "--method",
-        choices=("rds", "legacy", "exhaustive"),
-        default="rds",
-        help="solver: rds (banded suffix-bounded search, default), "
-        "legacy branch-and-bound, or exhaustive",
-    )
-    p_offline.add_argument(
-        "--max-states", type=int, default=2_000_000, help="node budget"
+        "--max-states",
+        type=int,
+        default=2_000_000,
+        help="node budget of the solve and of the cross-check",
     )
     p_offline.add_argument(
         "--check",
-        choices=("exhaustive", "legacy"),
+        choices=("exhaustive",),
         default=None,
-        help="cross-check the optimum against a second solver",
+        help="cross-check the optimum against the exhaustive search",
     )
     p_offline.add_argument(
         "--trace", default=None, help="write the offline_solve span as JSONL"

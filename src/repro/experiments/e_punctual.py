@@ -30,9 +30,9 @@ def run(
     m: int = 2,
     exact_state_budget: int = 700_000,
 ) -> ExperimentReport:
-    # horizon 64 (was 20): the RDS solver reaches it in fewer nodes than
-    # the legacy branch-and-bound spent at 20, so the punctualization
-    # constants are now measured on 3x longer exact OPT schedules.
+    # horizon 64 (was 20): the exact solver reaches it in fewer nodes
+    # than the retired branch-and-bound spent at 20, so the
+    # punctualization constants are measured on 3x longer OPT schedules.
     report = ExperimentReport(
         "EXP-P", "Lemma 5.3: punctualization factors on exact optimal schedules"
     )

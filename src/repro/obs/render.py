@@ -142,7 +142,6 @@ def summarize_trace(records: Iterable[TraceRecord]) -> dict:
     rounds_fast_forwarded = 0
     run_info: dict = {}
     offline_info: dict = {}
-    rds_pass_info: dict = {}
     for record in records:
         if record.worker is not None:
             workers.add(record.worker)
@@ -151,9 +150,6 @@ def summarize_trace(records: Iterable[TraceRecord]) -> dict:
             continue
         if record.name == "offline_solve":
             offline_info.update(record.data)
-            continue
-        if record.name == "rds_pass":
-            rds_pass_info.update(record.data)
             continue
         if record.name == "round":
             if record.kind == "span_start":
@@ -186,7 +182,6 @@ def summarize_trace(records: Iterable[TraceRecord]) -> dict:
         "executions_by_color": execs_by_color,
         "workers": sorted(workers),
         "offline_solve": offline_info,
-        "rds_pass": rds_pass_info,
     }
 
 
@@ -343,14 +338,6 @@ def render_trace_stats(records: Sequence[TraceRecord]) -> str:
                 for name in sorted(sources, key=sources.get, reverse=True)
             ]
             lines.append("  bound sources: " + "  ".join(parts))
-        rds = summary["rds_pass"]
-        if rds:
-            lines.append(
-                f"  rds pass: {rds.get('suffixes_solved', 0)}"
-                f"/{rds.get('suffixes', '?')} suffixes solved"
-                f"  budget {rds.get('budget')}"
-                + ("  (truncated)" if rds.get("truncated") else "")
-            )
     if summary["workers"]:
         lines.append("workers: " + ", ".join(summary["workers"]))
     return "\n".join(lines) if lines else "(empty trace)"

@@ -3,8 +3,12 @@
 The paper's OFF is an *optimal offline algorithm* whose existence is
 assumed; to measure ratios we need computable stand-ins on both sides:
 
-* :mod:`repro.offline.optimal` — exact optimum by memoized search, for
-  small instances (certifies the online algorithms' constants in tests);
+* :mod:`repro.offline.optimal` — exact optimum for small instances
+  (certifies the online algorithms' constants in tests): one solver, a
+  banded layered forward DP, plus the exhaustive search as a test
+  oracle;
+* :mod:`repro.offline.bruteforce` — a second, independent oracle that
+  enumerates configurations with no state merging, for micro instances;
 * :mod:`repro.offline.lower_bounds` — certified combinatorial lower
   bounds on OFF (per-color, Par-EDF drops, capacity windows), so measured
   competitive ratios are *upper bounds* on the true ratio;
@@ -29,7 +33,6 @@ from repro.offline.lower_bounds import (
     warm_start_incumbent,
 )
 from repro.offline.optimal import (
-    OFFLINE_METHODS,
     OptimalResult,
     SearchSpaceExceeded,
     optimal_offline,
@@ -47,7 +50,6 @@ __all__ = [
     "ColorPhaseBound",
     "IntervalPackingRelaxation",
     "warm_start_incumbent",
-    "OFFLINE_METHODS",
     "OptimalResult",
     "SearchSpaceExceeded",
     "optimal_offline",

@@ -14,10 +14,12 @@ takes their maximum:
   capacity ``m * (b - a) * speed`` by an amount OFF must drop.
 
 The module also hosts the *search-state* bound layers used by the
-Russian Doll branch-and-bound in :mod:`repro.offline.optimal`:
+banded layered DP in :mod:`repro.offline.optimal`:
 :func:`pending_drop_floor` and :func:`pending_reconfig_floor` (the
-legacy suffix floors), :class:`IntervalPackingRelaxation` (a fractional
-interval-packing relaxation of future execution capacity), and
+per-color and capacity suffix floors), :class:`ColorPhaseBound` (a
+reconfigure-or-drop charge per disjoint time interval),
+:class:`IntervalPackingRelaxation` (a fractional interval-packing
+relaxation of future execution capacity), and
 :func:`warm_start_incumbent` (a feasible-schedule upper bound that
 opens the search with a tight incumbent instead of infinity).
 
@@ -114,8 +116,8 @@ def pending_drop_floor(
     deadline ``d`` can only execute during rounds ``[start_round, d)`` —
     at most ``capacity_per_round * (d - start_round)`` of them in total —
     so any excess must be dropped.  Used as an admissible suffix bound by
-    the branch-and-bound offline search: future arrivals can only raise
-    the optimum, so a floor on the pending-only subproblem is valid.
+    the exact offline search: future arrivals can only raise the
+    optimum, so a floor on the pending-only subproblem is valid.
     """
     per_deadline: dict[int, int] = {}
     for (_, deadline), count in pending:
@@ -170,9 +172,9 @@ class IntervalPackingRelaxation:
     ``deadline <= b``.  That maximum is what :meth:`floor` returns (times
     ``drop_cost``) — an admissible lower bound on the cost-to-go of any
     search state, covering the carried pending jobs *and* every future
-    arrival jointly.  It is the fallback bound of the Russian Doll
-    search: where truncated suffix solves leave no exact table entry,
-    the relaxation still prices capacity overload.
+    arrival jointly.  It is the exact search's only bound that prices
+    capacity overload across colors and rounds at once, so it pays on
+    overloaded instances, where the per-color floors stay flat.
 
     The future side is precomputed once per instance (``O(A * D)`` for
     ``A`` arrival rounds and ``D`` distinct deadlines); each
@@ -301,6 +303,8 @@ class ColorPhaseBound:
 
     The generic DP is precomputed per instance in ``O(H · (H + J·C))``;
     each :meth:`floor` call is then ``O(|pending| + colors · log J)``.
+    The exact solver in :mod:`repro.offline.optimal` maxes this floor
+    with the per-color suffix floors for every state it scores.
     """
 
     def __init__(
@@ -457,22 +461,16 @@ class ColorPhaseBound:
         return best
 
 
-def warm_start_incumbent(
-    instance: Instance,
-    num_resources: int,
-    *,
-    engine: str | None = None,
-) -> int:
+def warm_start_incumbent(instance: Instance, num_resources: int) -> int:
     """Feasible-schedule upper bound on the offline optimum.
 
     Batched instances replay ΔLRU-EDF through the fast engine
-    (``record="costs"`` skips schedule construction entirely; pass
-    ``engine="vectorized"`` for the numpy backend); general instances
-    replay the greedy-pending and short-window lookahead policies through
-    the general engine and keep the cheaper.  Every replayed schedule is
-    feasible, so its cost upper-bounds the optimum — the branch-and-bound
-    opens with this incumbent instead of infinity, which lets the
-    admissible bounds cut from the first node.
+    (``record="costs"`` skips schedule construction entirely); general
+    instances replay the greedy-pending and short-window lookahead
+    policies through the general engine and keep the cheaper.  Every
+    replayed schedule is feasible, so its cost upper-bounds the optimum —
+    the exact search opens with this incumbent instead of infinity, which
+    lets the admissible bounds cut from the first node.
     """
     if len(instance.sequence) == 0:
         return 0
@@ -489,7 +487,6 @@ def warm_start_incumbent(
             num_resources,
             copies=1,
             record="costs",
-            engine=engine,
         ).total_cost
     from repro.algorithms.greedy import GreedyPendingPolicy
     from repro.offline.heuristic import LookaheadPolicy

@@ -1,4 +1,4 @@
-"""Exact offline optimum by Russian Doll Search over nested suffixes.
+"""Exact offline optimum by a banded layered forward DP.
 
 For small instances this computes the true ``Cost_OFF`` the paper's
 ratios are defined against.  The search space is kept finite by three
@@ -16,33 +16,23 @@ facts about the problem:
   depends only on the cache multiset and the pending multiset
   ``{(color, deadline) -> count}``.
 
-:func:`optimal_offline` defaults to **Russian Doll Search** (Verfaillie,
-Lemaitre & Schiex) over a *banded layered forward DP*:
+:func:`optimal_offline` is one solver in two steps:
 
-1. a **suffix pass** solves the nested suffix subproblems
-   ``[r, horizon)`` in decreasing ``r`` at the instance's *renewal
-   rounds* (arrival rounds every earlier deadline precedes, so pending
-   is provably empty there under any schedule), each from a wild root —
-   any cache reachable for free — and records their exact optima; the
-   recorded values become the admissible ``rds_bound(k) +
-   transition_floor`` layer of the bound oracle, and each solve is
-   itself banded by the values recorded before it (the nesting that
-   names the method);
-2. a **warm-started incumbent** seeds the band: the ΔLRU-EDF replay
+1. a **warm-started incumbent** seeds the band: the ΔLRU-EDF replay
    through the fast engine
    (:func:`~repro.offline.lower_bounds.warm_start_incumbent`), tightened
    by a width-2 beam walk of the DP itself whose terminal cost is a
    certified feasible schedule cost;
-3. the **main solve** sweeps the state space one round-layer at a time
+2. the **sweep** visits the state space one round-layer at a time
    (topological, so every state's minimal prefix cost ``g`` is final
    when expanded — no re-expansion thrash), keeping only states whose
    ``g +`` admissible bound fits under the incumbent and pruning
    layer-mates that are *dominated* — same cache, no cheaper prefix,
    and pending at least as large and urgent colorwise (a coupling
    argument makes their cost-to-go no smaller).  The admissible bound
-   is the max of the legacy per-color floors, the
+   is the max of the per-color suffix floors, the
    :class:`~repro.offline.lower_bounds.ColorPhaseBound` phase
-   decomposition, the recorded Russian Doll values, and the fractional
+   decomposition, and the fractional
    :class:`~repro.offline.lower_bounds.IntervalPackingRelaxation`.
 
 The optimal path always survives the band (its ``g`` plus any admissible
@@ -51,19 +41,18 @@ incumbent), so the terminal minimum is exact and its back-pointer chain
 replays into a feasible :class:`~repro.core.schedule.Schedule` checked
 by the shared verifier.
 
-``method="legacy"`` keeps the previous iterative branch-and-bound
-(per-node incumbents, suffix floors only) and ``method="exhaustive"``
-the original recursive exhaustive search — both used by tests and the
-offline bench to cross-check costs node-for-node.  A ``max_states``
-guard protects against accidental use on large instances; when it fires,
-:class:`SearchSpaceExceeded` now carries the nodes expanded, the best
-incumbent found, and the dominant bound source, so truncated solves are
-diagnosable instead of opaque.
+Two independent oracles check it in the tests:
+:func:`optimal_offline_exhaustive`, the original recursive exhaustive
+search, and :func:`repro.offline.bruteforce.bruteforce_optimal_cost`.
+A ``max_states`` guard protects against accidental use on large
+instances; when it fires, :class:`SearchSpaceExceeded` carries the nodes
+expanded, the best incumbent found, and the dominant bound source, so
+truncated solves are diagnosable instead of opaque.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -87,9 +76,6 @@ PendingKey = tuple[tuple[tuple[int, int], int], ...]
 CacheKey = tuple[int, ...]
 
 _HUGE = 1 << 60
-
-#: Recognized ``optimal_offline(..., method=)`` values.
-OFFLINE_METHODS = ("rds", "legacy", "exhaustive")
 
 
 class SearchSpaceExceeded(RuntimeError):
@@ -122,7 +108,7 @@ class OptimalResult:
 
     ``candidates_pruned`` counts states and edges cut without expansion;
     ``bound_source_histogram`` attributes those cuts to the filter that
-    made them (``rds``, ``relaxation``, ``phase``, ``drop_floor``,
+    made them (``relaxation``, ``phase``, ``drop_floor``,
     ``reconfig_floor``, ``dominance``, ``terminal``) — the effectiveness
     metrics exported to the ``offline.*`` telemetry instruments and
     surfaced by ``repro stats``.
@@ -134,7 +120,7 @@ class OptimalResult:
     states_explored: int
     candidates_pruned: int = 0
     bound_source_histogram: dict[str, int] = field(default_factory=dict)
-    method: str = "legacy"
+    method: str = "layered"
     warm_start_cost: int | None = None
 
     @property
@@ -245,7 +231,7 @@ def _future_arrivals_by_color(
 
     ``suffix[i]`` is the number of the color's jobs arriving at or after
     ``rounds[i]`` — the lookup behind the future-aware reconfiguration
-    floor of the branch-and-bound suffix bound.
+    floor of :meth:`_BoundOracle.suffix_floor`.
     """
     per_color: dict[int, dict[int, int]] = {}
     for k, batch in arrivals.items():
@@ -267,24 +253,21 @@ def _future_arrivals_by_color(
 class _BoundOracle:
     """Layered admissible bounds on the cost-to-go, with attribution.
 
-    :meth:`bound` returns the maximum of three independently admissible
-    layers and the name of the winning layer:
+    Three independently admissible layers:
 
-    * the **legacy suffix floors** — per-color reconfigure-or-drop over
-      pending *plus future* jobs, max'd with the pending capacity drop
-      floor (exactly the previous branch-and-bound's bound);
-    * the **Russian Doll bound** — the recorded value of the nearest
-      *solved* suffix subproblem at or after the state's round (suffix
-      values bound the cost of the jobs they cover, so a later suffix
-      still bounds an earlier state) plus
-      a *transition floor* on the carried pending jobs: the capacity drop
-      floor, max'd with a reconfigure-or-drop charge restricted to
-      pending colors with **no future arrivals** — such colors are
-      excisable from the suffix witness, so their charge is provably
-      disjoint from the suffix optimum and the sum stays admissible;
-    * the **interval-packing relaxation** — the fractional capacity LP
-      over pending and future jobs jointly, the fallback where the
-      suffix table is truncated.
+    * the **suffix floors** (:meth:`suffix_floor`) — per-color
+      reconfigure-or-drop over pending *plus future* jobs, max'd with
+      the pending capacity drop floor;
+    * the **color-phase floor**
+      (:class:`~repro.offline.lower_bounds.ColorPhaseBound`) — a
+      reconfigure-or-drop charge per disjoint time interval, so it grows
+      with the horizon;
+    * the **interval-packing relaxation** (:attr:`packing`) — the
+      fractional capacity LP over pending and future jobs jointly, the
+      layer that prices overload.
+
+    :meth:`cheap_bound` maxes the first two; the solver adds the third
+    where it scores candidate rows.
     """
 
     __slots__ = (
@@ -294,15 +277,11 @@ class _BoundOracle:
         "future_by_color",
         "packing",
         "phases",
-        "rds_rounds",
-        "rds_values",
-        "solved_indices",
     )
 
     def __init__(
         self,
         arrivals: dict[int, dict[tuple[int, int], int]],
-        arrival_rounds: list[int],
         m: int,
         delta: int,
         drop_cost: int,
@@ -314,33 +293,6 @@ class _BoundOracle:
         self.future_by_color = _future_arrivals_by_color(arrivals)
         self.packing = IntervalPackingRelaxation(arrivals, m, drop_cost)
         self.phases = ColorPhaseBound(arrivals, m, horizon, delta, drop_cost)
-        self.rds_rounds = arrival_rounds
-        self.rds_values: list[int] = [0] * len(arrival_rounds)
-        #: Ascending arrival-round indices with a recorded suffix value.
-        #: Suffix roots sit only at renewal rounds, so the solved set is a
-        #: *sparse subset* of a tail — a bound lookup must hop to the next
-        #: recorded index, not read the (zero) slot in between.
-        self.solved_indices: list[int] = []
-
-    def record_suffix(self, index: int, value: int) -> None:
-        self.rds_values[index] = value
-        # The pass records suffixes in strictly decreasing index order.
-        self.solved_indices.insert(0, index)
-
-    @property
-    def suffixes_solved(self) -> int:
-        return len(self.solved_indices)
-
-    def has_solved_at_or_after(self, index: int) -> bool:
-        return bool(self.solved_indices) and index <= self.solved_indices[-1]
-
-    def rds_floor(self, start_round: int) -> int:
-        """Value of the nearest recorded suffix at/after the round."""
-        i = bisect_left(self.rds_rounds, start_round)
-        j = bisect_left(self.solved_indices, i)
-        if j == len(self.solved_indices):
-            return 0
-        return self.rds_values[self.solved_indices[j]]
 
     def _future_count(self, color: int, start_round: int) -> int:
         entry = self.future_by_color.get(color)
@@ -350,10 +302,10 @@ class _BoundOracle:
         i = bisect_right(rounds, start_round - 1)
         return suffix[i] if i < len(rounds) else 0
 
-    def legacy_floor(
+    def suffix_floor(
         self, start_round: int, cache: CacheKey, pending: PendingKey
     ) -> tuple[int, str]:
-        """The previous solver's suffix bound, with source attribution."""
+        """Per-color and capacity floors on the suffix, with attribution."""
         per_color: dict[int, int] = {}
         for (color, _), count in pending:
             per_color[color] = per_color.get(color, 0) + count
@@ -374,59 +326,19 @@ class _BoundOracle:
                 floor, source = drops, "drop_floor"
         return floor, source
 
-    def transition_floor(
-        self, start_round: int, cache: CacheKey, pending: PendingKey
-    ) -> int:
-        """Admissible add-on to the suffix optimum for carried pending jobs.
-
-        Capacity drops among the pending jobs (future jobs only shrink
-        the capacity available to them), max'd with reconfigure-or-drop
-        charges for uncached pending colors that never arrive again —
-        both provably disjoint from the suffix subproblem's costs.
-        """
-        if not pending:
-            return 0
-        floor = pending_drop_floor(pending, start_round, self.m, self.drop_cost)
-        stale = 0
-        per_color: dict[int, int] = {}
-        for (color, _), count in pending:
-            per_color[color] = per_color.get(color, 0) + count
-        cached = set(cache)
-        for color, count in per_color.items():
-            if color in cached:
-                continue
-            if self._future_count(color, start_round):
-                continue
-            stale += min(self.delta, count * self.drop_cost)
-        return max(floor, stale)
-
     def cheap_bound(
         self, start_round: int, cache: CacheKey, pending: PendingKey
     ) -> tuple[int, str]:
-        """Max of the O(|pending|) layers and the name of the winner.
+        """Max of the suffix and phase floors and the name of the winner.
 
-        The packing relaxation is excluded — the solver evaluates it
-        lazily, only on candidate rows these layers fail to prune.
+        The packing relaxation is not included.  The solver's sweep
+        evaluates it on every candidate row it scores; the beam walk's
+        ordering and the inactive-stretch jump use these layers alone.
         """
-        best, source = self.legacy_floor(start_round, cache, pending)
+        best, source = self.suffix_floor(start_round, cache, pending)
         phased = self.phases.floor(start_round, cache, pending)
         if phased > best:
             best, source = phased, "phase"
-        rds = self.rds_floor(start_round)
-        if rds:
-            layered = rds + self.transition_floor(start_round, cache, pending)
-            if layered > best:
-                best, source = layered, "rds"
-        return best, source
-
-    def bound(
-        self, start_round: int, cache: CacheKey, pending: PendingKey
-    ) -> tuple[int, str]:
-        """Max of every layer and the name of the winner."""
-        best, source = self.cheap_bound(start_round, cache, pending)
-        packed = self.packing.floor(start_round, pending)
-        if packed > best:
-            best, source = packed, "relaxation"
         return best, source
 
 
@@ -461,15 +373,13 @@ def _at_least_as_hard(
     return True
 
 
-class _RDSSolver:
-    """Russian Doll Search over a banded layered forward DP.
+class _LayeredSolver:
+    """Banded layered forward DP over pre-phase states.
 
-    The engine (:meth:`_forward`) sweeps pre-phase states one round at a
+    The sweep (:meth:`_forward`) visits pre-phase states one round at a
     time.  Layers make the order topological — a state's minimal prefix
     cost ``g`` is final when its layer is processed, so nothing is ever
-    re-expanded (the re-expansion thrash of allowance-propagating DFBB
-    is what kept the legacy solver competitive despite weaker bounds).
-    Three sound filters shrink each layer:
+    re-expanded.  Three sound filters shrink each layer:
 
     * **banding** — an edge whose ``g`` + admissible child bound exceeds
       a *certified* incumbent (a feasible schedule's cost) is cut; the
@@ -488,21 +398,10 @@ class _RDSSolver:
     States with nothing pending fast-forward to the next arrival round
     (configuration timing is free, so keeping the cache dominates).  The
     terminal layer's minimum is the exact optimum and its back-pointer
-    chain is the witness schedule.
-
-    :meth:`run_suffix_pass` first solves wild-root suffix subproblems at
-    **renewal rounds** (arrival rounds every earlier job's deadline
-    precedes — pending is provably empty there under any schedule) in
-    decreasing order with the same engine; each solve is banded by the
-    drop-everything completion, the warm incumbent, and the values
-    recorded before it, and its recorded optimum feeds the bound
-    oracle's ``rds`` layer for every earlier solve — the nesting that
-    gives Russian Doll Search its name.  Instances whose arrivals form
-    one busy period have a single renewal (the first arrival round,
-    owned by the main solve), so the pass is free exactly when it
-    cannot help.  :meth:`_beam_incumbent` then walks the same DP at a
-    fixed beam width; its terminal value is a real schedule's cost and
-    usually tightens the ΔLRU-EDF warm start into a near-optimal band.
+    chain is the witness schedule.  Before the sweep,
+    :meth:`_beam_incumbent` walks the same DP at a fixed beam width; its
+    terminal value is a real schedule's cost and usually tightens the
+    ΔLRU-EDF warm start into a near-optimal band.
     """
 
     def __init__(
@@ -511,8 +410,7 @@ class _RDSSolver:
         m: int,
         *,
         max_states: int,
-        rds_budget: int | None = None,
-        warm_cost: int | None = None,
+        warm_cost: int,
     ) -> None:
         self.m = m
         self.delta = instance.spec.reconfig_cost
@@ -521,12 +419,7 @@ class _RDSSolver:
         self.arrivals = _arrivals_by_round(instance)
         self.arrival_rounds = sorted(self.arrivals)
         self.oracle = _BoundOracle(
-            self.arrivals,
-            self.arrival_rounds,
-            m,
-            self.delta,
-            self.drop_cost,
-            self.horizon,
+            self.arrivals, m, self.delta, self.drop_cost, self.horizon
         )
         #: Witness decisions on the optimal path only (replay reads the
         #: chosen cache and exactness flag; values are not consulted).
@@ -534,24 +427,11 @@ class _RDSSolver:
             tuple[int, CacheKey, PendingKey], tuple[int, CacheKey, bool]
         ] = {}
         self.max_states = max_states
-        self.cap = max_states
         #: States kept per layer by the incumbent-seeding beam walk.  A
         #: narrow beam keeps the incumbent cost negligible; dominance
         #: pruning in the main sweep recovers what a wider beam would
         #: have saved.
         self.beam_width = 2
-        #: Node budget reserved for the suffix pass (the rest belongs to
-        #: the full solve; an early-finishing pass donates its remainder).
-        #: The default keeps the pass proportional to the horizon: the
-        #: deepest dolls — shortest, cheapest, and covering the rounds
-        #: where every other floor is weakest — are solved first (the
-        #: pass runs in decreasing ``r``), and truncating the rest costs
-        #: only bound sharpness, never admissibility.
-        self.rds_budget = (
-            rds_budget
-            if rds_budget is not None
-            else max(64, min(max_states // 2, self.horizon))
-        )
         self.expanded = 0
         self.pruned = 0
         self.bound_hist: dict[str, int] = {}
@@ -559,53 +439,16 @@ class _RDSSolver:
             tuple[int, CacheKey, PendingKey],
             tuple[int, CacheKey, PendingKey, CacheKey],
         ] = {}
-        self.warm_cost = warm_cost
+        #: Best certified schedule cost so far: the warm start, then the
+        #: beam walk's, then the optimum.
         self.incumbent = warm_cost
-        self.rds_truncated = False
-        # Per-arrival-round bookkeeping (indices align with
-        # ``arrival_rounds``): batch sizes, suffix job totals (for the
-        # drop-everything node upper bound), colors with any arrival at
-        # or after the round (the wild-root candidate pool — restricting
-        # it to currently-pending colors would inflate suffix values
-        # above the true wild optimum, breaking admissibility), and the
-        # renewal flags that place suffix roots.
-        n = len(self.arrival_rounds)
-        self.batch_sizes = [
-            sum(self.arrivals[r].values()) for r in self.arrival_rounds
-        ]
-        self.suffix_jobs = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            self.suffix_jobs[i] = self.suffix_jobs[i + 1] + self.batch_sizes[i]
-        self.colors_from: list[tuple[int, ...]] = []
-        acc: set[int] = set()
-        for r in reversed(self.arrival_rounds):
-            for (color, _) in self.arrivals[r]:
-                acc.add(color)
-            self.colors_from.append(tuple(sorted(acc)))
-        self.colors_from.reverse()
-        # Renewal rounds: arrival rounds r with every earlier deadline
-        # <= r, so pending is empty there under *any* schedule.  Suffix
-        # roots live only here — one wild solve per busy period instead
-        # of one per arrival round.
-        self.renewal_indices: list[int] = []
-        max_deadline = 0
-        for i, r in enumerate(self.arrival_rounds):
-            if max_deadline <= r:
-                self.renewal_indices.append(i)
-            for (_, deadline), _count in self.arrivals[r].items():
-                if deadline > max_deadline:
-                    max_deadline = deadline
-
-    def _future_jobs_from(self, k: int) -> int:
-        """Jobs arriving at any round >= k."""
-        return self.suffix_jobs[bisect_left(self.arrival_rounds, k)]
 
     def _exceeded(self) -> SearchSpaceExceeded:
         source = "none"
         if self.bound_hist:
             source = max(self.bound_hist, key=self.bound_hist.get)
         return SearchSpaceExceeded(
-            f"optimal_offline exceeded {self.cap} states "
+            f"optimal_offline exceeded {self.max_states} states "
             f"({self.expanded} nodes expanded, best incumbent "
             f"{self.incumbent}, dominant bound source {source}); the "
             f"instance is too large for exact search",
@@ -614,74 +457,13 @@ class _RDSSolver:
             bound_source=source,
         )
 
-    def run_suffix_pass(self) -> None:
-        """Solve renewal suffixes ``[r, horizon)`` in decreasing ``r``.
-
-        Each suffix starts from the wild layer — every cache over the
-        colors still to arrive, each at prefix cost zero (the best
-        reachable abstraction of any state entering round ``r``) — so
-        its value lower-bounds the cost-to-go of every concrete state
-        there.  Later suffixes' recorded values band earlier solves via
-        the oracle's ``rds`` layer — the nesting that gives Russian Doll
-        Search its name.  The first renewal (always the first arrival
-        round) belongs to the main solve and is skipped.  The pass stops
-        early when its node budget runs out; recorded suffixes stay
-        valid, and the sparse lookup in :meth:`_BoundOracle.rds_floor`
-        keeps the partial table admissible.
-        """
-        self.cap = min(self.max_states, self.rds_budget)
-        try:
-            for index in reversed(self.renewal_indices[1:]):
-                if self.expanded >= self.cap:
-                    self.rds_truncated = True
-                    break
-                r = self.arrival_rounds[index]
-                pool = self.colors_from[index]
-                base: CacheKey = (BLACK,) * self.m
-                init = {
-                    (cand, ()): 0
-                    for cand in _candidate_caches(base, pool, self.m)
-                }
-                # Only *certified* upper bounds may seed the band: the
-                # drop-everything completion of the suffix, the warm
-                # incumbent (any suffix wild value is <= the value of
-                # some state on the warm schedule's trajectory <= the
-                # warm cost), and a beam walk of the suffix itself —
-                # whichever is tightest.
-                cutoff = self.suffix_jobs[index] * self.drop_cost
-                if self.warm_cost is not None and self.warm_cost < cutoff:
-                    cutoff = self.warm_cost
-                beam_ub = self._beam_incumbent(r, init)
-                if beam_ub < cutoff:
-                    cutoff = beam_ub
-                value, _ = self._forward(r, init, cutoff, collect_path=False)
-                self.oracle.record_suffix(index, value)
-        except SearchSpaceExceeded:
-            # Mid-solve truncation: every recorded suffix is still a
-            # certified exact optimum; only the open solve is lost.
-            self.rds_truncated = True
-        finally:
-            self.cap = self.max_states
-
-    def run_main(self) -> int:
+    def solve(self) -> int:
         """Beam incumbent, then the banded sweep from the black root."""
-        beam_ub = self._beam_incumbent()
-        cutoff = beam_ub
-        if self.warm_cost is not None and self.warm_cost < cutoff:
-            cutoff = self.warm_cost
-        self.incumbent = cutoff
-        root = ((BLACK,) * self.m, ())
-        value, terminal = self._forward(
-            0, {root: 0}, cutoff, collect_path=True
-        )
+        self.incumbent = min(self.incumbent, self._beam_incumbent())
+        value, terminal = self._forward(self.incumbent)
         self.incumbent = value
         self._fill_memo(terminal)
         return value
-
-    def run(self) -> tuple[int, int | None]:
-        """Suffix pass, then the full solve from the all-black root."""
-        self.run_suffix_pass()
-        return self.run_main(), self.warm_cost
 
     def _prune_dominated(
         self, layer: dict[tuple[CacheKey, PendingKey], int]
@@ -769,27 +551,21 @@ class _RDSSolver:
         return rows
 
     def _forward(
-        self,
-        start: int,
-        init: dict[tuple[CacheKey, PendingKey], int],
-        cutoff: int,
-        *,
-        collect_path: bool,
+        self, cutoff: int
     ) -> tuple[int, tuple[int, CacheKey, PendingKey] | None]:
-        """Banded layered sweep from ``init`` at round ``start``.
+        """Banded layered sweep from the all-black root.
 
-        ``cutoff`` must be a *certified* upper bound on the optimum from
-        ``init`` — the cost of some feasible completion — so the band
-        ``g + bound <= cutoff`` provably keeps the optimal path and the
-        terminal minimum is exact.  With ``collect_path`` the argmin
-        terminal state and the back-pointer chain to it are retained
-        (read by :meth:`_fill_memo`); the suffix pass skips both.
+        ``cutoff`` must be a *certified* upper bound on the optimum — the
+        cost of some feasible schedule — so the band ``g + bound <=
+        cutoff`` provably keeps the optimal path and the terminal minimum
+        is exact.  Returns that minimum and its terminal state; the
+        back-pointer chain to it is kept for :meth:`_fill_memo`.
         """
         horizon = self.horizon
         drop = self.drop_cost
         oracle = self.oracle
         layers: dict[int, dict[tuple[CacheKey, PendingKey], int]] = {
-            start: dict(init)
+            0: {((BLACK,) * self.m, ()): 0}
         }
         parents: dict[
             tuple[int, CacheKey, PendingKey],
@@ -807,10 +583,9 @@ class _RDSSolver:
             tgt = layers.setdefault(round_, {})
             if g < tgt.get(state, _HUGE):
                 tgt[state] = g
-                if collect_path:
-                    parents[(round_,) + state] = (k,) + prev + (chosen,)
+                parents[(round_,) + state] = (k,) + prev + (chosen,)
 
-        for k in range(start, horizon):
+        for k in range(horizon):
             layer = layers.pop(k, None)
             if not layer:
                 continue
@@ -819,7 +594,7 @@ class _RDSSolver:
             for state, g in layer.items():
                 cache, pending = state
                 self.expanded += 1
-                if self.expanded > self.cap:
+                if self.expanded > self.max_states:
                     raise self._exceeded()
                 dropped, pending2 = _drop_and_arrive(k, pending, self.arrivals)
                 g2 = g + dropped * drop
@@ -874,34 +649,27 @@ class _RDSSolver:
                 best_state = (horizon, cache, pending)
         # The optimal path survives the band under a certified cutoff.
         assert best is not None and best <= cutoff
-        if collect_path:
-            self._parents = parents
+        self._parents = parents
         return best, best_state
 
-    def _beam_incumbent(
-        self,
-        start: int = 0,
-        init: dict[tuple[CacheKey, PendingKey], int] | None = None,
-    ) -> int:
+    def _beam_incumbent(self) -> int:
         """Certified upper bound from a fixed-width walk of the DP.
 
         Identical transitions, no banding, but each layer is truncated
         to the :attr:`beam_width` states with the smallest ``g`` +
         cheap admissible bound.  Every surviving terminal is the cost of
-        a concrete feasible schedule (from some ``init`` state), so the
-        minimum is a certified incumbent for :meth:`_forward` over the
-        same ``init`` — usually far tighter than the ΔLRU-EDF replay.
+        a concrete feasible schedule, so the minimum is a certified
+        incumbent for :meth:`_forward` — usually far tighter than the
+        ΔLRU-EDF replay.
         """
         horizon = self.horizon
         drop = self.drop_cost
         oracle = self.oracle
         width = self.beam_width
-        if init is None:
-            init = {((BLACK,) * self.m, ()): 0}
         layers: dict[int, dict[tuple[CacheKey, PendingKey], int]] = {
-            start: dict(init)
+            0: {((BLACK,) * self.m, ()): 0}
         }
-        for k in range(start, horizon):
+        for k in range(horizon):
             layer = layers.pop(k, None)
             if not layer:
                 continue
@@ -916,7 +684,7 @@ class _RDSSolver:
                 layer = dict(scored[:width])
             for (cache, pending), g in layer.items():
                 self.expanded += 1
-                if self.expanded > self.cap:
+                if self.expanded > self.max_states:
                     raise self._exceeded()
                 dropped, pending2 = _drop_and_arrive(k, pending, self.arrivals)
                 g2 = g + dropped * drop
@@ -986,61 +754,28 @@ def optimal_offline(
     num_resources: int,
     *,
     max_states: int = 2_000_000,
-    method: str = "rds",
-    warm_start: bool = True,
-    rds_budget: int | None = None,
-    engine: str | None = None,
     tracer=None,
     registry=None,
     recorder=None,
 ) -> OptimalResult:
     """Compute the exact optimal offline cost and a witness schedule.
 
-    ``method`` selects the solver:
-
-    * ``"rds"`` (default) — Russian Doll Search over the banded layered
-      forward DP: nested renewal-suffix solves, layered admissible
-      bounds, dominance pruning, and a warm-started incumbent tightened
-      by a beam walk (see the module docstring).  ``warm_start=False``
-      skips the ΔLRU-EDF replay (the beam incumbent still seeds the
-      band); ``rds_budget`` caps the nodes the suffix pass may spend
-      (default: one node per horizon round, at most half of
-      ``max_states``); ``engine`` picks the replay backend
-      (``"vectorized"`` for numpy).
-    * ``"legacy"`` — the previous iterative branch-and-bound with the
-      suffix floors only, kept for benchmarking the RDS speedup.
-    * ``"exhaustive"`` — the original recursive exhaustive search
-      (:func:`optimal_offline_exhaustive`), the cross-check oracle.
-
-    ``states_explored`` counts expanded decision nodes (for ``"rds"``
-    including the suffix pass), so methods compare node-for-node.
+    Runs the banded layered forward DP of the module docstring: the
+    ΔLRU-EDF warm start and a beam walk certify an incumbent, then one
+    banded sweep with the layered admissible bounds and dominance
+    pruning finds the optimum.  ``states_explored`` counts expanded
+    decision nodes, the beam walk's included; past ``max_states`` of
+    them the solve raises :class:`SearchSpaceExceeded`.
 
     Optional observability: a ``tracer`` records an ``offline_solve``
-    span (instance, resources → cost, nodes, prunes, bound sources) with
-    a nested ``rds_pass`` span for the suffix solves; a metrics
-    ``registry`` accumulates ``offline.*`` counters; a ``recorder``
-    (:class:`~repro.obs.registry.RegistrySink`) appends the solve to the
-    persistent run registry.
+    span (instance, resources → cost, nodes, prunes, bound sources); a
+    metrics ``registry`` accumulates ``offline.*`` counters; a
+    ``recorder`` (:class:`~repro.obs.registry.RegistrySink`) appends the
+    solve to the persistent run registry.
     """
     if num_resources <= 0:
         raise ValueError("need at least one resource")
-    if method not in OFFLINE_METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {OFFLINE_METHODS}"
-        )
     solve_started = perf_counter()
-    if method == "exhaustive":
-        result = optimal_offline_exhaustive(
-            instance, num_resources, max_states=max_states
-        )
-        if recorder is not None:
-            recorder.record_offline(
-                result,
-                instance,
-                num_resources,
-                wall_seconds=perf_counter() - solve_started,
-            )
-        return result
     active_tracer = (
         tracer
         if tracer is not None and getattr(tracer, "enabled", True)
@@ -1052,68 +787,34 @@ def optimal_offline(
             instance=instance.name or "instance",
             resources=num_resources,
             horizon=instance.horizon,
-            method=method,
+            method="layered",
         )
     m = num_resources
-
-    if method == "legacy":
-        total_cost, memo, expanded, pruned = _solve_legacy(
-            instance, m, max_states
-        )
-        hist: dict[str, int] = {}
-        warm_cost = None
-    else:
-        warm_cost = (
-            warm_start_incumbent(instance, m, engine=engine)
-            if warm_start
-            else None
-        )
-        solver = _RDSSolver(
-            instance,
-            m,
-            max_states=max_states,
-            rds_budget=rds_budget,
-            warm_cost=warm_cost,
-        )
+    warm_cost = warm_start_incumbent(instance, m)
+    solver = _LayeredSolver(
+        instance, m, max_states=max_states, warm_cost=warm_cost
+    )
+    try:
+        total_cost = solver.solve()
+    except SearchSpaceExceeded:
         if active_tracer is not None:
-            active_tracer.begin(
-                "rds_pass",
-                suffixes=max(0, len(solver.renewal_indices) - 1),
-                budget=solver.rds_budget,
+            active_tracer.end(
+                "offline_solve",
+                truncated=True,
+                states_explored=solver.expanded,
             )
-            try:
-                solver.run_suffix_pass()
-            finally:
-                active_tracer.end(
-                    "rds_pass",
-                    suffixes_solved=solver.oracle.suffixes_solved,
-                    truncated=solver.rds_truncated,
-                    nodes=solver.expanded,
-                )
-            try:
-                total_cost = solver.run_main()
-            except SearchSpaceExceeded:
-                active_tracer.end(
-                    "offline_solve",
-                    truncated=True,
-                    states_explored=solver.expanded,
-                )
-                raise
-        else:
-            total_cost, _ = solver.run()
-        memo = solver.memo
-        expanded = solver.expanded
-        pruned = solver.pruned
-        hist = dict(solver.bound_hist)
+        raise
+    expanded = solver.expanded
+    pruned = solver.pruned
+    hist = dict(solver.bound_hist)
 
-    arrivals = _arrivals_by_round(instance)
-    schedule = _replay(instance, m, memo, arrivals)
+    schedule = _replay(instance, m, solver.memo, solver.arrivals)
     breakdown = schedule.cost(instance.sequence.jobs, instance.cost_model)
     if breakdown.total != total_cost:
         raise AssertionError(
             f"replayed schedule cost {breakdown.total} != search cost {total_cost}"
         )
-    if warm_cost is not None and total_cost > warm_cost:
+    if total_cost > warm_cost:
         raise AssertionError(
             f"search cost {total_cost} exceeds the warm-start incumbent "
             f"{warm_cost} — the incumbent replay is not a feasible upper bound"
@@ -1140,7 +841,6 @@ def optimal_offline(
         expanded,
         pruned,
         bound_source_histogram=hist,
-        method=method,
         warm_start_cost=warm_cost,
     )
     if recorder is not None:
@@ -1153,191 +853,6 @@ def optimal_offline(
     return result
 
 
-class _Frame:
-    """One open node of the legacy iterative branch-and-bound."""
-
-    __slots__ = (
-        "key",
-        "phase_cost",
-        "cands",
-        "idx",
-        "best_cost",
-        "best_cache",
-        "pending2",
-    )
-
-    def __init__(self, key, phase_cost, cands, best_cache, pending2=()):
-        self.key = key
-        self.phase_cost = phase_cost
-        #: ``None`` marks a fast-forward frame (nothing pending).
-        #: Otherwise ``[reconfig_cost, candidate, after-or-None]`` rows
-        #: sorted by reconfiguration cost; ``after`` is filled lazily.
-        self.cands = cands
-        self.idx = 0
-        self.best_cost: int | None = None
-        self.best_cache: CacheKey = best_cache
-        #: Post-drop/arrival pending state (for lazy execution).
-        self.pending2: PendingKey = pending2
-
-
-def _solve_legacy(
-    instance: Instance, m: int, max_states: int
-) -> tuple[int, dict, int, int]:
-    """The pre-RDS iterative branch-and-bound (suffix floors only).
-
-    Kept verbatim as the baseline the offline bench measures RDS
-    against; per-node incumbents, candidates sorted by reconfiguration
-    cost, lazy child-state construction.
-    """
-    delta = instance.spec.reconfig_cost
-    drop_cost = instance.spec.cost.drop_cost
-    horizon = instance.horizon
-    arrivals = _arrivals_by_round(instance)
-    arrival_rounds = sorted(arrivals)
-    future_by_color = _future_arrivals_by_color(arrivals)
-
-    memo: dict[tuple[int, CacheKey, PendingKey], tuple[int, CacheKey, bool]] = {}
-    expanded = 0
-    pruned = 0
-
-    def suffix_bound(start_round: int, cache: CacheKey, pending: PendingKey) -> int:
-        per_color: dict[int, int] = {}
-        for (color, _), count in pending:
-            per_color[color] = per_color.get(color, 0) + count
-        for color, (rounds, suffix) in future_by_color.items():
-            i = bisect_right(rounds, start_round - 1)
-            if i < len(rounds):
-                per_color[color] = per_color.get(color, 0) + suffix[i]
-        merged = [((color, 0), count) for color, count in per_color.items()]
-        floor = pending_reconfig_floor(merged, set(cache), delta, drop_cost)
-        if pending:
-            floor = max(
-                floor, pending_drop_floor(pending, start_round, m, drop_cost)
-            )
-        return floor
-
-    def expand(key: tuple[int, CacheKey, PendingKey]) -> _Frame:
-        nonlocal expanded
-        expanded += 1
-        if expanded > max_states:
-            raise SearchSpaceExceeded(
-                f"optimal_offline exceeded {max_states} states; the "
-                f"instance is too large for exact search",
-                nodes_expanded=expanded,
-                best_incumbent=None,
-                bound_source="reconfig_floor",
-            )
-        k, cache, pending = key
-        dropped, pending2 = _drop_and_arrive(k, pending, arrivals)
-        phase_cost = dropped * drop_cost
-        if not pending2:
-            return _Frame(key, phase_cost, None, cache)
-        pending_colors = tuple(sorted({c for ((c, _), _) in pending2}))
-        cands = [
-            [_reconfig_count(cache, candidate) * delta, candidate, None]
-            for candidate in _candidate_caches(cache, pending_colors, m)
-        ]
-        cands.sort(key=lambda entry: (entry[0], entry[1]))
-        return _Frame(key, phase_cost, cands, cache, pending2)
-
-    root = (0, (BLACK,) * m, ())
-    stack = [expand(root)]
-    ret: int | None = None  # value bubbling up from a finished child
-
-    while stack:
-        fr = stack[-1]
-        k = fr.key[0]
-
-        if fr.cands is None:
-            # Fast-forward frame: value = phase drops + cost from the
-            # next arrival round with the same cache.
-            cache = fr.key[1]
-            nxt = bisect_right(arrival_rounds, k)
-            if nxt == len(arrival_rounds):
-                next_k, value = horizon, 0
-            elif ret is not None:
-                next_k, value = arrival_rounds[nxt], ret
-                ret = None
-            else:
-                next_k = arrival_rounds[nxt]
-                child_key = (next_k, cache, ())
-                entry = memo.get(child_key)
-                if entry is None:
-                    stack.append(expand(child_key))
-                    continue
-                value = entry[0]
-            for j in range(k + 1, next_k):
-                memo[(j, cache, ())] = (value, cache, True)
-            memo[fr.key] = (fr.phase_cost + value, cache, True)
-            ret = fr.phase_cost + value
-            stack.pop()
-            continue
-
-        if ret is not None:
-            # A child just finished: fold its value into the incumbent.
-            row = fr.cands[fr.idx]
-            total = fr.phase_cost + row[0] + ret
-            ret = None
-            if fr.best_cost is None or total < fr.best_cost:
-                fr.best_cost = total
-                fr.best_cache = row[1]
-            fr.idx += 1
-
-        descended = False
-        while fr.idx < len(fr.cands):
-            row = fr.cands[fr.idx]
-            reconfig, candidate = row[0], row[1]
-            have_incumbent = fr.best_cost is not None
-            if have_incumbent and fr.phase_cost + reconfig >= fr.best_cost:
-                # Candidates are sorted by reconfiguration cost and the
-                # suffix cost is nonnegative: every remaining candidate
-                # is dominated by the incumbent.
-                pruned += len(fr.cands) - fr.idx
-                fr.idx = len(fr.cands)
-                break
-            after = row[2]
-            if after is None:
-                after = row[2] = _execute_abstract(candidate, fr.pending2)
-            k_next = fr.key[0]
-            if k_next + 1 >= horizon:
-                # Horizon extends past every deadline: leftovers drop.
-                value = sum(count for _, count in after) * drop_cost
-            else:
-                child_key = (k_next + 1, candidate, after)
-                entry = memo.get(child_key)
-                if entry is None:
-                    if have_incumbent and (
-                        fr.phase_cost
-                        + reconfig
-                        + suffix_bound(k_next + 1, candidate, after)
-                        >= fr.best_cost
-                    ):
-                        # Admissible bound: the candidate provably cannot
-                        # beat the incumbent — cut its unexpanded subtree.
-                        pruned += 1
-                        fr.idx += 1
-                        continue
-                    stack.append(expand(child_key))
-                    descended = True
-                    break
-                value = entry[0]
-            total = fr.phase_cost + reconfig + value
-            if fr.best_cost is None or total < fr.best_cost:
-                fr.best_cost = total
-                fr.best_cache = candidate
-            fr.idx += 1
-        if descended:
-            continue
-
-        assert fr.best_cost is not None
-        memo[fr.key] = (fr.best_cost, fr.best_cache, True)
-        ret = fr.best_cost
-        stack.pop()
-
-    assert ret is not None
-    return ret, memo, expanded, pruned
-
-
 def optimal_offline_exhaustive(
     instance: Instance,
     num_resources: int,
@@ -1346,8 +861,10 @@ def optimal_offline_exhaustive(
 ) -> OptimalResult:
     """Original recursive memoized exhaustive search.
 
-    Kept as the reference implementation: the property tests cross-check
-    :func:`optimal_offline`'s Russian Doll answers against it.
+    One of the two independent oracles for :func:`optimal_offline` (the
+    other is :func:`repro.offline.bruteforce.bruteforce_optimal_cost`):
+    the property tests and ``repro offline --check exhaustive``
+    cross-check the solver's optimum against it.
     """
     if num_resources <= 0:
         raise ValueError("need at least one resource")

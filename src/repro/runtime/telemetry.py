@@ -223,8 +223,8 @@ def offline_regressions(
     ``missing_baseline`` so grid growth enters the baseline visibly;
     baseline cells the fresh run skipped are ignored (smoke runs measure
     a subset).  A fresh/baseline cost mismatch on a matched cell is
-    reported as ``kind="cost_mismatch"`` — both solvers are exact, so
-    that is a correctness bug, not a perf regression.
+    reported as ``kind="cost_mismatch"`` — the solver is exact, so that
+    is a correctness bug, not a perf regression.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError("tolerance must lie in [0, 1)")

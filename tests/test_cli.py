@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -127,11 +129,41 @@ def test_offline_resources_size_only_the_solver(capsys):
         ("--colors", "0"),  # was "max() arg is an empty sequence"
         ("--resources", "0"),  # was reported as a Δ error
         ("--rate", "-0.5"),  # was a traceback
+        ("--rate", "nan"),  # was a numpy traceback
+        ("--rate", "inf"),  # was a numpy traceback
+        ("--bounds", "0"),  # was a ValueError traceback from Job
+        ("--bounds", "-2"),  # was a ValueError traceback from Job
+        ("--max-states", "0"),  # was "search space exceeded after 1 nodes"
+        ("--max-states", "-5"),  # was "search space exceeded after 1 nodes"
     ],
 )
 def test_offline_rejects_out_of_range_config(capsys, flag, value):
     assert main(["offline", flag, value]) == 2
     _assert_one_error_line(capsys, flag)
+
+
+def test_offline_check_honors_max_states(capsys):
+    # The default instance's solve expands 1,374 nodes and the exhaustive
+    # check 4,190; a budget between them truncates only the check, which
+    # must report it in the solve's format instead of a traceback.
+    assert main(["offline", "--max-states", "2000", "--check", "exhaustive"]) == 1
+    out = capsys.readouterr().out
+    assert "optimal cost:   23\n" in out
+    last = out.splitlines()[-1]
+    assert last.startswith("cross-check:    exhaustive search space exceeded")
+    assert "after 2000 nodes" in last and last.endswith("raise --max-states")
+
+
+def test_stats_summarizes_an_offline_trace(tmp_path, capsys):
+    trace = tmp_path / "offline.jsonl"
+    assert main(["offline", "--trace", str(trace)]) == 0
+    solved = capsys.readouterr().out
+    cost = re.search(r"^optimal cost: +(\d+)$", solved, re.M).group(1)
+    nodes = re.search(r"^nodes expanded: +(\d+)$", solved, re.M).group(1)
+    assert main(["stats", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert f"offline solve (layered): cost {cost}  nodes {nodes}  " in out
+    assert "  bound sources: " in out
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,11 @@
-"""ISSUE-7 property tests: the RDS solver against the exhaustive oracle.
+"""Property tests: the exact offline solver against the exhaustive oracle.
 
-The contract under test: ``optimal_offline(method="rds")`` returns the
-*same cost* as the exhaustive search on every instance — across seeds,
-reconfiguration costs, drop costs, and resource counts — together with a
-feasible witness schedule of exactly that cost; truncating the suffix
-pass to a near-zero budget may only slow the search down, never change
-the answer (partial RDS tables stay admissible); and a solve that
-outgrows its node budget raises a diagnosable ``SearchSpaceExceeded``.
+The contract under test: ``optimal_offline`` returns the *same cost* as
+the exhaustive search on every instance — across seeds, reconfiguration
+costs, drop costs, and resource counts — together with a feasible
+witness schedule of exactly that cost; its warm start is a certified
+upper bound; and a solve that outgrows its node budget raises a
+diagnosable ``SearchSpaceExceeded``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import pytest
 
 from repro.core.validation import verify_schedule
 from repro.offline.optimal import (
-    OFFLINE_METHODS,
     SearchSpaceExceeded,
     optimal_offline,
     optimal_offline_exhaustive,
@@ -26,7 +24,6 @@ from repro.offline.lower_bounds import warm_start_incumbent
 from repro.workloads.random_batched import random_general
 
 KNOWN_BOUND_SOURCES = {
-    "rds",
     "relaxation",
     "phase",
     "drop_floor",
@@ -70,24 +67,16 @@ def _small_instances():
 )
 class TestRDSMatchesExhaustive:
     def test_cost_and_witness(self, instance, m):
-        rds = optimal_offline(instance, m, method="rds")
+        result = optimal_offline(instance, m)
         exact = optimal_offline_exhaustive(instance, m)
-        assert rds.cost == exact.cost
+        assert result.cost == exact.cost
         # The witness is an actual schedule of the claimed cost, valid
         # under the full feasibility checker.
-        assert verify_schedule(instance, rds.schedule).ok
-        breakdown = rds.schedule.cost(
+        assert verify_schedule(instance, result.schedule).ok
+        breakdown = result.schedule.cost(
             instance.sequence.jobs, instance.cost_model
         )
-        assert breakdown.total == rds.cost
-
-    def test_truncated_suffix_pass_stays_exact(self, instance, m):
-        # A starved suffix pass leaves most dolls unsolved; the sparse
-        # rds floor must stay admissible, so only node counts may move.
-        starved = optimal_offline(instance, m, method="rds", rds_budget=1)
-        exact = optimal_offline_exhaustive(instance, m)
-        assert starved.cost == exact.cost
-        assert verify_schedule(instance, starved.schedule).ok
+        assert breakdown.total == result.cost
 
 
 class TestBoundStack:
@@ -97,7 +86,7 @@ class TestBoundStack:
                 3, 2, 24, seed=seed, rate=0.5, bound_choices=(2, 4)
             )
             warm = warm_start_incumbent(instance, 2)
-            opt = optimal_offline(instance, 2, method="rds")
+            opt = optimal_offline(instance, 2)
             assert opt.warm_start_cost == warm
             assert opt.cost <= warm
 
@@ -105,8 +94,8 @@ class TestBoundStack:
         instance = random_general(
             3, 2, 32, seed=0, rate=0.5, bound_choices=(2, 4)
         )
-        result = optimal_offline(instance, 2, method="rds")
-        assert result.method == "rds"
+        result = optimal_offline(instance, 2)
+        assert result.method == "layered"
         assert result.nodes_expanded == result.states_explored > 0
         assert result.bound_source_histogram
         assert set(result.bound_source_histogram) <= KNOWN_BOUND_SOURCES
@@ -119,36 +108,6 @@ class TestBoundStack:
             ) + result.bound_source_histogram.get("terminal", 0)
         )
 
-    def test_legacy_and_rds_agree_without_warm_start(self):
-        instance = random_general(
-            3, 2, 24, seed=2, rate=0.5, bound_choices=(2, 4)
-        )
-        cold = optimal_offline(instance, 2, method="rds", warm_start=False)
-        legacy = optimal_offline(instance, 2, method="legacy")
-        assert cold.cost == legacy.cost
-        assert cold.warm_start_cost is None
-
-
-class TestMethodKnob:
-    def test_methods_tuple(self):
-        assert OFFLINE_METHODS == ("rds", "legacy", "exhaustive")
-
-    def test_unknown_method_rejected(self):
-        instance = random_general(
-            2, 1, 8, seed=0, rate=0.5, bound_choices=(2, 4)
-        )
-        with pytest.raises(ValueError, match="unknown method"):
-            optimal_offline(instance, 1, method="dfs")
-
-    def test_exhaustive_method_dispatches(self):
-        instance = random_general(
-            2, 1, 10, seed=0, rate=0.5, bound_choices=(2, 4)
-        )
-        via_knob = optimal_offline(instance, 1, method="exhaustive")
-        direct = optimal_offline_exhaustive(instance, 1)
-        assert via_knob.cost == direct.cost
-        assert via_knob.method == "exhaustive"
-
 
 class TestSearchSpaceExceededDiagnostics:
     def test_truncated_solve_is_diagnosable(self):
@@ -156,7 +115,7 @@ class TestSearchSpaceExceededDiagnostics:
             3, 2, 48, seed=0, rate=0.8, bound_choices=(2, 4)
         )
         with pytest.raises(SearchSpaceExceeded) as excinfo:
-            optimal_offline(instance, 2, method="rds", max_states=40)
+            optimal_offline(instance, 2, max_states=40)
         exc = excinfo.value
         assert exc.nodes_expanded is not None and exc.nodes_expanded > 0
         # The warm-start replay always provides a feasible incumbent, so
