@@ -10,12 +10,18 @@ sequence actually conforms to the declared batch mode:
   integral multiples of ``D_ℓ``.
 * ``RATE_LIMITED`` — batched and additionally at most ``D_ℓ`` color-ℓ jobs
   per arrival round.
+
+A batched engine reads only per-boundary counts (:attr:`RequestSequence.
+arrival_counts`).  :class:`CountSequence` is a batched sequence made of
+nothing else: streaming segments build one from admitted counts without
+minting a job object.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -31,6 +37,7 @@ _JOB_ORDER_KEYS = tuple(
     attrgetter(name) for name in ("jid", "delay_bound", "color", "arrival")
 )
 _ARRIVAL = _JOB_ORDER_KEYS[-1]
+_COLOR = _JOB_ORDER_KEYS[-2]
 
 
 class BatchMode(enum.Enum):
@@ -122,13 +129,7 @@ class RequestSequence:
     every job is either executed or dropped by the end of a run.
     """
 
-    def __init__(
-        self,
-        jobs: Iterable[Job],
-        horizon: int | None = None,
-        *,
-        open_horizon: bool = False,
-    ) -> None:
+    def __init__(self, jobs: Iterable[Job], horizon: int | None = None) -> None:
         ordered = list(jobs)
         for key in _JOB_ORDER_KEYS:
             ordered.sort(key=key)
@@ -140,19 +141,15 @@ class RequestSequence:
             arrival: list(group)
             for arrival, group in groupby(self._jobs, key=_ARRIVAL)
         }
-        self._open_horizon = bool(open_horizon)
+        self._counts: dict[int, dict[int, int]] | None = None
         last_deadline = max((job.deadline for job in self._jobs), default=0)
         # The drop phase of round `last_deadline` is the final event that can
         # touch a job, so the minimal safe horizon is last_deadline + 1.
-        # Streaming *segments* (``open_horizon=True``) are windows of a
-        # longer run: jobs arriving near the window's end legitimately
-        # carry deadlines past it (their drop round belongs to the next
-        # segment), so the deadline check is waived there.
         min_horizon = last_deadline + 1 if self._jobs else 1
         self._horizon = min_horizon if horizon is None else horizon
         if self._horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self._horizon}")
-        if not self._open_horizon and self._horizon < min_horizon:
+        if self._horizon < min_horizon:
             raise ValueError(
                 f"horizon {self._horizon} ends before the last deadline; "
                 f"need at least {min_horizon}"
@@ -176,11 +173,6 @@ class RequestSequence:
 
     def __iter__(self) -> Iterator[Job]:
         return iter(self._jobs)
-
-    @property
-    def open_horizon(self) -> bool:
-        """True for streaming segment views (deadlines may exceed horizon)."""
-        return self._open_horizon
 
     def arrivals(self, round_index: int) -> Sequence[Job]:
         """Jobs arriving in ``round_index`` (the round's request).
@@ -206,6 +198,21 @@ class RequestSequence:
         return tuple(sorted(self._by_round))
 
     @property
+    def arrival_counts(self) -> dict[int, dict[int, int]]:
+        """``{round: {color: count}}`` over the arrival rounds, ascending.
+
+        Derived on first use and kept (the sequence is immutable), so
+        every engine run over one instance shares one derivation.
+        Callers must not mutate the result.
+        """
+        if self._counts is None:
+            self._counts = {
+                arrival: Counter(map(_COLOR, jobs))
+                for arrival, jobs in self._by_round.items()
+            }
+        return self._counts
+
+    @property
     def colors(self) -> tuple[int, ...]:
         """Distinct job colors, ascending."""
         return tuple(sorted({job.color for job in self._jobs}))
@@ -220,15 +227,57 @@ class RequestSequence:
         """Subsequence containing only jobs of the given colors."""
         keep = set(colors)
         return RequestSequence(
-            [job for job in self._jobs if job.color in keep],
-            self._horizon,
-            open_horizon=self._open_horizon,
+            [job for job in self._jobs if job.color in keep], self._horizon
         )
 
     def with_horizon(self, horizon: int) -> "RequestSequence":
-        return RequestSequence(
-            self._jobs, horizon, open_horizon=self._open_horizon
+        return RequestSequence(self._jobs, horizon)
+
+
+class CountSequence:
+    """A batched request sequence held as per-boundary counts only.
+
+    ``counts`` maps an arrival round to ``{color: count}``, the shape of
+    :attr:`RequestSequence.arrival_counts`.  There are no job objects,
+    so only ``record="costs"`` engines run on it.  Streaming segments
+    are the use: they are windows of a longer run, so deadlines may
+    pass the horizon (their drop rounds belong to the next segment).
+    :class:`Instance` validates the counts against its spec.  Callers
+    must not mutate ``counts`` afterwards.
+    """
+
+    def __init__(
+        self, counts: Mapping[int, Mapping[int, int]], horizon: int
+    ) -> None:
+        if horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {horizon}")
+        self._counts = counts
+        self._horizon = horizon
+
+    @property
+    def horizon(self) -> int:
+        return self._horizon
+
+    @property
+    def arrival_counts(self) -> Mapping[int, Mapping[int, int]]:
+        return self._counts
+
+    def __len__(self) -> int:
+        return sum(sum(batch.values()) for batch in self._counts.values())
+
+    @property
+    def colors(self) -> tuple[int, ...]:
+        """Colors with at least one job, ascending."""
+        return tuple(
+            sorted(
+                {c for batch in self._counts.values() for c, n in batch.items() if n}
+            )
         )
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` can count jobs: a nonnegative ``int``, not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -236,10 +285,13 @@ class Instance:
     """A validated (spec, sequence) pair."""
 
     spec: ProblemSpec
-    sequence: RequestSequence
+    sequence: RequestSequence | CountSequence
     name: str = ""
 
     def __post_init__(self) -> None:
+        if isinstance(self.sequence, CountSequence):
+            self._validate_counts()
+            return
         declared = set(self.spec.delay_bounds)
         for job in self.sequence:
             if job.color not in declared:
@@ -258,7 +310,6 @@ class Instance:
         mode = self.spec.batch_mode
         if mode is BatchMode.GENERAL:
             return
-        per_round_color: dict[tuple[int, int], int] = {}
         for job in self.sequence:
             if not is_multiple(job.arrival, job.delay_bound):
                 raise ValueError(
@@ -266,16 +317,51 @@ class Instance:
                     f"arrives at round {job.arrival}, not a multiple of "
                     f"{job.delay_bound}"
                 )
-            key = (job.arrival, job.color)
-            per_round_color[key] = per_round_color.get(key, 0) + 1
         if mode is BatchMode.RATE_LIMITED:
-            for (arrival, color), count in per_round_color.items():
-                bound = self.spec.delay_bounds[color]
-                if count > bound:
+            self._check_rate_limit(self.sequence.arrival_counts)
+
+    def _check_rate_limit(self, counts) -> None:
+        bounds = self.spec.delay_bounds
+        for arrival, batch in counts.items():
+            for color, count in batch.items():
+                if count > bounds[color]:
                     raise ValueError(
                         f"rate-limited instance: {count} color-{color} jobs "
-                        f"arrive at round {arrival}, exceeding D_ℓ = {bound}"
+                        f"arrive at round {arrival}, exceeding D_ℓ = "
+                        f"{bounds[color]}"
                     )
+
+    def _validate_counts(self) -> None:
+        """The job checks above, restated for a :class:`CountSequence`."""
+        mode = self.spec.batch_mode
+        if not mode.is_batched:
+            raise ValueError("a count sequence needs a batched spec")
+        bounds = self.spec.delay_bounds
+        counts = self.sequence.arrival_counts
+        horizon = self.sequence.horizon
+        for arrival, batch in counts.items():
+            if not 0 <= arrival < horizon:
+                raise ValueError(
+                    "jobs must arrive within the horizon (arrival < horizon)"
+                )
+            for color, count in batch.items():
+                if color not in bounds:
+                    raise ValueError(
+                        f"batch at round {arrival} has undeclared color {color}"
+                    )
+                if not is_count(count):
+                    raise ValueError(
+                        f"batch of color {color} at round {arrival} must "
+                        f"count a nonnegative integer of jobs, got {count!r}"
+                    )
+                if not is_multiple(arrival, bounds[color]):
+                    raise ValueError(
+                        f"batched instance: {count} color-{color} jobs "
+                        f"arrive at round {arrival}, not a multiple of "
+                        f"{bounds[color]}"
+                    )
+        if mode is BatchMode.RATE_LIMITED:
+            self._check_rate_limit(counts)
 
     @property
     def horizon(self) -> int:

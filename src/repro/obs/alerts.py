@@ -59,6 +59,20 @@ _OPS = {
 }
 
 
+#: Rule-file fields: the JSON types each accepts (never ``bool``), and
+#: how an error message names them.
+_FIELDS: dict[str, tuple[type | tuple[type, ...], str]] = {
+    "name": (str, "a string"),
+    "series": (str, "a string"),
+    "kind": (str, "a string"),
+    "op": (str, "a string"),
+    "value": ((int, float), "a number"),
+    "window": (int, "an integer"),
+    "resolve_window": (int, "an integer"),
+    "severity": (str, "a string"),
+}
+
+
 @dataclass(frozen=True)
 class AlertRule:
     """One declarative condition over one recorded series."""
@@ -112,22 +126,30 @@ class AlertRule:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AlertRule":
-        known = {
-            "name",
-            "series",
-            "kind",
-            "op",
-            "value",
-            "window",
-            "resolve_window",
-            "severity",
-        }
-        unknown = sorted(set(data) - known)
+        """Build a rule from its JSON object; a malformed one raises
+        :class:`ValueError` naming the offending field."""
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                f"alert rule is a JSON {type(data).__name__}, not an object"
+            )
+        unknown = sorted(set(data) - set(_FIELDS))
         if unknown:
             raise ValueError(
                 f"alert rule has unknown field(s): {', '.join(unknown)}"
             )
-        return cls(**{key: data[key] for key in known & set(data)})
+        missing = [key for key in ("name", "series") if key not in data]
+        if missing:
+            raise ValueError(
+                f"alert rule is missing field(s): {', '.join(missing)}"
+            )
+        for key, value in data.items():
+            types, expected = _FIELDS[key]
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise ValueError(
+                    f"alert rule field {key!r} must be {expected}, "
+                    f"got {value!r}"
+                )
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -405,12 +427,20 @@ def rules_to_json(rules: Sequence[AlertRule]) -> str:
 
 
 def load_rules(path: str | Path) -> list[AlertRule]:
-    """Load a ``repro-alerts/v1`` JSON rule file."""
+    """Load a ``repro-alerts/v1`` JSON rule file.
+
+    Raises :class:`ValueError` naming the file, and for a bad rule its
+    index and field, when the file is unreadable or malformed.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
+    except (OSError, ValueError) as error:
         raise ValueError(f"cannot read rule file {path}: {error}") from error
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"rule file {path} is a JSON {type(payload).__name__}, not an object"
+        )
     if payload.get("schema") != ALERTS_SCHEMA:
         raise ValueError(
             f"rule file {path} has schema {payload.get('schema')!r}; "
@@ -419,7 +449,13 @@ def load_rules(path: str | Path) -> list[AlertRule]:
     rules = payload.get("rules")
     if not isinstance(rules, list) or not rules:
         raise ValueError(f"rule file {path} declares no rules")
-    return [AlertRule.from_dict(rule) for rule in rules]
+    loaded = []
+    for index, rule in enumerate(rules):
+        try:
+            loaded.append(AlertRule.from_dict(rule))
+        except ValueError as error:
+            raise ValueError(f"rule file {path}, rule {index}: {error}") from error
+    return loaded
 
 
 #: Example rule file contents (``repro alerts example``): the shapes the

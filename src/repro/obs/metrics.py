@@ -154,8 +154,16 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
 
+    def __len__(self) -> int:
+        return len(self._instruments)
+
     def names(self) -> list[str]:
         return sorted(self._instruments)
+
+    def instruments(self) -> list[tuple[str, Counter | Gauge | Histogram]]:
+        """Every ``(name, instrument)`` pair, sorted by name (live objects:
+        callers read their values, never mutate them)."""
+        return sorted(self._instruments.items())
 
     def snapshot(self, *, prefix: str | None = None) -> dict[str, Any]:
         """Freeze every instrument into a JSON-ready dict.
@@ -175,10 +183,9 @@ class MetricsRegistry:
         counters: dict[str, int] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, dict[str, Any]] = {}
-        for name in sorted(self._instruments):
+        for name, instrument in self.instruments():
             if prefix is not None and not name.startswith(prefix):
                 continue
-            instrument = self._instruments[name]
             if isinstance(instrument, Counter):
                 counters[name] = instrument.value
             elif isinstance(instrument, Gauge):

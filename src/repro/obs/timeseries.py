@@ -42,6 +42,8 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
+from repro.obs.metrics import Counter, Gauge
+
 SERIES_SCHEMA = "repro-series/v2"
 
 #: Earlier schemas :func:`read_series_jsonl` still reads.
@@ -255,6 +257,10 @@ class SeriesRecorder:
         self._last_round: int | None = None
         self._last_counters: dict[str, float] = {}
         self._ewma: dict[str, float] = {}
+        #: Per-kind sample plan (see :meth:`_resolve`) and the registry
+        #: size it was built for; ``None`` until the first sample.
+        self._plan: tuple[list, list, list] | None = None
+        self._plan_size = -1
         self.alerts = None
         if rules is not None:
             from repro.obs.alerts import AlertEngine
@@ -268,12 +274,50 @@ class SeriesRecorder:
             return True
         return any(name.startswith(prefix) for prefix in self.prefixes)
 
-    def _record(self, name: str, round_index: int, value: float) -> float:
+    def _series(self, name: str) -> Series:
         series = self.series.get(name)
         if series is None:
             series = self.series[name] = Series(name, self.capacity)
-        series.append(round_index, value)
-        return value
+        return series
+
+    def _resolve(self) -> tuple[list, list, list]:
+        """Resolve every wanted instrument's series and names once.
+
+        Returns ``(counters, gauges, histograms)``, each sorted by name,
+        the order a registry snapshot lists them in.  Counter and
+        histogram series exist from their first sample, so they are
+        resolved here; a gauge's series only once it holds a value.
+        :meth:`sample` rebuilds the plan when the registry gains an
+        instrument, and :meth:`load_state` drops it.
+        """
+        counters, gauges, histograms = [], [], []
+        derive = self.derive
+        for name, instrument in self.registry.instruments():
+            if not self._wanted(name):
+                continue
+            if isinstance(instrument, Counter):
+                derived = None
+                if derive:
+                    # (name, series) of the delta, rate and ewma series.
+                    derived = tuple(
+                        (f"{name}.{suffix}", self._series(f"{name}.{suffix}"))
+                        for suffix in ("delta", "rate", "ewma")
+                    )
+                counters.append((name, instrument, self._series(name), derived))
+            elif isinstance(instrument, Gauge):
+                gauges.append((name, instrument, f"{name}.ewma"))
+            else:
+                histograms.append(
+                    (
+                        instrument,
+                        f"{name}.count",
+                        self._series(f"{name}.count"),
+                        f"{name}.mean",
+                        self._series(f"{name}.mean"),
+                    )
+                )
+        self._plan_size = len(self.registry)
+        return counters, gauges, histograms
 
     def _ewma_update(self, name: str, value: float) -> float:
         previous = self._ewma.get(name)
@@ -297,53 +341,48 @@ class SeriesRecorder:
                 f"sample round {round_index} is not after the previous "
                 f"sample round {self._last_round}"
             )
-        snapshot = self.registry.snapshot()
+        if self._plan is None or self._plan_size != len(self.registry):
+            self._plan = self._resolve()
+        counters, gauges, histograms = self._plan
         elapsed = (
             round_index - self._last_round
             if self._last_round is not None
             else None
         )
+        last_counters = self._last_counters
         values: dict[str, float] = {}
-        for name, value in snapshot.get("counters", {}).items():
-            if not self._wanted(name):
+        for name, counter, series, derived in counters:
+            value = float(counter.value)
+            series.append(round_index, value)
+            values[name] = value
+            if derived is None:
                 continue
-            values[name] = self._record(name, round_index, float(value))
-            if not self.derive:
-                continue
-            previous = self._last_counters.get(name, 0.0)
-            delta = float(value) - previous
-            self._last_counters[name] = float(value)
-            values[f"{name}.delta"] = self._record(
-                f"{name}.delta", round_index, delta
-            )
+            delta = value - last_counters.get(name, 0.0)
+            last_counters[name] = value
             rate = delta / elapsed if elapsed else 0.0
-            values[f"{name}.rate"] = self._record(
-                f"{name}.rate", round_index, rate
-            )
-            values[f"{name}.ewma"] = self._record(
-                f"{name}.ewma", round_index, self._ewma_update(name, rate)
-            )
-        for name, value in snapshot.get("gauges", {}).items():
-            if not self._wanted(name):
+            ewma = self._ewma_update(name, rate)
+            for (derived_name, derived_series), derived_value in zip(
+                derived, (delta, rate, ewma)
+            ):
+                derived_series.append(round_index, derived_value)
+                values[derived_name] = derived_value
+        for name, gauge, ewma_name in gauges:
+            if gauge.value is None:
                 continue
-            values[name] = self._record(name, round_index, float(value))
+            value = float(gauge.value)
+            self._series(name).append(round_index, value)
+            values[name] = value
             if self.derive:
-                values[f"{name}.ewma"] = self._record(
-                    f"{name}.ewma",
-                    round_index,
-                    self._ewma_update(name, float(value)),
-                )
-        for name, data in snapshot.get("histograms", {}).items():
-            if not self._wanted(name):
-                continue
-            count = float(data.get("count", 0))
-            values[f"{name}.count"] = self._record(
-                f"{name}.count", round_index, count
-            )
-            mean = float(data.get("mean", 0.0)) if count else 0.0
-            values[f"{name}.mean"] = self._record(
-                f"{name}.mean", round_index, mean
-            )
+                ewma = self._ewma_update(name, value)
+                self._series(ewma_name).append(round_index, ewma)
+                values[ewma_name] = ewma
+        for histogram, count_name, count_series, mean_name, mean_series in histograms:
+            count = float(histogram.count)
+            mean = float(histogram.mean) if count else 0.0
+            count_series.append(round_index, count)
+            mean_series.append(round_index, mean)
+            values[count_name] = count
+            values[mean_name] = mean
         self._last_round = round_index
         self.samples += 1
         if self.alerts is not None:
@@ -399,6 +438,7 @@ class SeriesRecorder:
             name: Series.from_dict(data)
             for name, data in state["series"].items()
         }
+        self._plan = None
         if self.alerts is not None and "alerts" in state:
             self.alerts.load_state(state["alerts"])
 

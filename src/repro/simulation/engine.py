@@ -18,10 +18,14 @@ Record modes (the engine fast path)
 :class:`Trace` the verifier and proof auditors consume.  ``record="costs"``
 skips both — no per-job ``Execution``/event objects, no trace appends —
 and produces only the :class:`CostBreakdown` plus optional metrics.  The
-scheme-visible state (counters, deadlines, eligibility, pending queues,
+scheme-visible state (counters, deadlines, eligibility, pending counts,
 wrapping history) is maintained identically in both modes, so costs agree
 exactly; sweeps, adversary searches, and sensitivity grids that only read
 costs run several times faster in ``"costs"`` mode.
+
+Pending queues are counts: a batched color's queue holds one batch (see
+:class:`ColorState`), so every phase is integer arithmetic on the
+per-boundary ``arrival_counts`` the sequence derives once.
 
 The sparse core (boundary calendar + round skipping)
 ----------------------------------------------------
@@ -52,10 +56,10 @@ default ``sparse=True`` core exploits this three ways:
   would do nothing until the next boundary or the next queue to run
   empty; those rounds are pure execution, at ``min(copies, pending)``
   jobs per cached color and mini-round.  The core settles such a drain
-  stretch in one step: it pops the executed jobs and charges them with
+  stretch in one step: one subtraction per cached color, charged with
   one ``record_execution`` per color, and an attached registry gets the
-  same queue-depth samples, execution ages and fixed-point skips the
-  simulated rounds would have recorded.
+  same queue-depth samples, execution ages (in closed form) and
+  fixed-point skips the simulated rounds would have recorded.
 
 ``sparse=False`` keeps the PR-1 dense round loop; the two cores are
 cost- and trace-exact against each other (property-tested), and the
@@ -88,7 +92,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from bisect import insort
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,8 +110,7 @@ from repro.core.events import (
     Trace,
     WrapEvent,
 )
-from repro.core.instance import Instance
-from repro.core.job import Job
+from repro.core.instance import CountSequence, Instance
 from repro.core.schedule import Execution, Reconfiguration, Schedule
 from repro.core.validation import ValidationReport, verify_schedule
 from repro.simulation.metrics import MetricsCollector
@@ -124,11 +127,12 @@ class EngineInstruments:
     ``counter``/``gauge``/``histogram`` works) so the simulation layer
     needs no import of :mod:`repro.obs`.
 
-    Hot-path observations are *batched*: the round loop appends raw
-    ``(color, age, count)`` / queue-depth samples to plain lists (a few
-    nanoseconds each) and :meth:`flush` — called once, when the run
-    loop ends — aggregates duplicates and folds them into the
-    histograms with a single ``observe(value, n)`` per distinct value.
+    Hot-path observations are *batched*: the round loop tallies
+    execution ages per color and age, and appends drop-age records and
+    queue-depth samples to plain lists (a few nanoseconds each);
+    :meth:`flush` — called once, when the run loop ends — folds them
+    into the histograms with a single ``observe(value, n)`` per
+    distinct value.
     Ages are bounded by the delay bounds and queue depths repeat
     heavily, so the aggregation collapses thousands of samples into a
     handful of observes.  Histograms are order-independent, so the
@@ -179,10 +183,9 @@ class EngineInstruments:
         #: Unflushed ``(color, age, count)`` drop-age samples (drops are
         #: rare enough that tuple records are fine).
         self._age_samples: list[tuple[int, int, int]] = []
-        #: Unflushed execution ages, one flat int list per color: the
-        #: per-job hot path pays one list append, no tuple allocation.
-        #: ``executions`` is derived from these lengths at flush time.
-        self._exec_ages: dict[int, list[int]] = {}
+        #: Unflushed execution ages, one ``{age: count}`` tally per
+        #: color; ``executions`` is derived from the tallies at flush.
+        self._exec_ages: dict[int, dict[int, int]] = {}
         #: Unflushed order-cache tallies: the rank/LRU cache probe sits
         #: on the reconfigure path, so it pays a plain ``+= 1`` here
         #: instead of a ``Counter.inc`` call per probe.
@@ -200,11 +203,11 @@ class EngineInstruments:
         self.drops.value += count
         self._age_samples.append((color, age, count))
 
-    def record_execution(self, color: int, age: int) -> None:
+    def record_execution(self, color: int, age: int, count: int) -> None:
         ages = self._exec_ages.get(color)
         if ages is None:
-            ages = self._exec_ages[color] = []
-        ages.append(age)
+            ages = self._exec_ages[color] = {}
+        ages[age] = ages.get(age, 0) + count
 
     def sample_queue_depth(self, depth: int) -> None:
         self._queue_samples.append(depth)
@@ -234,23 +237,17 @@ class EngineInstruments:
         drops = self._age_samples
         exec_ages = self._exec_ages
         if drops or exec_ages:
-            # Aggregate per color: the execution buffers are already
-            # grouped that way, so Counter() does the heavy lifting in C.
+            # Aggregate per color: the execution tallies are already
+            # grouped that way.
             by_color: dict[int, dict[int, int]] = {}
             for color, age, count in drops:
                 ages = by_color.setdefault(color, {})
                 ages[age] = ages.get(age, 0) + count
-            executed = 0
-            for color, age_list in exec_ages.items():
-                executed += len(age_list)
-                counted = Counter(age_list)
-                ages = by_color.get(color)
-                if ages is None:
-                    by_color[color] = counted
-                else:
-                    for age, n in counted.items():
-                        ages[age] = ages.get(age, 0) + n
-            self.executions.value += executed
+            for color, tally in exec_ages.items():
+                self.executions.value += sum(tally.values())
+                ages = by_color.setdefault(color, {})
+                for age, n in tally.items():
+                    ages[age] = ages.get(age, 0) + n
             backlog_observe = self.backlog_age.observe
             for color, ages in by_color.items():
                 color_observe = self._color_age(color).observe
@@ -547,6 +544,11 @@ class BatchedEngine:
         check_geometry(num_resources, copies, speed)
         if record not in ("full", "costs"):
             raise ValueError("record must be 'full' or 'costs'")
+        if record == "full" and isinstance(instance.sequence, CountSequence):
+            raise ValueError(
+                "record='full' names every executed job, but a count "
+                "sequence holds no jobs; use record='costs'"
+            )
         if not 0 <= start_round <= instance.horizon:
             raise ValueError(
                 f"start_round {start_round} outside [0, {instance.horizon}]"
@@ -562,6 +564,8 @@ class BatchedEngine:
         #: subclasses (the vectorized backend) override it.
         self.engine_name = "sparse" if self.sparse else "dense"
         self.delta = instance.reconfig_cost
+        #: ``{round: {color: count}}``, derived once per sequence.
+        self._arrival_counts = instance.sequence.arrival_counts
 
         self.cache = CachePool(num_resources // copies, copies)
         self.states: dict[int, ColorState] = {
@@ -798,8 +802,8 @@ class BatchedEngine:
         * a *drain stretch* (a stationary scheme whose last completed
           pass is still current, no tracer attached) is settled by
           :meth:`_settle_drain`: only execution happens until the next
-          boundary or the first queue to run empty, so the executed jobs
-          are popped and charged in one step per color.
+          boundary or the first queue to run empty, so each color's
+          executed jobs are subtracted and charged in one step.
         """
         horizon = self.instance.horizon
         calendar, boundary_rounds = self._build_calendar(horizon)
@@ -969,11 +973,10 @@ class BatchedEngine:
         dt = end - k
         for slot in self.cache.occupied_slots():
             st = states[slot.occupant]
-            pending = len(st.pending)
-            if pending:
+            if st.pending:
                 draining.append(st)
                 # Mini-rounds until the queue empties, in whole rounds.
-                dt = min(dt, -(-pending // copies) // speed)
+                dt = min(dt, -(-st.pending // copies) // speed)
         if dt <= 0:
             return k
         obs = self.obs
@@ -983,24 +986,22 @@ class BatchedEngine:
             # exactly per_round jobs per round; the depth falls linearly.
             depth, rate = self._total_pending, per_round * len(draining)
             obs._queue_samples.extend([depth - rate * j for j in range(1, dt)])
-            exec_ages = obs._exec_ages
         budget = per_round * dt
         for st in draining:
             pending = st.pending
-            n = min(budget, len(pending))
-            if obs is None:
-                for _ in range(n):
-                    pending.popleft()
-            else:
-                ages = exec_ages.get(st.color)
-                if ages is None:
-                    ages = exec_ages[st.color] = []
-                age_append = ages.append
-                # The i-th job taken runs in round k + i // per_round.
-                for i in range(n):
-                    age_append(k + i // per_round - pending.popleft().arrival)
+            n = min(budget, pending)
+            st.pending = pending - n
+            if obs is not None:
+                # The i-th job taken runs in round k + i // per_round:
+                # whole rounds of per_round jobs, then the remainder.
+                age = k - st.arrival
+                whole, rest = divmod(n, per_round)
+                for j in range(whole):
+                    obs.record_execution(st.color, age + j, per_round)
+                if rest:
+                    obs.record_execution(st.color, age + whole, rest)
             self._total_pending -= n
-            if not pending:
+            if n == pending:
                 self.order_epoch += 1
                 self._rank_cache = None
             self.cost.record_execution(st.color, n)
@@ -1013,17 +1014,14 @@ class BatchedEngine:
     # --------------------------------------------------------------- phases
 
     def _drop_phase(self, k: int) -> None:
-        trace = self.trace
-        touched = False
-        for color, st in self.states.items():
-            if k == 0 or k % st.delay_bound != 0:
-                # Round 0 is a multiple of every bound but nothing can be
-                # pending yet and eligibility is vacuously false.
-                continue
-            if not touched:
-                touched = True
-                self._touch_orders()
-            self._drop_one(k, color, st, trace)
+        if k == 0:
+            # Round 0 is a multiple of every bound but nothing can be
+            # pending yet and eligibility is vacuously false.
+            return
+        colors = [c for c, st in self.states.items() if k % st.delay_bound == 0]
+        if colors:
+            self._touch_orders()
+            self._drop_phase_sparse(k, colors)
 
     def _drop_phase_sparse(self, k: int, colors: list[int]) -> None:
         trace = self.trace
@@ -1032,9 +1030,9 @@ class BatchedEngine:
             self._drop_one(k, color, states[color], trace)
 
     def _drop_one(self, k: int, color: int, st: ColorState, trace) -> None:
-        dropped = len(st.pending)
+        dropped = st.pending
         if dropped:
-            st.pending.clear()
+            st.pending = 0
             self._total_pending -= dropped
             if trace is not None:
                 trace.append(DropEvent(k, color, dropped, eligible=st.eligible))
@@ -1057,39 +1055,36 @@ class BatchedEngine:
                 self.tracer.event("ineligible", k, color=color)
 
     def _arrival_phase(self, k: int) -> None:
-        trace = self.trace
-        arrivals: dict[int, list] = {}
-        for job in self.instance.sequence.arrivals(k):
-            arrivals.setdefault(job.color, []).append(job)
-        touched = False
-        for color, st in self.states.items():
-            if k % st.delay_bound != 0:
-                continue
-            if not touched:
-                touched = True
-                self._touch_orders()
-            self._arrive_one(k, color, st, arrivals.get(color, []), trace)
+        colors = [c for c, st in self.states.items() if k % st.delay_bound == 0]
+        if colors:
+            self._touch_orders()
+            self._arrival_phase_sparse(k, colors)
 
     def _arrival_phase_sparse(self, k: int, colors: list[int]) -> None:
-        trace = self.trace
-        arrivals: dict[int, list] = {}
-        for job in self.instance.sequence.arrivals(k):
-            arrivals.setdefault(job.color, []).append(job)
-        states = self.states
+        trace, states = self.trace, self.states
+        counts = self._arrival_counts.get(k)
+        if trace is not None and counts:
+            # Full record: keep each batch's jobs so executions name jids.
+            jobs: dict[int, list] = {}
+            for job in self.instance.sequence.arrivals(k):
+                jobs.setdefault(job.color, []).append(job)
+            for color, batch in jobs.items():
+                states[color].jobs = batch
         for color in colors:
-            self._arrive_one(k, color, states[color], arrivals.get(color, []), trace)
+            count = counts.get(color, 0) if counts else 0
+            self._arrive_one(k, color, states[color], count, trace)
 
     def _arrive_one(
-        self, k: int, color: int, st: ColorState, batch: list, trace
+        self, k: int, color: int, st: ColorState, count: int, trace
     ) -> None:
         st.dd = k + st.delay_bound
-        st.cnt += len(batch)
+        st.cnt += count
         tracer = self.tracer
-        if batch:
+        if count:
             if trace is not None:
-                trace.append(ArrivalEvent(k, color, len(batch)))
+                trace.append(ArrivalEvent(k, color, count))
             if tracer is not None:
-                tracer.event("arrival", k, color=color, count=len(batch))
+                tracer.event("arrival", k, color=color, count=count)
         if st.cnt >= self.delta:
             # One batch can advance the counter past several multiples
             # of Δ (a rate-limited batch of size D_ℓ ≥ 2Δ already
@@ -1109,8 +1104,9 @@ class BatchedEngine:
                     trace.append(EligibleEvent(k, color))
                 if tracer is not None:
                     tracer.event("eligible", k, color=color)
-        st.pending.extend(batch)
-        self._total_pending += len(batch)
+        if count:
+            st.add_batch(k, count)
+            self._total_pending += count
         if trace is not None or tracer is not None:
             # Timestamp updates drive the super-epoch machinery (§3.4);
             # mirror them onto the bus so live monitors can close
@@ -1124,78 +1120,40 @@ class BatchedEngine:
                     tracer.event("timestamp", k, color=color, timestamp=ts)
 
     def _execution_phase(self, k: int, mini: int) -> None:
+        if self._total_pending == 0:
+            return
         schedule, trace = self.schedule, self.trace
         tracer, obs = self.tracer, self.obs
-        if schedule is None:
-            if self._total_pending == 0:
-                return
-            if tracer is None and obs is None:
-                # Fast path: within a batched color every pending job is
-                # interchangeable for cost purposes, so count executions
-                # in bulk instead of materializing Execution/event
-                # objects.
-                for slot in self.cache.occupied_slots():
-                    st = self.states[slot.occupant]
-                    taken = min(self.copies, len(st.pending))
-                    if taken:
-                        for _ in range(taken):
-                            st.pending.popleft()
-                        self._total_pending -= taken
-                        if not st.pending:
-                            # Idle flips reorder the EDF ranking (idleness
-                            # is its leading sort key); recency is
-                            # unaffected.
-                            self.order_epoch += 1
-                            self._rank_cache = None
-                        self.cost.record_execution(slot.occupant, taken)
-                return
-            exec_ages = obs._exec_ages if obs is not None else None
-            for slot in self.cache.occupied_slots():
-                st = self.states[slot.occupant]
-                taken = min(self.copies, len(st.pending))
-                if taken:
-                    color = slot.occupant
-                    if exec_ages is None:
-                        for _ in range(taken):
-                            st.pending.popleft()
-                    else:
-                        ages = exec_ages.get(color)
-                        if ages is None:
-                            ages = exec_ages[color] = []
-                        age_append = ages.append
-                        for _ in range(taken):
-                            job = st.pending.popleft()
-                            age_append(k - job.arrival)
-                    self._total_pending -= taken
-                    if not st.pending:
-                        self.order_epoch += 1
-                        self._rank_cache = None
-                    self.cost.record_execution(color, taken)
-                    if tracer is not None:
-                        tracer.event(
-                            "execute", k, color=color, count=taken, mini=mini
-                        )
-            return
+        copies, states = self.copies, self.states
         for slot in self.cache.occupied_slots():
-            st = self.states[slot.occupant]
-            taken = st.take_pending(self.copies)
-            if taken:
-                self._total_pending -= len(taken)
-                if not st.pending:
-                    self.order_epoch += 1
-                    self._rank_cache = None
-            for resource, job in zip(slot.resources(), taken):
-                schedule.add_execution(
-                    Execution(k, mini, resource, job.jid, job.color)
-                )
-                trace.append(ExecuteEvent(k, mini, resource, job.color, job.jid))
-                self.cost.record_execution(job.color)
-                if obs is not None:
-                    obs.record_execution(job.color, k - job.arrival)
-            if taken and tracer is not None:
-                tracer.event(
-                    "execute", k, color=slot.occupant, count=len(taken), mini=mini
-                )
+            color = slot.occupant
+            st = states[color]
+            pending = st.pending
+            if not pending:
+                continue
+            taken = copies if pending > copies else pending
+            st.pending = pending - taken
+            self._total_pending -= taken
+            if taken == pending:
+                # Idle flips reorder the EDF ranking (idleness is its
+                # leading sort key); recency is unaffected.
+                self.order_epoch += 1
+                self._rank_cache = None
+            self.cost.record_execution(color, taken)
+            if obs is not None:
+                obs.record_execution(color, k - st.arrival, taken)
+            if schedule is not None:
+                # The pending jobs are the batch's tail; take its head.
+                first = len(st.jobs) - pending
+                for resource, job in zip(
+                    slot.resources(), st.jobs[first : first + taken]
+                ):
+                    schedule.add_execution(
+                        Execution(k, mini, resource, job.jid, color)
+                    )
+                    trace.append(ExecuteEvent(k, mini, resource, color, job.jid))
+            if tracer is not None:
+                tracer.event("execute", k, color=color, count=taken, mini=mini)
 
     # ----------------------------------------- incremental eligible tracking
 
@@ -1244,7 +1202,7 @@ class BatchedEngine:
         """JSON-ready snapshot of all cost-relevant engine state.
 
         Captures the canonical state only — per-color counters,
-        deadlines, eligibility, wrap history, pending queues, the cache
+        deadlines, eligibility, wrap history, pending batches, the cache
         pool (occupant *and* physical color per slot), and the
         accumulated :class:`CostBreakdown`.  Derived bookkeeping (the
         eligible ordering, order/cache epochs, probe state) is
@@ -1265,9 +1223,9 @@ class BatchedEngine:
                 "last_wrap": st.last_wrap,
                 "prev_wrap": st.prev_wrap,
                 "last_timestamp": st.last_timestamp,
-                # Color and delay bound are implied by the key; pending
-                # jobs serialize as (arrival, jid) pairs.
-                "pending": [[job.arrival, job.jid] for job in st.pending],
+                # Color and delay bound are implied by the key; the
+                # pending batch is its arrival round and its count.
+                "pending": [st.arrival, st.pending],
             }
         return {
             "colors": colors,
@@ -1283,7 +1241,9 @@ class BatchedEngine:
         instance's.  After the load, a run over ``[start_round,
         horizon)`` continues the checkpointed run exactly: the restored
         state plus global round indexing make every phase decision
-        identical to the uninterrupted engine's.
+        identical to the uninterrupted engine's.  A ``record="full"``
+        engine cannot import pending jobs: the snapshot holds counts, not
+        the job ids its schedule would have to name.
         """
         if self._ran:
             raise RuntimeError("cannot import state into an engine that ran")
@@ -1300,10 +1260,12 @@ class BatchedEngine:
             st.last_wrap = data["last_wrap"]
             st.prev_wrap = data["prev_wrap"]
             st.last_timestamp = data["last_timestamp"]
-            st.pending = deque(
-                Job(arrival, color, st.delay_bound, jid)
-                for arrival, jid in data["pending"]
-            )
+            st.arrival, st.pending = data["pending"]
+            if st.pending and self.schedule is not None:
+                raise ValueError(
+                    f"color {color}: a record='full' engine cannot name "
+                    "the jobs of an imported pending batch"
+                )
         self.cache.load_state(state["cache"])
         cost = CostBreakdown.from_dict(state["cost"])
         if cost.model != self.instance.cost_model:
@@ -1313,9 +1275,7 @@ class BatchedEngine:
         self.cost = cost
         # Rebuild the derived sparse-core bookkeeping from the canonical
         # state; caches and probe state start cold (cost-neutral).
-        self._total_pending = sum(
-            len(st.pending) for st in self.states.values()
-        )
+        self._total_pending = sum(st.pending for st in self.states.values())
         self._eligible_sorted = sorted(
             c for c, st in self.states.items() if st.eligible
         )

@@ -49,6 +49,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from collections import deque
+from types import SimpleNamespace
 
 from repro.core.cost import CostBreakdown
 from repro.core.events import (
@@ -449,7 +450,7 @@ class GeneralEngine:
                     for _ in range(taken):
                         job = queue.popleft()
                         if obs is not None:
-                            obs.record_execution(job.color, k - job.arrival)
+                            obs.record_execution(job.color, k - job.arrival, 1)
                     self._total_pending -= taken
                     self.order_epoch += 1
                     self.cost.record_execution(slot.occupant, taken)
@@ -474,7 +475,7 @@ class GeneralEngine:
                 trace.append(ExecuteEvent(k, mini, resource, job.color, job.jid))
                 self.cost.record_execution(job.color)
                 if obs is not None:
-                    obs.record_execution(job.color, k - job.arrival)
+                    obs.record_execution(job.color, k - job.arrival, 1)
             if executed and tracer is not None:
                 tracer.event(
                     "execute", k, color=slot.occupant, count=executed, mini=mini
@@ -520,14 +521,12 @@ class GeneralEngine:
         """Colors with pending jobs, in the consistent (ascending) order."""
         return [c for c in sorted(self.pending) if self.pending[c]]
 
-    # The ColorState-compatible view used by MetricsCollector.
     @property
-    def states(self):  # pragma: no cover - thin adapter
-        class _View:
-            def __init__(self, pending: deque[Job]) -> None:
-                self.pending = pending
-
-        return {c: _View(q) for c, q in self.pending.items()}
+    def states(self) -> dict[int, SimpleNamespace]:
+        """Per-color views whose ``pending`` is a count, as on
+        :class:`~repro.simulation.state.ColorState` (read by
+        :class:`MetricsCollector`)."""
+        return {c: SimpleNamespace(pending=len(q)) for c, q in self.pending.items()}
 
     def cache_insert(self, color: int, *, section: str = "main") -> None:
         slot, reconfigured, old_physical = self.cache.insert(color)

@@ -102,9 +102,8 @@ class MetricsCollector:
         self._prev_drops = cost.num_drops
         self._prev_reconfigs = cost.num_reconfigs
         self._occupancy[k] = engine.cache.occupancy()
-        self._pending[k] = sum(
-            len(st.pending) for st in engine.states.values()
-        )
+        # ``st.pending`` is a count on both engines' per-color states.
+        self._pending[k] = sum(st.pending for st in engine.states.values())
 
     def snapshot(self) -> RoundMetrics:
         """Freeze the collected series."""

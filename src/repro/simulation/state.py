@@ -1,14 +1,14 @@
 """Per-color runtime state for the Section 3.1 protocol.
 
 Each color ℓ carries a counter ``cnt``, a deadline ``dd``, an eligibility
-flag, a pending-job queue, and the history of its counter wrapping events
+flag, its pending batch, and the history of its counter wrapping events
 (from which the ΔLRU timestamp of Section 3.1.1 is derived on demand).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.job import Job
 from repro.core.rounds import prev_multiple
@@ -30,10 +30,13 @@ class ColorState:
     eligible:
         Eligibility flag; set on a counter wrapping event, cleared in the
         drop phase when the color is eligible but not cached.
-    pending:
-        FIFO of pending jobs.  In a batched instance every pending job of
-        a color shares the current deadline, so FIFO order is also EDF
-        order within the color.
+    pending / arrival:
+        The pending batch: its count and arrival round.  Color ℓ's jobs
+        arrive only at multiples of ``D_ℓ`` and the drop phase clears
+        the queue at each of them, so it never holds two batches.
+    jobs:
+        Under ``record="full"`` only: the batch's jobs, whose last
+        ``pending`` are still pending, so executions can name job ids.
     last_wrap / prev_wrap:
         Rounds of the two most recent counter wrapping events (wrapping
         rounds are integral multiples of ``D_ℓ``, so two suffice to answer
@@ -48,7 +51,9 @@ class ColorState:
     cnt: int = 0
     dd: int = 0
     eligible: bool = False
-    pending: deque[Job] = field(default_factory=deque)
+    pending: int = 0
+    arrival: int = 0
+    jobs: Sequence[Job] = ()
     last_wrap: int | None = None
     prev_wrap: int | None = None
     last_timestamp: int = 0
@@ -94,15 +99,14 @@ class ColorState:
         first = ((start + d - 1) // d) * d
         return range(first, horizon, d)
 
-    def take_pending(self, count: int) -> list[Job]:
-        """Remove and return up to ``count`` pending jobs (FIFO)."""
-        taken: list[Job] = []
-        while self.pending and len(taken) < count:
-            taken.append(self.pending.popleft())
-        return taken
-
-    def clear_pending(self) -> list[Job]:
-        """Remove and return all pending jobs (drop phase)."""
-        dropped = list(self.pending)
-        self.pending.clear()
-        return dropped
+    def add_batch(self, arrival: int, count: int) -> None:
+        """Make ``count`` jobs arriving in round ``arrival`` the pending
+        batch; raises if jobs are still pending (two arrival rounds)."""
+        if self.pending:
+            raise ValueError(
+                f"color {self.color}: a batch arriving in round {arrival} "
+                f"lands on {self.pending} pending job(s) from round "
+                f"{self.arrival}; a batched queue holds one arrival round"
+            )
+        self.pending = count
+        self.arrival = arrival

@@ -6,11 +6,13 @@ splits the work by batch width, because numpy only pays for itself on
 wide operands (per-call dispatch overhead is ~1µs, which dwarfs the work
 on a handful of colors):
 
-* **Construction** ("compile") ingests the whole request sequence as
-  columns: job arrival/color arrays, per-boundary arrival counts via a
-  single :func:`numpy.unique` pass, and the merged boundary calendar.
-  This happens once in ``__init__`` — outside the timed run loop, the
-  same place the other cores build their ``ColorState`` maps.
+* **Construction** ("compile") reads the sequence's per-boundary
+  arrival counts (``arrival_counts``, the same counts the sparse and
+  dense cores read, derived once per sequence) into round-indexed
+  arrival events and per-color batch columns, and builds the merged
+  boundary calendar.  This happens once in ``__init__`` — outside the
+  timed run loop, the same place the other cores build their
+  ``ColorState`` maps.
 * **The run loop** visits only boundary rounds (integral multiples of
   some color's delay bound — the only rounds where drop/arrival/state
   change; see the sparse-core exactness argument).  Between boundaries,
@@ -30,9 +32,9 @@ Exactness
 ---------
 The fast path replicates the dense core event for event:
 
-* Arrivals only land on the arriving color's own boundaries (the engine
-  ignores off-boundary jobs), so per-boundary arrival counts are a
-  complete description of the workload.
+* Arrivals only land on the arriving color's own boundaries (the
+  instance validates it), so per-boundary arrival counts are a complete
+  description of the workload.
 * Within a span between consecutive boundary rounds, eligibility,
   deadlines, and timestamps are frozen; only ``pending`` decreases.  The
   three supported kernels are no-ops whenever there is no eligible
@@ -61,7 +63,6 @@ no other part of the package is affected.
 from __future__ import annotations
 
 from bisect import insort
-from operator import attrgetter
 
 from repro.algorithms.dlru import DeltaLRU
 from repro.algorithms.dlru_edf import DeltaLRUEDF
@@ -184,7 +185,6 @@ class VectorizedEngine(BatchedEngine):
         C = len(colors)
         self._colors = colors
         self._C = C
-        colors_arr = np.asarray(colors, dtype=np.int64)
         bounds_arr = np.asarray(
             [instance.spec.delay_bounds[c] for c in colors], dtype=np.int64
         )
@@ -209,39 +209,28 @@ class VectorizedEngine(BatchedEngine):
         self._state["last_wrap"] = -1
         self._state["prev_wrap"] = -1
 
-        # Whole-sequence ingestion: one pass extracts the job columns,
-        # one vectorized filter keeps on-boundary arrivals, one
-        # np.unique pass counts every (round, color) batch.
-        jobs = instance.sequence.jobs
-        n = len(jobs)
-        arrivals = np.fromiter(map(attrgetter("arrival"), jobs), np.int64, n)
-        job_colors = np.fromiter(map(attrgetter("color"), jobs), np.int64, n)
-        idx = np.searchsorted(colors_arr, job_colors)
-        keep = (arrivals < horizon) & (arrivals % bounds_arr[idx] == 0)
-        key = arrivals[keep] * C + idx[keep]
-        unique_keys, batch_sizes = np.unique(key, return_counts=True)
-        batch_rounds = unique_keys // C
-        batch_colors = unique_keys % C
-
-        # Round-indexed view for the event loop: round -> [(i, count)].
+        # Round-indexed view for the event loop, round -> [(i, count)]
+        # in color order, and color-indexed columns for the stable tail:
+        # per color, the ascending rounds and sizes of its batches.
+        index = {color: i for i, color in enumerate(colors)}
+        counts = instance.sequence.arrival_counts
         arrival_events: dict[int, list[tuple[int, int]]] = {}
-        for k, i, a in zip(
-            batch_rounds.tolist(), batch_colors.tolist(), batch_sizes.tolist()
-        ):
-            bucket = arrival_events.get(k)
-            if bucket is None:
-                arrival_events[k] = [(i, a)]
-            else:
-                bucket.append((i, a))
+        rounds_by_color: list[list[int]] = [[] for _ in colors]
+        sizes_by_color: list[list[int]] = [[] for _ in colors]
+        for k in sorted(counts):
+            events = sorted((index[c], a) for c, a in counts[k].items() if a)
+            if events:
+                arrival_events[k] = events
+            for i, a in events:
+                rounds_by_color[i].append(k)
+                sizes_by_color[i].append(a)
         self._arrival_events = arrival_events
-
-        # Color-indexed columns for the stable tail: per color, the
-        # ascending rounds and sizes of its remaining arrival batches.
-        order = np.lexsort((batch_rounds, batch_colors))
-        sorted_colors = batch_colors[order]
-        splits = np.searchsorted(sorted_colors, np.arange(1, C))
-        self._batch_rounds_by_color = np.split(batch_rounds[order], splits)
-        self._batch_sizes_by_color = np.split(batch_sizes[order], splits)
+        self._batch_rounds_by_color = [
+            np.asarray(r, dtype=np.int64) for r in rounds_by_color
+        ]
+        self._batch_sizes_by_color = [
+            np.asarray(a, dtype=np.int64) for a in sizes_by_color
+        ]
 
         # Merged boundary calendar: one arange per distinct delay bound.
         self._boundary_rounds = np.unique(

@@ -2,7 +2,8 @@
 
 A checkpoint is the session's *complete* resume state: the next round to
 simulate, the engine's exported canonical state (per-color protocol
-state, pending queues, cache slots, accumulated costs), the scheme's
+state, each color's pending batch as ``[arrival, count]``, cache slots,
+accumulated costs), the scheme's
 decision state (RNG streams, mark sets, credit vectors), the ingestion
 counters, and any source state.  A configuration echo (spec digest,
 scheme/engine/resources/speed) guards against resuming into a different
@@ -12,7 +13,8 @@ On disk a checkpoint is two lines: a header
 ``{"digest": <sha256 of the body bytes>, "schema": ...}`` and the body,
 the compact sort-keyed JSON of :meth:`StreamCheckpoint.to_payload`.
 Saving encodes the body once; loading checks the digest on the raw body
-bytes and decodes them once.
+bytes and decodes them once.  Schema v3 stores pending batches as counts;
+v2 files (one ``[arrival, jid]`` pair per pending job) are refused.
 
 Restore contract: a session resumed from a checkpoint produces the same
 ``CostBreakdown`` as the uninterrupted session, bit for bit.  This is
@@ -29,9 +31,9 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.instance import ProblemSpec
+from repro.core.instance import ProblemSpec, is_count
 
-CHECKPOINT_SCHEMA = "repro-stream-checkpoint/v2"
+CHECKPOINT_SCHEMA = "repro-stream-checkpoint/v3"
 
 #: Body fields a checkpoint cannot be resumed without.
 _REQUIRED_FIELDS = (
@@ -75,6 +77,20 @@ def _json_object(raw: bytes, part: str) -> dict:
             f"{part} is a JSON {type(value).__name__}, not an object"
         )
     return value
+
+
+def _check_pending(engine_state) -> None:
+    """Refuse a pending batch that is not ``[arrival, count]``."""
+    if not isinstance(engine_state, dict):
+        return
+    for color, data in engine_state.get("colors", {}).items():
+        entry = data.get("pending") if isinstance(data, dict) else None
+        pair = isinstance(entry, list) and len(entry) == 2
+        if not (pair and all(map(is_count, entry))):
+            raise CheckpointError(
+                f"color {color}: pending batch must be [arrival, count], "
+                f"two nonnegative integers, got {entry!r}"
+            )
 
 
 @dataclass
@@ -121,6 +137,7 @@ class StreamCheckpoint:
             raise CheckpointError(
                 f"missing required field(s) {', '.join(missing)}"
             )
+        _check_pending(payload["engine_state"])
         return cls(
             round=payload["round"],
             config=payload["config"],

@@ -12,8 +12,10 @@ Rejected jobs never reach the engine: they are refused at the door and
 counted, not dropped at a deadline — no drop cost is charged, mirroring
 the cache-queue admission experiments (icarus) whose
 ``PERCENTAGE_OF_REJECTION`` / average-queue-size reporting this layer's
-metrics reproduce.  Admission is deterministic (FIFO prefix up to the
-cap), so checkpointed and uninterrupted runs admit identical jobs.
+metrics reproduce.  Admission works on counts: each color's offered
+count is capped at its queue cap, ``min(count, cap)``, and the excess is
+rejected.  It is deterministic, so checkpointed and uninterrupted runs
+admit identical counts.
 
 Metrics (when a :class:`repro.obs.metrics.MetricsRegistry` is attached):
 
@@ -21,7 +23,7 @@ Metrics (when a :class:`repro.obs.metrics.MetricsRegistry` is attached):
   job counters across the whole session.
 * ``stream.rejected.color.N`` — per-color rejection counters.
 * ``stream.queue_depth`` — histogram of post-admission queue depths
-  (one observation per non-empty offered batch).
+  (one observation per color with at least one admitted job).
 * ``stream.rejection_rate`` — gauge, rejected / offered so far.
 
 All of these flow to the PR-8 ops service's ``/metrics`` endpoint when
@@ -31,9 +33,9 @@ the session's registry is the one the service serves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from repro.core.job import Job
+from repro.core.instance import is_count
 
 
 @dataclass(frozen=True)
@@ -43,19 +45,24 @@ class AdmissionPolicy:
     ``queue_cap`` is the default cap for every color; ``caps`` overrides
     it per color.  Caps bound the admitted batch (= the pending queue
     depth, see the module docstring) — a cap of 0 rejects the color
-    outright.
+    outright.  Every cap is an ``int`` ≥ 0 (not a ``bool``), checked
+    here rather than at the first admission.
     """
 
     queue_cap: int | None = None
     caps: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.queue_cap is not None and self.queue_cap < 0:
-            raise ValueError("queue_cap must be nonnegative or None")
+        if self.queue_cap is not None and not is_count(self.queue_cap):
+            raise ValueError(
+                "queue_cap must be a nonnegative integer or None, got "
+                f"{self.queue_cap!r}"
+            )
         for color, cap in self.caps.items():
-            if cap < 0:
+            if not is_count(cap):
                 raise ValueError(
-                    f"cap for color {color} must be nonnegative, got {cap}"
+                    f"cap for color {color} must be a nonnegative integer, "
+                    f"got {cap!r}"
                 )
         object.__setattr__(self, "caps", dict(self.caps))
 
@@ -102,42 +109,42 @@ class StreamIngest:
             return 0.0
         return self.rejected / self.offered
 
-    def admit(self, round_index: int, batch: Sequence[Job]) -> list[Job]:
-        """Filter one round's batch through the caps (FIFO tail-drop)."""
-        if not batch:
-            return []
-        per_color: dict[int, int] = {}
-        admitted: list[Job] = []
-        rejected = 0
-        for job in batch:
-            color = job.color
-            taken = per_color.get(color, 0)
-            cap = self.policy.cap_for(color)
-            if cap is None or taken < cap:
-                per_color[color] = taken + 1
-                admitted.append(job)
-            else:
-                rejected += 1
+    def admit(self, round_index: int, counts: Mapping[int, int]) -> dict[int, int]:
+        """Cap one round's ``{color: count}`` batch; return the admitted
+        counts (colors with none admitted left out)."""
+        offered = sum(counts.values())
+        if not offered:
+            return {}
+        cap_for = self.policy.cap_for
+        registry = self._registry
+        admitted: dict[int, int] = {}
+        for color, count in counts.items():
+            cap = cap_for(color)
+            if cap is not None and count > cap:
+                refused = count - cap
+                count = cap
                 self.rejected_by_color[color] = (
-                    self.rejected_by_color.get(color, 0) + 1
+                    self.rejected_by_color.get(color, 0) + refused
                 )
-                if self._registry is not None:
+                if registry is not None:
                     ctr = self._rejected_color_ctrs.get(color)
                     if ctr is None:
-                        ctr = self._registry.counter(
-                            f"stream.rejected.color.{color}"
-                        )
+                        ctr = registry.counter(f"stream.rejected.color.{color}")
                         self._rejected_color_ctrs[color] = ctr
-                    ctr.inc()
-        self.offered += len(batch)
-        self.admitted += len(admitted)
+                    ctr.inc(refused)
+            if count:
+                admitted[color] = count
+        total = sum(admitted.values())
+        rejected = offered - total
+        self.offered += offered
+        self.admitted += total
         self.rejected += rejected
-        if self._registry is not None:
-            self._offered_ctr.inc(len(batch))
-            self._admitted_ctr.inc(len(admitted))
+        if registry is not None:
+            self._offered_ctr.inc(offered)
+            self._admitted_ctr.inc(total)
             if rejected:
                 self._rejected_ctr.inc(rejected)
-            for depth in per_color.values():
+            for depth in admitted.values():
                 self._depth_hist.observe(depth)
             self._rate_gauge.set(self.rejection_rate)
         return admitted

@@ -3,25 +3,28 @@
 :class:`StreamSession` runs any engine backend over an
 :class:`~repro.streaming.sources.ArrivalSource` without ever
 materializing the whole workload.  The mechanism is *segmentation*: the
-session pulls one window of arrivals (``segment_rounds`` rounds) through
-the admission layer, builds a segment engine over global rounds
-``[start, end)`` with the previous segment's exported state imported,
-runs it, and exports the state again.  Because round indices stay
-global, deadlines, boundary calendars, ΔLRU timestamps, and scheme
-decisions are identical to one uninterrupted engine run — segmentation
-is cost-transparent (property-tested against one-shot ``simulate``).
+session pulls one window of per-boundary counts (``segment_rounds``
+rounds) through the admission layer, builds a segment instance over a
+:class:`~repro.core.instance.CountSequence` of the admitted counts (no
+job objects) and a segment engine over global rounds ``[start, end)``
+with the previous segment's exported state imported, runs it, and
+exports the state again.  Because round indices stay global,
+deadlines, boundary calendars, ΔLRU timestamps, and scheme decisions
+are identical to one uninterrupted engine run — segmentation is
+cost-transparent (property-tested against one-shot ``simulate``).
 
 Checkpointing falls out for free: the between-segments state *is* the
 checkpoint.  A resumed session starts from the same exported state the
 uninterrupted session would have carried across that round, so the two
 produce bit-identical :class:`~repro.core.cost.CostBreakdown`\\ s.
 
-Memory is O(pending + segment): the engine, its segment instance, and
-the admitted-job window are dropped after every segment; only the
-exported state (pending queues, per-color counters, cache slots, cost
-counters) survives.  ``record`` is fixed to ``"costs"`` — full-record
-streaming would retain O(total jobs) schedule state, defeating the
-point.
+Memory is O(colors + segment): the engine, its segment instance, and
+the admitted-count window are dropped after every segment; only the
+exported state survives — one pending count per color (with its
+arrival round), per-color counters, cache slots, cost counters —
+stored in checkpoints as schema ``repro-stream-checkpoint/v3``.
+``record`` is fixed to ``"costs"`` — full-record streaming would
+retain O(total jobs) schedule state, defeating the point.
 """
 
 from __future__ import annotations
@@ -30,7 +33,10 @@ import time
 from dataclasses import dataclass
 
 from repro.core.cost import CostBreakdown
-from repro.core.instance import Instance, RequestSequence
+from repro.core.instance import CountSequence, Instance
+# Unused since segments are count sequences; the ledger's traced run
+# still patches the name (ROADMAP: ledger refresh).
+from repro.core.instance import RequestSequence  # noqa: F401
 from repro.simulation.engine import (
     ENGINE_NAMES,
     BatchedEngine,
@@ -266,14 +272,17 @@ class StreamSession:
     def _run_segment(self, start: int, end: int) -> None:
         if end <= start:
             return
-        jobs = []
+        counts: dict[int, dict[int, int]] = {}
         for k in self._boundary_rounds(start, end):
-            batch = self.source.batch(k)
-            if batch:
-                jobs.extend(self.ingest.admit(k, batch))
-        sequence = RequestSequence(jobs, end, open_horizon=True)
+            offered = self.source.batch(k)
+            if offered:
+                admitted = self.ingest.admit(k, offered)
+                if admitted:
+                    counts[k] = admitted
         instance = Instance(
-            self.spec, sequence, name=f"{self.name}[{start}:{end}]"
+            self.spec,
+            CountSequence(counts, end),
+            name=f"{self.name}[{start}:{end}]",
         )
         engine = self._build_engine(instance, start)
         if self._scheme_state is not None:

@@ -1,4 +1,4 @@
-"""Arrival sources: per-round job batches on demand.
+"""Arrival sources: per-round batch counts on demand.
 
 An :class:`ArrivalSource` is the streaming replacement for a materialized
 :class:`~repro.core.instance.RequestSequence`: the session pulls round
@@ -7,6 +7,9 @@ so memory stays bounded by pending work instead of total work.
 
 Contract
 --------
+* ``batch(k)`` returns ``{color: count}``: how many jobs of each color
+  arrive in round ``k``.  A batched engine reads nothing else, so there
+  are no job objects and no job ids on the streaming path.
 * ``batch(k)`` must be a **pure function of** ``k`` — no draw cursor, no
   consumed-iterator state.  That is what makes checkpoints trivial
   (:meth:`ArrivalSource.state_dict` is empty for every source here) and
@@ -16,28 +19,22 @@ Contract
 * Finite sources raise :class:`IndexError` past their horizon — the same
   contract as :meth:`RequestSequence.arrivals
   <repro.core.instance.RequestSequence.arrivals>`, which
-  :class:`InstanceSource` preserves by delegation.
+  :class:`InstanceSource` preserves.
 * For batched specs the session queries only integral multiples of some
   delay bound (the only rounds a batched workload may populate); sources
-  must return ``()`` for rounds they leave empty, never ``None``.
+  return an empty mapping for rounds they leave empty, never ``None``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.core.instance import Instance, ProblemSpec
-from repro.core.job import Job
-
-#: Synthetic job ids are ``round * stride + index-within-round``; a
-#: single round may not admit more jobs than this (far above any real
-#: per-round batch — the rate limit caps batches at ``max D_ℓ``).
-JID_STRIDE = 1_000_000
+from repro.core.instance import Instance, ProblemSpec, is_count
 
 
 class ArrivalSource(ABC):
-    """Per-round job batches for one problem spec (see module contract)."""
+    """Per-round batch counts for one problem spec (see module contract)."""
 
     #: The problem the stream belongs to; engines validate against it.
     spec: ProblemSpec
@@ -47,8 +44,9 @@ class ArrivalSource(ABC):
         """Total rounds available, or ``None`` for an unbounded source."""
 
     @abstractmethod
-    def batch(self, round_index: int) -> Sequence[Job]:
-        """Jobs arriving in ``round_index`` (pure function of the round)."""
+    def batch(self, round_index: int) -> Mapping[int, int]:
+        """``{color: count}`` arriving in ``round_index`` (pure function
+        of the round)."""
 
     def state_dict(self) -> dict:
         """Mutable source state for checkpoints (default: none)."""
@@ -90,20 +88,28 @@ class InstanceSource(ArrivalSource):
     def horizon(self) -> int | None:
         return self.instance.horizon
 
-    def batch(self, round_index: int) -> Sequence[Job]:
-        return self.instance.sequence.arrivals(round_index)
+    def batch(self, round_index: int) -> Mapping[int, int]:
+        horizon = self.instance.horizon
+        if not 0 <= round_index < horizon:
+            raise IndexError(
+                f"round {round_index} is outside the materialized horizon "
+                f"[0, {horizon}); the instance has no such round"
+            )
+        return dict(self.instance.sequence.arrival_counts.get(round_index, ()))
 
     def describe(self) -> str:
         return f"instance {self.instance.name or 'unnamed'}"
 
 
 class GeneratorSource(ArrivalSource):
-    """Adapt a ``(round) -> [(color, count), ...]`` law to a job stream.
+    """Adapt a ``(round) -> [(color, count), ...]`` law to a source.
 
     ``counts`` must be a pure function of the round (the module
-    contract); job objects are minted on demand with deterministic
-    synthetic ids, so two pulls of the same round are identical and a
-    resumed run mints the very same jobs.
+    contract).  ``batch`` passes the law's counts through, summing
+    repeated colors and leaving out zero counts, and raises
+    :class:`ValueError` naming the round and the color when the law
+    returns an undeclared color or a count that is not a nonnegative
+    integer.
     """
 
     def __init__(
@@ -126,7 +132,7 @@ class GeneratorSource(ArrivalSource):
     def horizon(self) -> int | None:
         return self._horizon
 
-    def batch(self, round_index: int) -> Sequence[Job]:
+    def batch(self, round_index: int) -> Mapping[int, int]:
         if round_index < 0 or (
             self._horizon is not None and round_index >= self._horizon
         ):
@@ -134,19 +140,18 @@ class GeneratorSource(ArrivalSource):
                 f"round {round_index} is outside the source horizon "
                 f"[0, {self._horizon})"
             )
-        jobs: list[Job] = []
-        jid = round_index * JID_STRIDE
+        declared = self.spec.delay_bounds
+        counts: dict[int, int] = {}
         for color, count in self._counts(round_index):
-            bound = self.spec.delay_bound(color)
-            for _ in range(count):
-                jobs.append(Job(round_index, color, bound, jid))
-                jid += 1
-        if jid - round_index * JID_STRIDE > JID_STRIDE:
-            raise ValueError(
-                f"round {round_index} produced more than {JID_STRIDE} jobs; "
-                "synthetic job ids would collide with the next round's"
-            )
-        return jobs
+            if color not in declared or not is_count(count):
+                raise ValueError(
+                    f"round {round_index}: the arrival law returned "
+                    f"{count!r} jobs of color {color!r}; colors must be "
+                    "declared and counts nonnegative integers"
+                )
+            if count:
+                counts[color] = counts.get(color, 0) + count
+        return counts
 
     def describe(self) -> str:
         label = self.name or "generator"

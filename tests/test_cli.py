@@ -248,6 +248,46 @@ def test_stream_resume_refuses_corrupt_checkpoint(tmp_path, capsys, where):
     assert lines[0].startswith("error: ") and str(path) in lines[0]
 
 
+def _rule_file(rules) -> str:
+    import json
+
+    return json.dumps({"schema": "repro-alerts/v1", "rules": rules})
+
+
+@pytest.mark.parametrize("command", ["stream", "alerts"])
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[]", "rule file {path} is a JSON list"),  # was AttributeError
+        (
+            _rule_file([{"name": "r"}]),  # was TypeError
+            "rule file {path}, rule 0: alert rule is missing field(s): series",
+        ),
+        (
+            _rule_file([{"name": "r", "series": "s", "window": "3"}]),  # TypeError
+            "rule file {path}, rule 0: alert rule field 'window' must be an integer",
+        ),
+        (
+            _rule_file(["abc"]),  # was "unknown field(s): a, b, c"
+            "rule file {path}, rule 0: alert rule is a JSON str",
+        ),
+    ],
+)
+def test_malformed_rule_files_give_one_error_line(
+    tmp_path, monkeypatch, capsys, command, text, field
+):
+    monkeypatch.chdir(tmp_path)
+    rules = tmp_path / "rules.json"
+    rules.write_text(text)
+    if command == "stream":
+        argv = ["stream", "--rounds", "64", "--rules", str(rules)]
+    else:
+        argv = ["alerts", "check", "series.jsonl", "--rules", str(rules)]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, field.format(path=rules))
+    assert list(tmp_path.iterdir()) == [rules]
+
+
 def test_alerts_check_rejects_malformed_series(tmp_path, capsys):
     rules = tmp_path / "rules.json"
     assert main(["alerts", "example", "--out", str(rules)]) == 0

@@ -54,7 +54,7 @@ class TestRankEligible:
         engine = build_engine()
         advance(engine, 1)
         # Drain color 0's pendings: it becomes idle, ranks after color 1.
-        engine.state(0).clear_pending()
+        engine.state(0).pending = 0
         ranking = engine.rank_eligible()
         assert ranking == [1, 0]
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.cost import CostModel
 from repro.core.instance import (
     BatchMode,
+    CountSequence,
     Instance,
     ProblemSpec,
     RequestSequence,
@@ -132,6 +133,59 @@ class TestRequestSequenceOrder:
         position = data.draw(st.integers(0, len(jobs)))
         with pytest.raises(ValueError, match="unique"):
             RequestSequence(jobs[:position] + [clash] + jobs[position:])
+
+
+class TestArrivalCounts:
+    def test_counts_per_round_and_color(self):
+        jobs = [Job(0, 1, 4, 0), Job(0, 0, 4, 1), Job(4, 1, 4, 2)]
+        jobs.append(Job(0, 1, 4, 3))
+        sequence = RequestSequence(jobs, 9)
+        assert sequence.arrival_counts == {0: {0: 1, 1: 2}, 4: {1: 1}}
+        # Derived once: the sequence is immutable.
+        assert sequence.arrival_counts is sequence.arrival_counts
+
+
+class TestCountSequence:
+    """Count-backed segments get the job checks, restated for counts."""
+
+    SPEC = ProblemSpec({0: 4, 1: 8}, CostModel(2), BatchMode.RATE_LIMITED)
+
+    def test_valid_counts(self):
+        counts = {0: {0: 4, 1: 2}, 8: {1: 8}}
+        inst = Instance(self.SPEC, CountSequence(counts, 12))
+        assert len(inst.sequence) == 14
+        assert inst.sequence.colors == (0, 1)
+        assert inst.horizon == 12
+
+    @pytest.mark.parametrize(
+        "counts, horizon, problem",
+        [
+            ({0: {5: 1}}, 8, "undeclared color 5"),
+            ({4: {1: 1}}, 8, "not a multiple of 8"),
+            ({0: {0: 5}}, 8, "exceeding D_ℓ = 4"),
+            ({8: {0: 1}}, 8, "arrival < horizon"),
+            ({0: {0: -1}}, 8, "nonnegative integer"),
+            ({0: {0: 1.0}}, 8, "nonnegative integer"),
+            ({0: {0: True}}, 8, "nonnegative integer"),
+        ],
+    )
+    def test_invalid_counts(self, counts, horizon, problem):
+        with pytest.raises(ValueError) as caught:
+            Instance(self.SPEC, CountSequence(counts, horizon))
+        assert problem in str(caught.value)
+
+    def test_general_spec_and_full_record_refused(self):
+        from repro.algorithms.dlru import DeltaLRU
+        from repro.simulation.engine import BatchedEngine
+
+        general = ProblemSpec({0: 4}, CostModel(2))
+        with pytest.raises(ValueError, match="batched spec"):
+            Instance(general, CountSequence({0: {0: 1}}, 8))
+        inst = Instance(self.SPEC, CountSequence({0: {0: 2}}, 8))
+        with pytest.raises(ValueError, match="record='costs'"):
+            BatchedEngine(inst, DeltaLRU(), 4)
+        result = BatchedEngine(inst, DeltaLRU(), 4, record="costs").run()
+        assert result.cost.executions == 2
 
 
 class TestInstanceValidation:

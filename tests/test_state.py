@@ -11,32 +11,53 @@ def make_state(bound=4):
 
 
 class TestPendingQueue:
+    """A batched queue is one batch: an arrival round and a count."""
+
     def test_idle_reflects_pending(self):
         st = make_state()
         assert st.idle
-        st.pending.append(Job(0, 0, 4, 0))
+        st.add_batch(0, 1)
         assert not st.idle
-
-    def test_take_pending_fifo(self):
-        st = make_state()
-        jobs = [Job(0, 0, 4, i) for i in range(3)]
-        st.pending.extend(jobs)
-        taken = st.take_pending(2)
-        assert [j.jid for j in taken] == [0, 1]
-        assert len(st.pending) == 1
-
-    def test_take_more_than_available(self):
-        st = make_state()
-        st.pending.append(Job(0, 0, 4, 0))
-        assert len(st.take_pending(5)) == 1
+        st.pending = 0
         assert st.idle
 
-    def test_clear_pending_returns_all(self):
+    def test_batch_records_arrival_and_count(self):
         st = make_state()
-        st.pending.extend(Job(0, 0, 4, i) for i in range(3))
-        dropped = st.clear_pending()
-        assert len(dropped) == 3
-        assert st.idle
+        st.add_batch(8, 3)
+        assert (st.arrival, st.pending) == (8, 3)
+
+    def test_batch_on_nonempty_queue_raises(self):
+        # The drop phase empties the queue at every boundary, so a batch
+        # meeting pending jobs means two arrival rounds would merge.
+        st = make_state()
+        st.add_batch(4, 2)
+        with pytest.raises(ValueError, match="color 0.*round 8.*round 4"):
+            st.add_batch(8, 1)
+        assert (st.arrival, st.pending) == (4, 2)
+        st.pending = 0
+        st.add_batch(8, 1)
+        assert (st.arrival, st.pending) == (8, 1)
+
+    def test_full_record_pending_jobs_are_the_batch_tail(self):
+        # A full-record engine keeps the batch's jobs; executions take
+        # the head of the still-pending tail, so the schedule names jids
+        # in arrival-sequence order.
+        from repro.algorithms.dlru import DeltaLRU
+        from repro.core.instance import BatchMode, make_instance
+        from repro.simulation.engine import BatchedEngine
+
+        jobs = [Job(0, 0, 4, jid) for jid in (7, 3, 5)]
+        instance = make_instance(
+            jobs, {0: 4}, 1, batch_mode=BatchMode.BATCHED, horizon=8
+        )
+        engine = BatchedEngine(instance, DeltaLRU(), 2, copies=2)
+        engine._arrival_phase(0)
+        st = engine.state(0)
+        assert [job.jid for job in st.jobs] == [3, 5, 7]
+        assert st.pending == 3
+        result = BatchedEngine(instance, DeltaLRU(), 2, copies=2).run()
+        executed = [(e.round_index, e.jid) for e in result.schedule.executions]
+        assert executed == [(0, 3), (0, 5), (1, 7)]
 
 
 class TestWrapHistory:

@@ -21,7 +21,7 @@ from repro.algorithms.dlru_edf import DeltaLRUEDF
 from repro.algorithms.randomized import RandomEvict, RandomizedMarking
 from repro.analysis.credits import CreditScheme
 from repro.core.cost import CostBreakdown, CostModel
-from repro.core.instance import Instance, ProblemSpec, RequestSequence
+from repro.core.instance import BatchMode, Instance, ProblemSpec, RequestSequence
 from repro.core.job import Job
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.registry import RunRecord, RunRegistry
@@ -38,7 +38,9 @@ from repro.streaming import (
     rate_limited_source,
 )
 from repro.streaming.checkpoint import CHECKPOINT_SCHEMA, CheckpointError
+from repro.streaming.ingest import StreamIngest
 from repro.workloads.random_batched import random_rate_limited
+from repro.workloads.streaming import rate_limited_stream
 
 ENGINES = ("sparse", "dense", "vectorized")
 
@@ -319,6 +321,38 @@ class TestCheckpointFaultInjection:
         assert "repro-stream-checkpoint/v1" in message
         assert CHECKPOINT_SCHEMA in message
 
+    def _payload_file(self, saved, edit) -> bytes:
+        payload = StreamCheckpoint.load(saved).to_payload()
+        edit(payload["engine_state"]["colors"])
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return body.encode()
+
+    def test_v2_checkpoint_refused_naming_both_schemas(self, saved):
+        # The v2 writer: one [arrival, jid] pair per pending job.
+        def as_v2(colors):
+            for data in colors.values():
+                arrival, count = data["pending"]
+                data["pending"] = [
+                    [arrival, arrival * 1_000_000 + i] for i in range(count)
+                ]
+
+        body = self._payload_file(saved, as_v2)
+        v2 = "repro-stream-checkpoint/v2"
+        message = self._refused(saved, _v2_file(body, schema=v2))
+        assert v2 in message
+        assert CHECKPOINT_SCHEMA in message
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[3], [0, 2, 1], [0, -1], [-8, 1], [0, 1.5], [0, True], [[0, 5]], "x", None],
+    )
+    def test_malformed_pending_batch_names_the_color(self, saved, entry):
+        def damage(colors):
+            colors["5"]["pending"] = entry
+
+        message = self._refused(saved, _v2_file(self._payload_file(saved, damage)))
+        assert "color 5" in message and "[arrival, count]" in message
+
     @pytest.mark.parametrize(
         "data, problem",
         [
@@ -387,25 +421,70 @@ class TestIngestion:
         assert session.ingest.rejected_by_color.get(0, 0) > 0
 
     def test_rejection_rate_zero_before_traffic(self):
-        from repro.streaming.ingest import StreamIngest
-
         assert StreamIngest().rejection_rate == 0.0
 
     def test_negative_caps_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(queue_cap=-1)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(caps={2: -3})
+        # Caps are ints >= 0, checked at construction: 2.5 used to admit
+        # 3 of 5 jobs, True admitted 1, and "3" only failed at the first
+        # admit; from_dict reads the checkpoint's config echo.
+        rows = [
+            lambda: AdmissionPolicy(queue_cap=-1),
+            lambda: AdmissionPolicy(caps={2: -3}),
+            lambda: AdmissionPolicy(queue_cap=2.5),
+            lambda: AdmissionPolicy(queue_cap=True),
+            lambda: AdmissionPolicy(queue_cap="3"),
+            lambda: AdmissionPolicy(caps={2: 1.5}),
+            lambda: AdmissionPolicy(caps={2: False}),
+            lambda: AdmissionPolicy.from_dict({"queue_cap": 1.5}),
+            lambda: AdmissionPolicy.from_dict({"caps": {"2": 2.5}}),
+        ]
+        for row in rows:
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                row()
+        assert AdmissionPolicy(queue_cap=0, caps={2: 3}).cap_for(2) == 3
+
+    def test_admit_caps_counts(self):
+        registry = MetricsRegistry()
+        ingest = StreamIngest(AdmissionPolicy(queue_cap=3, caps={1: 0}), registry)
+        assert ingest.admit(0, {0: 5, 1: 2, 2: 1}) == {0: 3, 2: 1}
+        assert ingest.admit(8, {}) == {}
+        assert (ingest.offered, ingest.admitted, ingest.rejected) == (8, 4, 4)
+        assert ingest.rejected_by_color == {0: 2, 1: 2}
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["stream.rejected.color.1"] == 2
+        assert snapshot["histograms"]["stream.queue_depth"]["count"] == 2
 
 
 class TestSources:
     def test_generator_source_is_pure_and_deterministic(self):
         source = rate_limited_source(8, 32, seed=13, load=0.5)
-        for k in (0, 32, 96):
-            assert list(source.batch(k)) == list(source.batch(k))
-        jids = [job.jid for job in source.batch(64)]
-        assert jids == sorted(jids)
-        assert all(jid // 1_000_000 == 64 for jid in jids)
+        law = rate_limited_stream(8, 32, seed=13, load=0.5)
+        for k in (0, 32, 64, 96):
+            counts = source.batch(k)
+            assert counts == source.batch(k)
+            # Counts, not jobs: the law's nonzero counts, passed through.
+            assert counts == dict(law.batch_counts(k))
+            assert all(type(n) is int and n > 0 for n in counts.values())
+        assert source.batch(0)
+
+    @pytest.mark.parametrize(
+        "law_counts, problem",
+        [
+            ([(0, -3)], "-3 jobs of color 0"),  # was silently dropped
+            ([(0, 1.5)], "1.5 jobs of color 0"),
+            ([(0, True)], "True jobs of color 0"),
+            ([(9, 1)], "1 jobs of color 9"),  # undeclared
+        ],
+    )
+    def test_generator_source_rejects_bad_counts(self, law_counts, problem):
+        spec = ProblemSpec(
+            {0: 4, 1: 8}, CostModel(2, 1), BatchMode.RATE_LIMITED
+        )
+        source = GeneratorSource(spec, lambda k: law_counts if k == 8 else [])
+        assert source.batch(0) == {}
+        with pytest.raises(ValueError, match="round 8") as caught:
+            source.batch(8)
+        assert problem in str(caught.value)
 
     def test_generator_source_horizon_contract(self):
         source = rate_limited_source(8, 32, seed=13, horizon=128)
@@ -424,8 +503,15 @@ class TestSources:
         instance = _instance(horizon=200)
         source = InstanceSource(instance)
         assert source.horizon() == instance.horizon
+        for k in range(instance.horizon):
+            expected: dict[int, int] = {}
+            for job in instance.sequence.arrivals(k):
+                expected[job.color] = expected.get(job.color, 0) + 1
+            assert source.batch(k) == expected
         with pytest.raises(IndexError):
             source.batch(instance.horizon)
+        with pytest.raises(IndexError):
+            source.batch(-1)
 
 
 # ------------------------------------------------------------- satellites
