@@ -8,7 +8,7 @@ Three promises, each checked end to end on a small EXP-S cell:
    online reconstructions agree with the paper's lemmas on a real run.
 2. **Monitors are invisible.**  The monitored run's CostBreakdown is
    bit-identical to an unobserved run of the same instance, on both the
-   sparse and dense batched cores.
+   sparse and dense batched modes.
 3. **Diffing works.**  ``repro obs monitor --out`` twice with the same
    seed then ``repro obs diff`` reports *identical* (exit 0); perturbing
    Δ yields a divergence with a non-empty cost attribution (exit 1).
@@ -51,10 +51,9 @@ def _check_monitors() -> int:
         COLORS, DELTA, HORIZON, seed=SEED, load=LOAD, bound_choices=(2, 4, 8)
     )
     failures = 0
-    for sparse in (True, False):
-        label = "sparse" if sparse else "dense"
+    for engine in ("sparse", "dense"):
         baseline = simulate(
-            instance, DeltaLRUEDF(), RESOURCES, record="costs", sparse=sparse
+            instance, DeltaLRUEDF(), RESOURCES, record="costs", engine=engine
         )
         registry = MetricsRegistry()
         monitors = standard_monitors(
@@ -66,7 +65,7 @@ def _check_monitors() -> int:
             DeltaLRUEDF(),
             RESOURCES,
             record="costs",
-            sparse=sparse,
+            engine=engine,
             tracer=tracer,
             registry=registry,
         )
@@ -74,17 +73,17 @@ def _check_monitors() -> int:
         for monitor in monitors:
             for violation in monitor.violations:
                 failures += 1
-                print(f"  VIOLATION [{label}] {violation}")
+                print(f"  VIOLATION [{engine}] {violation}")
         if _fingerprint(baseline) != _fingerprint(monitored):
             failures += 1
             print(
-                f"  FATAL [{label}]: monitored cost "
+                f"  FATAL [{engine}]: monitored cost "
                 f"{_fingerprint(monitored)} != baseline "
                 f"{_fingerprint(baseline)}"
             )
         else:
             print(
-                f"  {label}: {len(monitors)} monitors clean, cost "
+                f"  {engine}: {len(monitors)} monitors clean, cost "
                 f"{monitored.total_cost} bit-identical"
             )
     return failures

@@ -1,6 +1,6 @@
 """CI gate for the trace bus's zero-overhead contract and the metrics budget.
 
-Two promises, measured on the EXP-S quick cells, *interleaved and
+Four promises, measured on the EXP-S quick cells, *interleaved and
 best-of-N* so each pair sees the same thermal/cache conditions:
 
 1. **Disabled tracing is free.**  A tracer over a
@@ -38,6 +38,8 @@ Best-of-N is the right statistic: both variants of each pair run nearly
 identical code, so any gap beyond the real overhead is scheduling noise,
 and the minimum is the noise-robust estimator.  All sections also
 assert the instrumented run's cost is bit-identical to the plain one.
+Every gate runs and prints its readings even after an earlier one
+fails; the exit status is 1 if any gate failed.
 
 Usage::
 
@@ -292,6 +294,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.obs import MetricsRegistry, NullSink, Tracer
 
+    failures = 0
     ok_null, _ = _gate(
         "null-sink tracing gate",
         args.repeats,
@@ -299,11 +302,11 @@ def main(argv: list[str] | None = None) -> int:
         args.threshold,
     )
     if not ok_null:
+        failures += 1
         print(
             "FAIL: a disabled tracer must be free — a hot-loop emission "
             "site is probably paying more than its `is not None` check"
         )
-        return 1
 
     ok_metrics, _ = _gate(
         "live metrics gate",
@@ -312,34 +315,36 @@ def main(argv: list[str] | None = None) -> int:
         args.metrics_threshold,
     )
     if not ok_metrics:
+        failures += 1
         print(
             "FAIL: live metrics exceed the budget — check that histogram "
             "observes are buffered and instrument handles are pre-resolved "
             "(EngineInstruments.flush)"
         )
-        return 1
 
     if not _sampling_gate(args.repeats, args.sampling_threshold):
+        failures += 1
         print(
             "FAIL: adaptive sampling exceeds its above-floor budget — "
             "check that the controller starts at min_probability and that "
-            "the engine's keep_round shortcut is wired (BatchedEngine."
-            "_round_filter)"
+            "the engine's keep_round shortcut is wired (RoundDriver."
+            "_run_rounds)"
         )
-        return 1
 
     if not _recorder_gate(args.repeats, args.series_threshold):
+        failures += 1
         print(
             "FAIL: the series recorder exceeds its budget — sampling must "
             "stay once-per-segment and O(instruments) per sample (check "
             "SeriesRecorder.sample and Series._compact)"
         )
-        return 1
 
+    if failures:
+        print(f"fail: {failures} of 4 gates over budget")
+        return 1
     print("pass: tracing, metrics, sampling, and series recording are "
           "within their budgets")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -30,8 +30,8 @@ class GreedyPendingPolicy(GeneralPolicy):
         # A completed pass is idempotent only with positive hysteresis
         # (at margin 0, equal-backlog colors can swap endlessly), so the
         # fixed-point elision of the O(colors) backlog scan is gated on
-        # it; the dense core never honors at_fixed_point, keeping parity
-        # testable.
+        # it; the round driver's dense mode never honors at_fixed_point,
+        # so every pass runs there and parity stays testable.
         sticky = self.hysteresis > 0
         if sticky and engine.at_fixed_point():
             return

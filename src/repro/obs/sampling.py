@@ -40,12 +40,12 @@ scales with workload event rate, not with round count; the CI gate
 
 Sampling is strictly observational: costs are bit-identical with and
 without it (gated in CI), and attaching a sampler never mutates
-simulation state.  The engine cooperates when it can: a
-:class:`~repro.simulation.engine.BatchedEngine` consults
-``tracer.keep_round(k)`` once per round and runs the *plain* round body
-for sampled-out rounds, shedding the span/phase indirection itself —
-without this hook the sampler still works (records are suppressed at
-emission) but only saves sink costs.
+simulation state.  The engine cooperates when it can: the round driver
+both engines share (:class:`~repro.simulation.engine.RoundDriver`)
+consults ``tracer.keep_round(k)`` once per round and runs the *plain*
+round body for sampled-out rounds, shedding the span/phase indirection
+itself — without this hook the sampler still works (records are
+suppressed at emission) but only saves sink costs.
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ class SamplingTracer(Tracer):
 
     Suppression happens *before* the :class:`TraceRecord` is built, so a
     sampled-out record costs one set lookup and one hash — and the
-    batched engine consults :meth:`keep_round` once per round to skip
+    engines consult :meth:`keep_round` once per round to skip
     the instrumented round wrapper entirely for sampled-out rounds.
 
     ``replay()`` (worker record flow-back) intentionally bypasses
@@ -331,8 +331,8 @@ class SamplingSink(Sink):
     """Sink-level sampling: wrap any inner sink with the same policy.
 
     For composition points that receive an already-built record stream —
-    a :class:`~repro.obs.tracing.TeeSink` leg, the general engine, or
-    post-hoc downsampling of a recorded trace.  Emission-time savings
+    a :class:`~repro.obs.tracing.TeeSink` leg, or post-hoc downsampling
+    of a recorded trace.  Emission-time savings
     are smaller than :class:`SamplingTracer` (records already exist),
     but the kept set is identical for equal controller settings.
     """

@@ -96,7 +96,6 @@ def run_arbitrary(
     copies: int = 2,
     speed: int = 1,
     record: str = "full",
-    sparse: bool = True,
 ) -> ArbitraryBoundsResult:
     """Run the §5.3 reduction end to end on any general instance.
 
@@ -112,7 +111,6 @@ def run_arbitrary(
         copies=copies,
         speed=speed,
         record=record,
-        sparse=sparse,
     )
     schedule = distribute.schedule
     if schedule is None:

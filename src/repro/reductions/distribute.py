@@ -210,18 +210,18 @@ def run_distribute(
     copies: int = 2,
     speed: int = 1,
     record: str = "full",
-    sparse: bool = True,
     engine: str | None = None,
 ) -> DistributeResult:
     """Run Algorithm Distribute end to end on a batched instance.
 
     ``record="costs"`` skips schedule/trace materialization end to end:
-    the inner engine runs on its fast (and, when ``sparse``, round-
+    the inner engine runs on its fast (and, in sparse mode, round-
     skipping) path and the outer cost streams through
     :class:`OuterCostMapper`; the resulting breakdown is identical to the
-    ``record="full"`` one.  ``engine`` overrides ``sparse`` by backend
-    name; the vectorized backend streams reconfigurations through the
-    observer in event order, so outer costs stay identical there too.
+    ``record="full"`` one.  ``engine`` selects the inner backend by name
+    (see :func:`~repro.simulation.engine.simulate`); the vectorized
+    backend streams reconfigurations through the observer in event
+    order, so outer costs stay identical there too.
     """
     from repro.algorithms.dlru_edf import DeltaLRUEDF
 
@@ -236,7 +236,6 @@ def run_distribute(
             copies=copies,
             speed=speed,
             record="costs",
-            sparse=sparse,
             engine=engine,
             reconfig_observer=mapper,
         )
@@ -249,7 +248,6 @@ def run_distribute(
         copies=copies,
         speed=speed,
         record=record,
-        sparse=sparse,
         engine=engine,
     )
     outer_schedule = map_back_schedule(instance, inner.schedule, mapping)

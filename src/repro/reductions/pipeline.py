@@ -65,7 +65,6 @@ def run_pipeline(
     copies: int = 2,
     speed: int = 1,
     record: str = "full",
-    sparse: bool = True,
 ) -> PipelineResult:
     """Run the appropriate reduction stack for ``instance``.
 
@@ -74,8 +73,8 @@ def run_pipeline(
     (which is then a no-op recoloring).
 
     ``record="costs"`` runs the whole stack on the engine's schedule-free
-    fast path (with sparse round skipping when ``sparse``); the cost
-    breakdown is exact but ``schedule`` comes back ``None``.
+    fast path (with sparse round skipping); the cost breakdown is exact
+    but ``schedule`` comes back ``None``.
     """
     power_of_two = all(
         is_power_of_two(bound)
@@ -89,7 +88,6 @@ def run_pipeline(
             copies=copies,
             speed=speed,
             record=record,
-            sparse=sparse,
         )
         stages = ("Distribute", result.inner.algorithm)
         schedule, cost = result.schedule, result.cost
@@ -102,7 +100,6 @@ def run_pipeline(
             copies=copies,
             speed=speed,
             record=record,
-            sparse=sparse,
         )
         stages = ("VarBatch", "Distribute", vb.distribute.inner.algorithm)
         schedule, cost = vb.schedule, vb.cost
@@ -115,7 +112,6 @@ def run_pipeline(
             copies=copies,
             speed=speed,
             record=record,
-            sparse=sparse,
         )
         stages = ("ArbitraryBounds", "Distribute", ar.distribute.inner.algorithm)
         schedule, cost = ar.schedule, ar.cost

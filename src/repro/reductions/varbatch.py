@@ -95,7 +95,6 @@ def run_varbatch(
     copies: int = 2,
     speed: int = 1,
     record: str = "full",
-    sparse: bool = True,
 ) -> VarBatchResult:
     """Run Algorithm VarBatch end to end on a general instance.
 
@@ -118,7 +117,6 @@ def run_varbatch(
         copies=copies,
         speed=speed,
         record=record,
-        sparse=sparse,
     )
     schedule = distribute.schedule
     if schedule is None:

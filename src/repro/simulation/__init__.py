@@ -1,6 +1,7 @@
 """Discrete-event simulation of the four-phase round model (Section 2).
 
-Two engines live here:
+Two engines live here, both run by one round driver
+(:class:`~repro.simulation.engine.RoundDriver`):
 
 * :class:`~repro.simulation.engine.BatchedEngine` implements the common
   protocol of Section 3.1 (counters, eligibility, wrapping events, the
@@ -25,7 +26,6 @@ from repro.simulation.engine import (
     simulate,
 )
 from repro.simulation.general import GeneralEngine, GeneralPolicy, simulate_general
-from repro.simulation.metrics import MetricsCollector, RoundMetrics
 
 __all__ = [
     "CachePool",
@@ -38,6 +38,4 @@ __all__ = [
     "GeneralEngine",
     "GeneralPolicy",
     "simulate_general",
-    "MetricsCollector",
-    "RoundMetrics",
 ]

@@ -1,4 +1,4 @@
-"""The batched four-phase engine (Section 3.1 common protocol).
+"""The round driver and the batched engine (Section 3.1 common protocol).
 
 The three online algorithms of Section 3.1 "only differ in the way the
 resources are reconfigured"; everything else — dropping at deadlines,
@@ -12,58 +12,70 @@ which keep the schedule, cost breakdown, and trace consistent.
 Double-speed algorithms (Section 3.3) repeat the reconfiguration and
 execution phases twice per round; pass ``speed=2``.
 
+One round driver
+----------------
+:class:`RoundDriver` runs the Section 2 round loop for both engines:
+:class:`BatchedEngine` here and
+:class:`~repro.simulation.general.GeneralEngine`.  It owns the
+construction checks, :meth:`~RoundDriver.run`, the plain and
+instrumented round bodies, the inactive-stretch fast-forward, the
+fixed-point handshake and the cache mutators.  Each engine supplies its
+drop and arrival phases (read from a calendar it builds at
+construction), its execution phase, the rounds at which an idle stretch
+can end, and, for the batched engine, closed-form drain settling.
+
 Record modes (the engine fast path)
 -----------------------------------
 ``record="full"`` (default) emits the explicit :class:`Schedule` and
 :class:`Trace` the verifier and proof auditors consume.  ``record="costs"``
 skips both — no per-job ``Execution``/event objects, no trace appends —
-and produces only the :class:`CostBreakdown` plus optional metrics.  The
-scheme-visible state (counters, deadlines, eligibility, pending counts,
-wrapping history) is maintained identically in both modes, so costs agree
-exactly; sweeps, adversary searches, and sensitivity grids that only read
-costs run several times faster in ``"costs"`` mode.
+and produces only the :class:`CostBreakdown`.  The scheme-visible state
+(counters, deadlines, eligibility, pending counts, wrapping history) is
+maintained identically in both modes, so costs agree exactly; sweeps,
+adversary searches, and sensitivity grids that only read costs run
+several times faster in ``"costs"`` mode.
 
 Pending queues are counts: a batched color's queue holds one batch (see
 :class:`ColorState`), so every phase is integer arithmetic on the
 per-boundary ``arrival_counts`` the sequence derives once.
 
-The sparse core (boundary calendar + round skipping)
-----------------------------------------------------
+Sparse and dense modes
+----------------------
 The Section 3.1 protocol only *acts* on a color at integral multiples of
 its delay bound: drops, deadline resets, counter updates, and
 eligibility transitions are all confined to those boundary rounds.  The
-default ``sparse=True`` core exploits this three ways:
+**boundary calendar** — a per-round list of the colors with a
+delay-bound multiple, built once per engine — lets the drop and arrival
+phases touch only those colors, in both modes.  The default
+``engine="sparse"`` mode adds:
 
-* **Boundary calendar** — a precomputed per-round schedule of delay-bound
-  multiples, so the drop and arrival phases touch only the colors with a
-  boundary this round instead of scanning every color every round.
-* **Incremental orderings** — the eligible-color set is maintained as a
-  sorted list across eligibility transitions (which only happen on
-  boundary rounds), and the ΔLRU / EDF orderings are cached between the
-  events that can change them (boundaries, and pending queues draining
-  empty) instead of being re-sorted from scratch every mini-round.
-* **Round skipping** — in ``record="costs"`` mode with no metrics
-  collector, whole inactive stretches (no pending jobs anywhere, no
-  boundary, no eligible-but-uncached color) are fast-forwarded in O(1):
-  every phase of such a round is provably a no-op.  Which schemes
-  qualify is a per-scheme contract,
-  :meth:`ReconfigurationScheme.fixed_point_token`: stationary schemes
-  skip immediately, schemes with verifiable decision state (RNG digests,
-  credit vectors) skip after a one-round probe, and schemes returning
-  ``None`` are never skipped.
+* **Incremental orderings** — the ΔLRU / EDF orderings are cached
+  between the events that can change them (boundaries, and pending
+  queues draining empty) instead of being re-sorted from scratch every
+  mini-round.
+* **Round skipping** — in ``record="costs"`` mode, whole inactive
+  stretches (no pending jobs anywhere, no boundary, no
+  eligible-but-uncached color) are fast-forwarded in O(1): every phase
+  of such a round is provably a no-op.  Which schemes qualify is a
+  per-scheme contract, :meth:`ReconfigurationScheme.fixed_point_token`:
+  stationary schemes skip immediately, schemes with verifiable decision
+  state (RNG digests, credit vectors) skip after a one-round probe, and
+  schemes returning ``None`` are never skipped.
 * **Drain settling** — with no tracer attached, a stationary scheme
   whose last completed pass is still current (:meth:`at_fixed_point`)
   would do nothing until the next boundary or the next queue to run
   empty; those rounds are pure execution, at ``min(copies, pending)``
-  jobs per cached color and mini-round.  The core settles such a drain
-  stretch in one step: one subtraction per cached color, charged with
-  one ``record_execution`` per color, and an attached registry gets the
-  same queue-depth samples, execution ages (in closed form) and
-  fixed-point skips the simulated rounds would have recorded.
+  jobs per cached color and mini-round.  The engine settles such a
+  drain stretch in one step: one subtraction per cached color, charged
+  with one ``record_execution`` per color, and an attached registry
+  gets the same queue-depth samples, execution ages (in closed form)
+  and fixed-point skips the simulated rounds would have recorded.
 
-``sparse=False`` keeps the PR-1 dense round loop; the two cores are
-cost- and trace-exact against each other (property-tested), and the
-dense core remains available as the before/after benchmark baseline.
+``engine="dense"`` is the reference mode: the same driver with
+fast-forward, drain settling, the order caches and fixed-point skipping
+turned off, so every round and every scheme pass runs in full.  The two
+modes are cost- and trace-exact against each other (property-tested),
+and dense remains the before/after benchmark baseline.
 
 Observability hooks
 -------------------
@@ -91,7 +103,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -113,7 +125,6 @@ from repro.core.events import (
 from repro.core.instance import CountSequence, Instance
 from repro.core.schedule import Execution, Reconfiguration, Schedule
 from repro.core.validation import ValidationReport, verify_schedule
-from repro.simulation.metrics import MetricsCollector
 from repro.simulation.resources import CachePool
 from repro.simulation.state import ColorState
 
@@ -270,10 +281,6 @@ def _active_tracer(tracer):
     return None
 
 
-def _noop_phase() -> None:
-    """Placeholder for phases with no work this round (sparse core)."""
-
-
 class _StationaryToken:
     """Singleton sentinel for :meth:`ReconfigurationScheme.fixed_point_token`."""
 
@@ -414,7 +421,6 @@ class RunResult:
     schedule: Schedule | None
     cost: CostBreakdown
     trace: Trace | None
-    metrics: MetricsCollector | None = None
     record: str = "full"
     wall_seconds: float = 0.0
     rounds_executed: int | None = None
@@ -475,7 +481,7 @@ class RunResult:
 
 
 def check_geometry(num_resources: int, copies: int, speed: int) -> None:
-    """Reject a resource count or speed no batched engine can run."""
+    """Reject a resource count or speed no engine can run."""
     if num_resources <= 0 or num_resources % copies != 0:
         raise ValueError(
             f"num_resources ({num_resources}) must be a positive "
@@ -485,70 +491,62 @@ def check_geometry(num_resources: int, copies: int, speed: int) -> None:
         raise ValueError("speed must be 1 (uni) or 2 (double)")
 
 
-class BatchedEngine:
-    """Drives a reconfiguration scheme over a batched instance.
+class RoundDriver:
+    """The Section 2 round protocol, shared by the batched and general engines.
 
-    Parameters
-    ----------
-    instance:
-        Must be declared ``BATCHED`` or ``RATE_LIMITED``.
-    scheme:
-        The reconfiguration strategy (ΔLRU, EDF, ΔLRU-EDF, Seq-EDF, ...).
-    num_resources:
-        ``n``; must be divisible by ``copies``.
-    copies:
-        Replication factor: each cached color occupies this many physical
-        resources (2 for the Section 3.1 algorithms, 1 for Seq-EDF).
-    speed:
-        1 for uni-speed, 2 for double-speed (Section 3.3).
-    record:
-        ``"full"`` emits the schedule and trace; ``"costs"`` skips both
-        (fast path) and only maintains the cost breakdown.
-    sparse:
-        ``True`` (default) runs the boundary-calendar core with cached
-        orderings and (in ``"costs"`` mode, for stationary schemes)
-        inactive-stretch skipping and drain settling.  ``False`` runs
-        the dense per-round all-colors loop; both produce identical
-        costs, schedules, and traces.
-    start_round:
-        First round to simulate (default 0).  Streaming sessions run a
-        long horizon as a chain of segment engines: each segment covers
-        global rounds ``[start_round, horizon)`` with the predecessor's
-        exported state loaded via :meth:`import_state`.  Round indices
-        stay global, so deadlines, boundary calendars, and ΔLRU
-        timestamps are identical to one uninterrupted run.
+    Every round runs the drop, arrival, reconfiguration and execution
+    phases, the last two ``speed`` times (Section 3.3); the schemes
+    "only differ in the way the resources are reconfigured".  The driver
+    owns everything the engines have in common: the construction
+    checks, :meth:`run` and its :class:`RunResult`, the round loop
+    (plain and instrumented), the inactive-stretch fast-forward with its
+    probe protocol, the fixed-point handshake with the scheme
+    (:meth:`at_fixed_point` / :meth:`mark_fixed_point`) and the cache
+    mutators (:meth:`cache_insert` / :meth:`cache_evict`).  An engine
+    supplies the rest:
+
+    * ``_drop_phase(k)`` and ``_arrival_phase(k)``, read from the
+      calendar it builds at construction;
+    * ``_execution_phase(k, mini)``;
+    * ``_event_rounds``, the ascending rounds at which an idle stretch
+      can end.  The engine is idle when nothing is pending and no
+      eligible color waits outside the cache (``_total_pending`` and
+      ``_num_eligible_uncached`` are both zero; the general engine has
+      no eligibility, so only its backlog counts);
+    * optionally ``_settle_drain(k, end)``, which settles a stretch of
+      pure execution in closed form (the batched engine).
+
+    ``sparse=False`` is the dense reference mode: the same loop with
+    fast-forward, drain settling, the order caches and fixed-point
+    skipping turned off, so every round is simulated and every scheme
+    pass runs in full.
     """
+
+    #: Backend identifier surfaced in the run span and bench rows.
+    engine_name: str
+    #: Closed-form drain settling, ``(k, end) -> next round``; engines
+    #: that have none leave it ``None``.
+    _settle_drain = None
 
     def __init__(
         self,
         instance: Instance,
-        scheme: ReconfigurationScheme,
+        scheme,
         num_resources: int,
         *,
-        copies: int = 2,
-        speed: int = 1,
-        collect_metrics: bool = False,
-        record: str = "full",
-        sparse: bool = True,
+        copies: int,
+        speed: int,
+        record: str,
+        sparse: bool,
         start_round: int = 0,
         tracer=None,
         registry=None,
         profiler=None,
         reconfig_observer=None,
     ) -> None:
-        if not instance.spec.batch_mode.is_batched:
-            raise ValueError(
-                "BatchedEngine requires a batched instance; wrap general "
-                "instances with the VarBatch reduction first"
-            )
         check_geometry(num_resources, copies, speed)
         if record not in ("full", "costs"):
             raise ValueError("record must be 'full' or 'costs'")
-        if record == "full" and isinstance(instance.sequence, CountSequence):
-            raise ValueError(
-                "record='full' names every executed job, but a count "
-                "sequence holds no jobs; use record='costs'"
-            )
         if not 0 <= start_round <= instance.horizon:
             raise ValueError(
                 f"start_round {start_round} outside [0, {instance.horizon}]"
@@ -559,41 +557,17 @@ class BatchedEngine:
         self.copies = copies
         self.speed = speed
         self.record = record
-        self.sparse = bool(sparse)
-        #: Backend identifier surfaced in the run span and bench rows;
-        #: subclasses (the vectorized backend) override it.
-        self.engine_name = "sparse" if self.sparse else "dense"
+        self.sparse = sparse
         self.delta = instance.reconfig_cost
-        #: ``{round: {color: count}}``, derived once per sequence.
-        self._arrival_counts = instance.sequence.arrival_counts
-
         self.cache = CachePool(num_resources // copies, copies)
-        self.states: dict[int, ColorState] = {
-            color: ColorState(color, bound)
-            for color, bound in instance.spec.delay_bounds.items()
-        }
         full = record == "full"
         self.schedule: Schedule | None = (
             Schedule(num_resources, speed=speed) if full else None
         )
         self.cost = CostBreakdown(instance.cost_model)
         self.trace: Trace | None = Trace() if full else None
-        self.metrics = (
-            MetricsCollector(instance.horizon) if collect_metrics else None
-        )
         self.tracer = _active_tracer(tracer)
         self.profiler = profiler
-        #: Sampling cooperation (repro.obs.sampling): a tracer exposing
-        #: ``keep_round(k)`` lets the engine run the *plain* round body
-        #: for sampled-out rounds, shedding the span/phase indirection —
-        #: not just the sink writes.  A profiler wants every round timed,
-        #: so it disables the shortcut (records are still suppressed at
-        #: emission by the sampling tracer itself).
-        self._round_filter = (
-            getattr(self.tracer, "keep_round", None)
-            if profiler is None
-            else None
-        )
         #: Optional ``(color, resources)`` callback fired on every cache
         #: insert that physically reconfigured resources, in event order.
         #: Lets reduction pipelines stream the outer-schedule reconfig
@@ -606,23 +580,16 @@ class BatchedEngine:
         self.mini_round = 0
         self.rounds_executed = 0
         self._ran = False
-        #: Set by :meth:`import_state`; suppresses ``scheme.setup`` for
-        #: mid-run segments (setup belongs to round 0 of the global run).
-        self._state_imported = False
-
-        # Incremental bookkeeping for the sparse core.  All counters are
-        # maintained in both cores (the updates are O(1)); the cached
-        # orderings are only *consulted* in sparse mode so the dense core
-        # remains the faithful PR-1 baseline.
+        #: Per-color Section 3.1 state (counter, deadline, eligibility);
+        #: the general engine keeps none, so none of its colors is ever
+        #: eligible.
+        self.states: dict[int, ColorState] = {}
         self._total_pending = 0
-        self._eligible_sorted: list[int] = []
         self._num_eligible_uncached = 0
-        self._rank_cache: list[int] | None = None
-        self._lru_cache: list[int] | None = None
-        #: Monotone counter of scheme-visible ordering changes
-        #: (eligibility, timestamps, deadlines, idleness).  Bumped in both
-        #: cores; stationary schemes use it to skip a reconfiguration pass
-        #: entirely when nothing changed since their last completed pass.
+        #: Monotone counter of scheme-visible changes (eligibility,
+        #: timestamps, deadlines, idleness, backlogs).  Stationary
+        #: schemes use it to skip a reconfiguration pass entirely when
+        #: nothing changed since their last completed pass.
         self.order_epoch = 0
         #: Epoch at which the scheme last completed a reconfiguration
         #: pass (see :meth:`at_fixed_point`); ``None`` until it does.
@@ -641,7 +608,7 @@ class BatchedEngine:
     # ------------------------------------------------------------------ run
 
     def run(self) -> RunResult:
-        """Simulate all rounds and return the result bundle."""
+        """Simulate rounds ``[start_round, horizon)``; return the results."""
         if self._ran:
             raise RuntimeError("engine instances are single-use; build a new one")
         self._ran = True
@@ -662,15 +629,8 @@ class BatchedEngine:
             # their predecessor; setup belongs to round 0 of the global run.
             self.scheme.setup(self)
         start = time.perf_counter()
-        if self.sparse:
-            self._run_sparse()
-        else:
-            self._run_dense()
+        self._run_rounds()
         elapsed = time.perf_counter() - start
-        if self.metrics is not None:
-            self.metrics.record_wall_clock(
-                elapsed, self.instance.horizon * self.speed
-            )
         if self.obs is not None:
             self.obs.rounds_executed.inc(self.rounds_executed)
             self.obs.flush()
@@ -691,175 +651,76 @@ class BatchedEngine:
             schedule=self.schedule,
             cost=self.cost,
             trace=self.trace,
-            metrics=self.metrics,
             record=self.record,
             wall_seconds=elapsed,
             rounds_executed=self.rounds_executed,
             rounds_total=self.instance.horizon - self.start_round,
         )
 
-    def _run_phase(self, name: str, k: int, fn, *args, mini: int | None = None) -> None:
-        """Run one phase with trace marker + wall-clock attribution."""
-        tracer, prof = self.tracer, self.profiler
-        if tracer is not None:
-            if mini is None:
-                tracer.event("phase", k, phase=name)
-            else:
-                tracer.event("phase", k, phase=name, mini=mini)
-        if prof is None:
-            fn(*args)
-        else:
-            t0 = time.perf_counter()
-            fn(*args)
-            prof.add(name, time.perf_counter() - t0)
+    def _run_rounds(self) -> None:
+        """Simulate each round, then fast-forward what can be proven.
 
-    def _round_instrumented(self, k: int, drop_fn, drop_args, arrival_fn, arrival_args) -> None:
-        """One observed round: span + phase markers + queue-depth sample.
+        After each simulated round of a sparse ``record="costs"`` run
+        the loop tries two skips:
 
-        Only entered when a tracer, profiler, or metrics registry is
-        attached — the uninstrumented loops below stay byte-identical to
-        the plain hot path.
-        """
-        round_filter = self._round_filter
-        if round_filter is not None and not round_filter(k):
-            # Sampled-out round: phases run bare (leaf events inside them
-            # still fire and the sampling tracer keeps the monitor-
-            # relevant ones), metrics stay exact, but the round span,
-            # phase markers, and wall-clock attribution are shed.
-            drop_fn(*drop_args)
-            arrival_fn(*arrival_args)
-            for mini in range(self.speed):
-                self.mini_round = mini
-                self.scheme.reconfigure(self)
-                self._execution_phase(k, mini)
-            if self.obs is not None:
-                self.obs.sample_queue_depth(self._total_pending)
-            if self.metrics is not None:
-                self.metrics.end_round(k, self)
-            return
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.begin("round", k)
-        self._run_phase("drop", k, drop_fn, *drop_args)
-        self._run_phase("arrival", k, arrival_fn, *arrival_args)
-        for mini in range(self.speed):
-            self.mini_round = mini
-            self._run_phase("reconfigure", k, self.scheme.reconfigure, self, mini=mini)
-            self._run_phase("execute", k, self._execution_phase, k, mini, mini=mini)
-        if self.obs is not None:
-            self.obs.sample_queue_depth(self._total_pending)
-        if self.metrics is not None:
-            self.metrics.end_round(k, self)
-        if tracer is not None:
-            tracer.end("round", k)
-
-    @property
-    def _instrumented(self) -> bool:
-        return (
-            self.tracer is not None
-            or self.profiler is not None
-            or self.obs is not None
-        )
-
-    def _run_dense(self) -> None:
-        """The PR-1 round loop: every phase scans every color, no skips."""
-        if self.tracer is not None or self.profiler is not None:
-            for k in range(self.start_round, self.instance.horizon):
-                self.round_index = k
-                self._round_instrumented(
-                    k, self._drop_phase, (k,), self._arrival_phase, (k,)
-                )
-            self.rounds_executed = self.instance.horizon - self.start_round
-            return
-        # Metrics-only runs (registry attached, no tracer/profiler) share
-        # the plain loop: the only additions are buffered sample appends,
-        # so the round path skips the span/phase indirection entirely.
-        obs = self.obs
-        queue_append = obs._queue_samples.append if obs is not None else None
-        for k in range(self.start_round, self.instance.horizon):
-            self.round_index = k
-            self._drop_phase(k)
-            self._arrival_phase(k)
-            for mini in range(self.speed):
-                self.mini_round = mini
-                self.scheme.reconfigure(self)
-                self._execution_phase(k, mini)
-            if queue_append is not None:
-                queue_append(self._total_pending)
-            if self.metrics is not None:
-                self.metrics.end_round(k, self)
-        self.rounds_executed = self.instance.horizon - self.start_round
-
-    def _run_sparse(self) -> None:
-        """Boundary-calendar loop that fast-forwards what it can prove.
-
-        After each simulated round the loop tries two skips, both only in
-        ``record="costs"`` mode without a metrics collector:
-
-        * an *inactive stretch* (no pending work, no eligible uncached
-          color) jumps to the next boundary when the scheme's
-          ``fixed_point_token()`` proves its rounds are no-ops;
-        * a *drain stretch* (a stationary scheme whose last completed
-          pass is still current, no tracer attached) is settled by
-          :meth:`_settle_drain`: only execution happens until the next
-          boundary or the first queue to run empty, so each color's
-          executed jobs are subtracted and charged in one step.
+        * an *inactive stretch* (the engine is idle) jumps to the next
+          event round when the scheme's ``fixed_point_token()`` proves
+          its rounds are no-ops;
+        * a *drain stretch* (an engine with ``_settle_drain``, a
+          stationary scheme whose last completed pass is still current,
+          no tracer attached) is settled in closed form: only execution
+          happens until the next event round or the first queue to run
+          empty.
         """
         horizon = self.instance.horizon
-        calendar, boundary_rounds = self._build_calendar(horizon)
-        # Skipping is only sound when nothing observes the skipped rounds
-        # (no trace/schedule, no per-round metrics) and the scheme vouches
-        # for its inactive-round behavior through fixed_point_token().
-        # Observability attachments (tracer/registry/profiler) do NOT
-        # disable skipping: skipped rounds are provable global no-ops, so
-        # the trace records a single ``fast_forward`` event instead of
-        # empty rounds.
-        can_skip = self.record == "costs" and self.metrics is None
-        token_fn = self.scheme.fixed_point_token
+        events = self._event_rounds
+        num_events = len(events)
         tr, obs, prof = self.tracer, self.obs, self.profiler
+        # Skipping is only sound when nothing observes the skipped rounds
+        # (no trace or schedule) and the scheme vouches for its
+        # inactive-round behavior through fixed_point_token().  The
+        # attachments (tracer/registry/profiler) do NOT disable it:
+        # skipped rounds are provable global no-ops, so the trace
+        # records a single ``fast_forward`` event instead of empty rounds.
+        can_skip = self.sparse and self.record == "costs"
         # A tracer asks for per-round events (execute, cache_hit), so
         # traced runs keep simulating drain rounds one by one.
-        can_settle = can_skip and tr is None
-        queue_append = obs._queue_samples.append if obs is not None else None
-        # Metrics-only runs take the plain branch below; the span/phase
+        settle = self._settle_drain if can_skip and tr is None else None
+        token_fn = self.scheme.fixed_point_token
+        # Registry-only runs take the plain round body; the span/phase
         # indirection is only worth paying when a tracer or profiler
-        # actually consumes the markers.
+        # consumes the markers.
         instrumented = tr is not None or prof is not None
-        num_boundaries = len(boundary_rounds)
-        bi = 0  # index of the first boundary round >= current k
+        # Sampling cooperation (repro.obs.sampling): a tracer exposing
+        # ``keep_round(k)`` lets the loop run the plain round body for
+        # sampled-out rounds, shedding the span/phase indirection — not
+        # just the sink writes.  A profiler wants every round timed, so
+        # it disables the shortcut (records are still suppressed at
+        # emission by the sampling tracer itself).
+        round_filter = getattr(tr, "keep_round", None) if prof is None else None
+        queue_append = obs._queue_samples.append if obs is not None else None
+        drop, arrive = self._drop_phase, self._arrival_phase
+        reconfigure, execute = self.scheme.reconfigure, self._execution_phase
+        minis = range(self.speed)
+
+        def next_event(k: int) -> int:
+            i = bisect_left(events, k)
+            return events[i] if i < num_events else horizon
+
         k = self.start_round
         while k < horizon:
             self.round_index = k
-            boundary_colors = calendar.get(k)
-            if instrumented:
-                if boundary_colors is not None:
-                    # dd, timestamps, and eligibility may all change here.
-                    self._touch_orders()
-                    drop = (
-                        (self._drop_phase_sparse, (k, boundary_colors))
-                        if k > 0
-                        else (_noop_phase, ())
-                    )
-                    arrival = (self._arrival_phase_sparse, (k, boundary_colors))
-                else:
-                    drop = (_noop_phase, ())
-                    arrival = (_noop_phase, ())
-                self._round_instrumented(k, drop[0], drop[1], arrival[0], arrival[1])
+            if instrumented and (round_filter is None or round_filter(k)):
+                self._round_instrumented(k)
             else:
-                if boundary_colors is not None:
-                    # dd, timestamps, and eligibility may all change here.
-                    self._touch_orders()
-                    if k > 0:
-                        self._drop_phase_sparse(k, boundary_colors)
-                    self._arrival_phase_sparse(k, boundary_colors)
-                for mini in range(self.speed):
+                drop(k)
+                arrive(k)
+                for mini in minis:
                     self.mini_round = mini
-                    self.scheme.reconfigure(self)
-                    self._execution_phase(k, mini)
+                    reconfigure(self)
+                    execute(k, mini)
                 if queue_append is not None:
                     queue_append(self._total_pending)
-                if self.metrics is not None:
-                    self.metrics.end_round(k, self)
             self.rounds_executed += 1
             k += 1
             if not can_skip:
@@ -867,24 +728,22 @@ class BatchedEngine:
             if self._total_pending or self._num_eligible_uncached:
                 self._probe_state = None
                 if not (
-                    can_settle
+                    settle is not None
                     and self._scheme_pass_epoch == self.order_epoch
                     and token_fn() is STATIONARY_TOKEN
                 ):
                     continue
-                # Drain stretch: up to the next boundary every reconfigure
-                # call would return at at_fixed_point, so only execution
-                # happens and it settles in closed form.
-                while bi < num_boundaries and boundary_rounds[bi] < k:
-                    bi += 1
-                end = boundary_rounds[bi] if bi < num_boundaries else horizon
+                # Drain stretch: up to the next event round every
+                # reconfigure call would return at at_fixed_point, so
+                # only execution happens and it settles in closed form.
+                end = next_event(k)
                 if end == k:
-                    continue  # round k is a boundary round
+                    continue  # round k is an event round
                 if prof is None:
-                    k = self._settle_drain(k, end)
+                    k = settle(k, end)
                 else:
                     t0 = time.perf_counter()
-                    k = self._settle_drain(k, end)
+                    k = settle(k, end)
                     prof.add("execute", time.perf_counter() - t0)
                 if self._total_pending or self._num_eligible_uncached:
                     continue
@@ -901,26 +760,20 @@ class BatchedEngine:
                 # inactive round left the token and both engine
                 # epochs unchanged — that round was observably an
                 # identity map, and nothing differs for the rounds
-                # up to the next boundary.
+                # up to the next event round.
                 skip = state == self._probe_state
                 self._probe_state = state
             if not skip:
                 continue
-            while bi < num_boundaries and boundary_rounds[bi] < k:
-                bi += 1
-            next_boundary = (
-                boundary_rounds[bi] if bi < num_boundaries else horizon
-            )
-            # Every round in [k, next_boundary) is a global no-op:
-            # no drops or arrivals (no boundary), no executions (no
-            # pending work), and the token contract proves the
-            # reconfiguration phases perform no mutations.  The clamp
-            # keeps a fast-forward from overshooting the horizon; no
-            # end-of-horizon drop can be lost to it because instances
-            # place every deadline before ``horizon``, making each
-            # drop round a calendar round the skip lands on, never
-            # jumps over — pinned by the horizon-edge boundary tests.
-            target = min(next_boundary, horizon)
+            # Every round in [k, target) is a global no-op: no drops or
+            # arrivals (no event round), no executions (nothing pending),
+            # and the token contract proves the reconfiguration phases
+            # perform no mutations.  With no event round left the target
+            # is the horizon; no end-of-horizon drop can be lost to that
+            # because instances place every deadline before ``horizon``,
+            # making each drop round an event round the skip lands on,
+            # never jumps over — pinned by the horizon-edge tests.
+            target = next_event(k)
             if target > k:
                 if tr is not None:
                     tr.event(
@@ -930,17 +783,244 @@ class BatchedEngine:
                     obs.rounds_fast_forwarded.inc(target - k)
             k = target
 
+    def _round_instrumented(self, k: int) -> None:
+        """One observed round: span, phase markers, profiler phases and
+        the queue-depth sample."""
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.begin("round", k)
+        self._run_phase("drop", k, self._drop_phase, k)
+        self._run_phase("arrival", k, self._arrival_phase, k)
+        for mini in range(self.speed):
+            self.mini_round = mini
+            self._run_phase("reconfigure", k, self.scheme.reconfigure, self, mini=mini)
+            self._run_phase("execute", k, self._execution_phase, k, mini, mini=mini)
+        if self.obs is not None:
+            self.obs.sample_queue_depth(self._total_pending)
+        if tracer is not None:
+            tracer.end("round", k)
+
+    def _run_phase(self, name: str, k: int, fn, *args, mini: int | None = None) -> None:
+        """Run one phase with trace marker + wall-clock attribution."""
+        tracer, prof = self.tracer, self.profiler
+        if tracer is not None:
+            if mini is None:
+                tracer.event("phase", k, phase=name)
+            else:
+                tracer.event("phase", k, phase=name, mini=mini)
+        if prof is None:
+            fn(*args)
+        else:
+            t0 = time.perf_counter()
+            fn(*args)
+            prof.add(name, time.perf_counter() - t0)
+
+    # ------------------------------------------------- scheme-facing helpers
+
+    def at_fixed_point(self) -> bool:
+        """True when the scheme already completed a pass at this epoch.
+
+        Stationary schemes call this at the top of ``reconfigure`` and
+        return immediately on True: nothing they look at (eligibility,
+        timestamps, deadlines, idleness, backlogs, cache contents) has
+        changed since their last completed pass, and a completed pass of
+        a stationary scheme is idempotent.  Always False in dense mode,
+        which runs every pass in full.
+
+        Where the engine settles drain stretches (the batched engine),
+        the loop goes one step further for a stationary scheme: while
+        this would return True it skips the ``reconfigure`` calls
+        altogether and settles the rounds in closed form (untraced
+        ``record="costs"`` runs), counting each skipped call in
+        ``engine.fixed_point_skips`` as if it had returned here.
+        """
+        if self.sparse and self._scheme_pass_epoch == self.order_epoch:
+            if self.tracer is not None:
+                self.tracer.event(
+                    "cache_hit",
+                    self.round_index,
+                    target="fixed_point",
+                    mini=self.mini_round,
+                )
+            if self.obs is not None:
+                self.obs.fixed_point_skips.inc()
+            return True
+        return False
+
+    def mark_fixed_point(self) -> None:
+        """Record that the scheme completed a full pass at this epoch."""
+        self._scheme_pass_epoch = self.order_epoch
+
+    def cache_insert(self, color: int, *, section: str = "main") -> None:
+        """Bring ``color`` into the cache, recording costs and events."""
+        slot, reconfigured, old_physical = self.cache.insert(color)
+        self._cache_epoch += 1
+        if self._reconfig_observer is not None and reconfigured:
+            self._reconfig_observer(color, reconfigured)
+        st = self.states.get(color)
+        if st is not None and st.eligible:
+            self._num_eligible_uncached -= 1
+        tracer = self.tracer
+        if tracer is not None:
+            if reconfigured:
+                tracer.event(
+                    "reconfig",
+                    self.round_index,
+                    color=color,
+                    resources=len(reconfigured),
+                    mini=self.mini_round,
+                )
+            tracer.event(
+                "cache_in",
+                self.round_index,
+                color=color,
+                section=section,
+                mini=self.mini_round,
+            )
+        if self.obs is not None and reconfigured:
+            self.obs.record_reconfig(self.round_index, len(reconfigured))
+        if self.trace is None:
+            self.cost.record_reconfig(color, len(reconfigured))
+            return
+        for resource in reconfigured:
+            self.schedule.add_reconfiguration(
+                Reconfiguration(self.round_index, self.mini_round, resource, color)
+            )
+            self.trace.append(
+                ReconfigEvent(
+                    self.round_index, self.mini_round, resource, old_physical, color
+                )
+            )
+            self.cost.record_reconfig(color)
+        self.trace.append(
+            CacheInEvent(self.round_index, self.mini_round, color, section)
+        )
+
+    def cache_evict(self, color: int) -> None:
+        """Drop ``color`` from the cache (free of charge; slots persist)."""
+        self.cache.evict(color)
+        self._cache_epoch += 1
+        st = self.states.get(color)
+        if st is not None and st.eligible:
+            self._num_eligible_uncached += 1
+        if self.trace is not None:
+            self.trace.append(CacheOutEvent(self.round_index, self.mini_round, color))
+        if self.tracer is not None:
+            self.tracer.event(
+                "cache_out", self.round_index, color=color, mini=self.mini_round
+            )
+
+
+class BatchedEngine(RoundDriver):
+    """Drives a reconfiguration scheme over a batched instance.
+
+    Parameters
+    ----------
+    instance:
+        Must be declared ``BATCHED`` or ``RATE_LIMITED``.
+    scheme:
+        The reconfiguration strategy (ΔLRU, EDF, ΔLRU-EDF, Seq-EDF, ...).
+    num_resources:
+        ``n``; must be divisible by ``copies``.
+    copies:
+        Replication factor: each cached color occupies this many physical
+        resources (2 for the Section 3.1 algorithms, 1 for Seq-EDF).
+    speed:
+        1 for uni-speed, 2 for double-speed (Section 3.3).
+    record:
+        ``"full"`` emits the schedule and trace; ``"costs"`` skips both
+        (fast path) and only maintains the cost breakdown.
+    engine:
+        ``"sparse"`` (default) caches the orderings and (in ``"costs"``
+        mode) fast-forwards inactive stretches and settles drain
+        stretches; ``"dense"`` is the reference mode that simulates
+        every round and every scheme pass in full.  Both produce
+        identical costs, schedules, and traces.
+    start_round:
+        First round to simulate (default 0).  Streaming sessions run a
+        long horizon as a chain of segment engines: each segment covers
+        global rounds ``[start_round, horizon)`` with the predecessor's
+        exported state loaded via :meth:`import_state`.  Round indices
+        stay global, so deadlines, boundary calendars, and ΔLRU
+        timestamps are identical to one uninterrupted run.
+    """
+
+    def __init__(
+        self,
+        instance: Instance,
+        scheme: ReconfigurationScheme,
+        num_resources: int,
+        *,
+        copies: int = 2,
+        speed: int = 1,
+        record: str = "full",
+        engine: str = "sparse",
+        start_round: int = 0,
+        tracer=None,
+        registry=None,
+        profiler=None,
+        reconfig_observer=None,
+    ) -> None:
+        if not instance.spec.batch_mode.is_batched:
+            raise ValueError(
+                "BatchedEngine requires a batched instance; wrap general "
+                "instances with the VarBatch reduction first"
+            )
+        if engine not in ("sparse", "dense"):
+            raise ValueError(
+                f"BatchedEngine runs engine='sparse' or 'dense', not "
+                f"{engine!r}; the vectorized backend is VectorizedEngine"
+            )
+        if record == "full" and isinstance(instance.sequence, CountSequence):
+            raise ValueError(
+                "record='full' names every executed job, but a count "
+                "sequence holds no jobs; use record='costs'"
+            )
+        super().__init__(
+            instance,
+            scheme,
+            num_resources,
+            copies=copies,
+            speed=speed,
+            record=record,
+            sparse=engine == "sparse",
+            start_round=start_round,
+            tracer=tracer,
+            registry=registry,
+            profiler=profiler,
+            reconfig_observer=reconfig_observer,
+        )
+        self.engine_name = engine
+        #: ``{round: {color: count}}``, derived once per sequence.
+        self._arrival_counts = instance.sequence.arrival_counts
+        self.states = {
+            color: ColorState(color, bound)
+            for color, bound in instance.spec.delay_bounds.items()
+        }
+        # Incremental bookkeeping: the eligible colors as a sorted list
+        # (maintained in both modes) and the ΔLRU / EDF orderings,
+        # cached between the events that can change them and only
+        # consulted in sparse mode.
+        self._eligible_sorted: list[int] = []
+        self._rank_cache: list[int] | None = None
+        self._lru_cache: list[int] | None = None
+        self._calendar, self._event_rounds = self._build_calendar(
+            instance.horizon
+        )
+
     def _build_calendar(
         self, horizon: int
     ) -> tuple[dict[int, list[int]], list[int]]:
-        """Per-round lists of colors with a delay-bound multiple.
+        """Per-round lists of colors with a delay-bound multiple, and the
+        calendar's rounds in ascending order.
 
-        Building cost is ``Σ_ℓ (horizon - start) / D_ℓ`` — proportional
-        to the boundary events inside the simulated window, not
-        ``horizon × colors`` (segment engines pay only for their own
-        window).  Each round's list preserves the consistent iteration
-        order of ``self.states`` so sparse traces replay the dense ones
-        exactly.
+        These boundary rounds are the only rounds the Section 3.1
+        protocol drops, arrives, resets deadlines, updates counters or
+        changes eligibility on.  Building cost is ``Σ_ℓ (horizon -
+        start) / D_ℓ`` — proportional to the boundary events inside the
+        simulated window, not ``horizon × colors`` (segment engines pay
+        only for their own window).  Each round's list keeps the order
+        in which the spec declares its colors.
         """
         calendar: dict[int, list[int]] = {}
         for color, st in self.states.items():
@@ -1014,18 +1094,16 @@ class BatchedEngine:
     # --------------------------------------------------------------- phases
 
     def _drop_phase(self, k: int) -> None:
+        colors = self._calendar.get(k)
+        if colors is None:
+            return
+        # dd, timestamps, and eligibility may all change this round.
+        self._touch_orders()
         if k == 0:
             # Round 0 is a multiple of every bound but nothing can be
             # pending yet and eligibility is vacuously false.
             return
-        colors = [c for c, st in self.states.items() if k % st.delay_bound == 0]
-        if colors:
-            self._touch_orders()
-            self._drop_phase_sparse(k, colors)
-
-    def _drop_phase_sparse(self, k: int, colors: list[int]) -> None:
-        trace = self.trace
-        states = self.states
+        trace, states = self.trace, self.states
         for color in colors:
             self._drop_one(k, color, states[color], trace)
 
@@ -1055,12 +1133,9 @@ class BatchedEngine:
                 self.tracer.event("ineligible", k, color=color)
 
     def _arrival_phase(self, k: int) -> None:
-        colors = [c for c, st in self.states.items() if k % st.delay_bound == 0]
-        if colors:
-            self._touch_orders()
-            self._arrival_phase_sparse(k, colors)
-
-    def _arrival_phase_sparse(self, k: int, colors: list[int]) -> None:
+        colors = self._calendar.get(k)
+        if colors is None:
+            return
         trace, states = self.trace, self.states
         counts = self._arrival_counts.get(k)
         if trace is not None and counts:
@@ -1155,7 +1230,7 @@ class BatchedEngine:
             if tracer is not None:
                 tracer.event("execute", k, color=color, count=taken, mini=mini)
 
-    # ----------------------------------------- incremental eligible tracking
+    # ------------------------------------------ incremental eligible tracking
 
     def _touch_orders(self) -> None:
         """Note an ordering-relevant state change (boundary processing)."""
@@ -1163,38 +1238,16 @@ class BatchedEngine:
         self._rank_cache = None
         self._lru_cache = None
 
-    def at_fixed_point(self) -> bool:
-        """True when the scheme already completed a pass at this epoch.
+    def _eligible_add(self, color: int) -> None:
+        insort(self._eligible_sorted, color)
+        if color not in self.cache:
+            self._num_eligible_uncached += 1
 
-        Stationary schemes call this at the top of ``reconfigure`` and
-        return immediately on True: nothing they look at (eligibility,
-        timestamps, deadlines, idleness, cache contents) has changed
-        since their last completed pass, and a completed pass of a
-        stationary scheme is idempotent.  Only honored by the sparse
-        core so dense runs keep the unoptimized baseline behavior.
-
-        For a stationary scheme the sparse core goes one step further:
-        while this would return True it skips the ``reconfigure`` calls
-        altogether and settles the rounds in closed form (untraced
-        ``record="costs"`` runs), counting each skipped call in
-        ``engine.fixed_point_skips`` as if it had returned here.
-        """
-        if self.sparse and self._scheme_pass_epoch == self.order_epoch:
-            if self.tracer is not None:
-                self.tracer.event(
-                    "cache_hit",
-                    self.round_index,
-                    target="fixed_point",
-                    mini=self.mini_round,
-                )
-            if self.obs is not None:
-                self.obs.fixed_point_skips.inc()
-            return True
-        return False
-
-    def mark_fixed_point(self) -> None:
-        """Record that the scheme completed a full pass at this epoch."""
-        self._scheme_pass_epoch = self.order_epoch
+    def _eligible_remove(self, color: int) -> None:
+        # Only ever called from the drop phase, where the color is
+        # uncached by definition (cached colors keep their eligibility).
+        self._eligible_sorted.remove(color)
+        self._num_eligible_uncached -= 1
 
     # ------------------------------------------------- checkpoint/restore
 
@@ -1286,18 +1339,6 @@ class BatchedEngine:
         self._lru_cache = None
         self._probe_state = None
         self._scheme_pass_epoch = None
-        self._state_imported = True
-
-    def _eligible_add(self, color: int) -> None:
-        insort(self._eligible_sorted, color)
-        if color not in self.cache:
-            self._num_eligible_uncached += 1
-
-    def _eligible_remove(self, color: int) -> None:
-        # Only ever called from the drop phase, where the color is
-        # uncached by definition (cached colors keep their eligibility).
-        self._eligible_sorted.remove(color)
-        self._num_eligible_uncached -= 1
 
     # ------------------------------------------------- scheme-facing helpers
 
@@ -1362,65 +1403,6 @@ class BatchedEngine:
         now = self.round_index
         return sorted(pool, key=lambda c: (-self.states[c].timestamp(now), c))
 
-    def cache_insert(self, color: int, *, section: str = "main") -> None:
-        """Bring ``color`` into the cache, recording costs and events."""
-        slot, reconfigured, old_physical = self.cache.insert(color)
-        self._cache_epoch += 1
-        if self._reconfig_observer is not None and reconfigured:
-            self._reconfig_observer(color, reconfigured)
-        st = self.states.get(color)
-        if st is not None and st.eligible:
-            self._num_eligible_uncached -= 1
-        tracer = self.tracer
-        if tracer is not None:
-            if reconfigured:
-                tracer.event(
-                    "reconfig",
-                    self.round_index,
-                    color=color,
-                    resources=len(reconfigured),
-                    mini=self.mini_round,
-                )
-            tracer.event(
-                "cache_in",
-                self.round_index,
-                color=color,
-                section=section,
-                mini=self.mini_round,
-            )
-        if self.obs is not None and reconfigured:
-            self.obs.record_reconfig(self.round_index, len(reconfigured))
-        if self.trace is None:
-            self.cost.record_reconfig(color, len(reconfigured))
-            return
-        for resource in reconfigured:
-            self.schedule.add_reconfiguration(
-                Reconfiguration(self.round_index, self.mini_round, resource, color)
-            )
-            self.trace.append(
-                ReconfigEvent(
-                    self.round_index, self.mini_round, resource, old_physical, color
-                )
-            )
-            self.cost.record_reconfig(color)
-        self.trace.append(
-            CacheInEvent(self.round_index, self.mini_round, color, section)
-        )
-
-    def cache_evict(self, color: int) -> None:
-        """Drop ``color`` from the cache (free of charge; slots persist)."""
-        self.cache.evict(color)
-        self._cache_epoch += 1
-        st = self.states.get(color)
-        if st is not None and st.eligible:
-            self._num_eligible_uncached += 1
-        if self.trace is not None:
-            self.trace.append(CacheOutEvent(self.round_index, self.mini_round, color))
-        if self.tracer is not None:
-            self.tracer.event(
-                "cache_out", self.round_index, color=color, mini=self.mini_round
-            )
-
 
 #: Engine backends accepted by :func:`simulate`'s ``engine`` selector.
 ENGINE_NAMES = ("sparse", "dense", "vectorized")
@@ -1433,9 +1415,7 @@ def simulate(
     *,
     copies: int = 2,
     speed: int = 1,
-    collect_metrics: bool = False,
     record: str = "full",
-    sparse: bool = True,
     engine: str | None = None,
     tracer=None,
     registry=None,
@@ -1444,22 +1424,23 @@ def simulate(
 ) -> RunResult:
     """Build an engine, run it, and return the result.
 
-    ``engine`` selects the backend by name (``"sparse"``, ``"dense"``,
-    or ``"vectorized"``) and takes precedence over the legacy ``sparse``
-    flag; ``"vectorized"`` requires the optional numpy extra
+    ``engine`` selects the backend by name: ``"sparse"`` (the default,
+    also for ``None``), ``"dense"`` (the reference mode), or
+    ``"vectorized"``, which requires the optional numpy extra
     (``repro[vec]``) and raises a clear error without it.
     """
     kwargs = dict(
         copies=copies,
         speed=speed,
-        collect_metrics=collect_metrics,
         record=record,
         tracer=tracer,
         registry=registry,
         profiler=profiler,
         reconfig_observer=reconfig_observer,
     )
-    if engine is not None and engine not in ENGINE_NAMES:
+    if engine is None:
+        engine = "sparse"
+    elif engine not in ENGINE_NAMES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
         )
@@ -1467,8 +1448,6 @@ def simulate(
         from repro.simulation.vectorized import VectorizedEngine
 
         return VectorizedEngine(instance, scheme, num_resources, **kwargs).run()
-    if engine is not None:
-        sparse = engine == "sparse"
     return BatchedEngine(
-        instance, scheme, num_resources, sparse=sparse, **kwargs
+        instance, scheme, num_resources, engine=engine, **kwargs
     ).run()

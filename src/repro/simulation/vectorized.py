@@ -1,18 +1,18 @@
 """Vectorized engine backend: columnar state, event-driven round batches.
 
-Third engine core next to the dense (PR-1 reference) and sparse
-(boundary-calendar) cores in :mod:`repro.simulation.engine`.  The design
+Third engine core next to the sparse and dense modes of the round
+driver in :mod:`repro.simulation.engine`.  The design
 splits the work by batch width, because numpy only pays for itself on
 wide operands (per-call dispatch overhead is ~1µs, which dwarfs the work
 on a handful of colors):
 
 * **Construction** ("compile") reads the sequence's per-boundary
   arrival counts (``arrival_counts``, the same counts the sparse and
-  dense cores read, derived once per sequence) into round-indexed
-  arrival events and per-color batch columns, and builds the merged
-  boundary calendar.  This happens once in ``__init__`` — outside the
-  timed run loop, the same place the other cores build their
-  ``ColorState`` maps.
+  dense modes read, derived once per sequence) into round-indexed
+  arrival events and per-color batch columns; the run loop walks the
+  boundary rounds of the calendar every batched engine builds.  This
+  happens once in ``__init__`` — outside the timed run loop, the same
+  place the other cores build their ``ColorState`` maps.
 * **The run loop** visits only boundary rounds (integral multiples of
   some color's delay bound — the only rounds where drop/arrival/state
   change; see the sparse-core exactness argument).  Between boundaries,
@@ -47,7 +47,7 @@ The fast path replicates the dense core event for event:
   and order therefore decides physical reconfiguration costs).
 
 The fast path is only taken for ``record="costs"`` runs with no
-instrumentation attached (no tracer/metrics/profiler/registry) and one
+instrumentation attached (no tracer/profiler/registry) and one
 of the four paper schemes; anything else — full-record runs, attached
 monitors, token-based randomized schemes — falls back to the faithful
 sparse core, which honors the ``fixed_point_token()``/``reset(seed)``
@@ -103,8 +103,8 @@ class VectorizedEngine(BatchedEngine):
     """Columnar costs-mode engine with a faithful sparse fallback.
 
     Accepts the same arguments as :class:`BatchedEngine` except
-    ``sparse`` (the fallback core is always the sparse one; the dense
-    core is reachable as its own backend).  Results are bit-identical to
+    ``engine`` (the fallback is always the sparse mode; the dense mode
+    is reachable as its own backend).  Results are bit-identical to
     both existing cores: same ``CostBreakdown`` counters, same schedule
     and trace on the fallback path, same obs stream.
     """
@@ -117,7 +117,6 @@ class VectorizedEngine(BatchedEngine):
         *,
         copies: int = 2,
         speed: int = 1,
-        collect_metrics: bool = False,
         record: str = "full",
         start_round: int = 0,
         columnar: bool = True,
@@ -133,9 +132,7 @@ class VectorizedEngine(BatchedEngine):
             num_resources,
             copies=copies,
             speed=speed,
-            collect_metrics=collect_metrics,
             record=record,
-            sparse=True,
             start_round=start_round,
             tracer=tracer,
             registry=registry,
@@ -155,7 +152,6 @@ class VectorizedEngine(BatchedEngine):
             and start_round == 0
             and record == "costs"
             and self.tracer is None
-            and self.metrics is None
             and self.profiler is None
             and self.obs is None
             and type(scheme) in _KERNEL_SCHEMES
@@ -177,10 +173,10 @@ class VectorizedEngine(BatchedEngine):
     # ------------------------------------------------------------ compile
 
     def _compile(self) -> None:
-        """Ingest the instance as columns; build calendars and state."""
+        """Ingest the instance as columns; build the arrival events and
+        per-color state."""
         np = self._np
         instance = self.instance
-        horizon = instance.horizon
         colors = sorted(instance.spec.delay_bounds)
         C = len(colors)
         self._colors = colors
@@ -232,20 +228,13 @@ class VectorizedEngine(BatchedEngine):
             np.asarray(a, dtype=np.int64) for a in sizes_by_color
         ]
 
-        # Merged boundary calendar: one arange per distinct delay bound.
-        self._boundary_rounds = np.unique(
-            np.concatenate(
-                [np.arange(0, horizon, d) for d in set(self._state["delay_bound"].tolist())]
-            )
-        ).tolist()
-
     # ---------------------------------------------------------------- run
 
-    def _run_sparse(self) -> None:
+    def _run_rounds(self) -> None:
         if self._vector_path:
             self._run_vector()
         else:
-            super()._run_sparse()
+            super()._run_rounds()
 
     def _run_vector(self) -> None:
         np = self._np
@@ -335,7 +324,7 @@ class VectorizedEngine(BatchedEngine):
             is_full=cache.is_full,
         )
 
-        boundary_rounds = self._boundary_rounds
+        boundary_rounds = self._event_rounds
         arrival_events = self._arrival_events
         nB = len(boundary_rounds)
         rounds_processed = 0

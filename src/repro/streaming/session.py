@@ -331,7 +331,7 @@ class StreamSession:
             instance,
             self.scheme,
             self.num_resources,
-            sparse=self.engine == "sparse",
+            engine=self.engine,
             **kwargs,
         )
 

@@ -35,6 +35,7 @@ from repro.algorithms.never import AlwaysReconfigurePolicy, NeverReconfigurePoli
 from repro.algorithms.randomized import RandomEvict, RandomizedMarking
 from repro.algorithms.static import StaticPartitionPolicy
 from repro.analysis.credits import CreditScheme
+from repro.core.events import DropEvent
 from repro.core.instance import BatchMode, make_instance
 from repro.core.job import JobFactory
 from repro.algorithms.dlru import DeltaLRU
@@ -114,11 +115,11 @@ class TestTokenSchemeParity:
             for instance in _batched_workloads(seed):
                 dense = simulate(
                     instance, scheme_cls(), 8, speed=speed,
-                    record=record, sparse=False,
+                    record=record, engine="dense",
                 )
                 sparse = simulate(
                     instance, scheme_cls(), 8, speed=speed,
-                    record=record, sparse=True,
+                    record=record, engine="sparse",
                 )
                 _assert_costs_identical(dense.cost, sparse.cost)
                 if record == "full":
@@ -131,7 +132,7 @@ class TestTokenSchemeParity:
         # degrade the sparse core to dense speed.
         sparse = simulate(
             _quiet_tail_instance(), scheme_cls(), 8,
-            record="costs", sparse=True,
+            record="costs", engine="sparse",
         )
         assert sparse.rounds_executed is not None
         assert sparse.active_round_fraction < 0.8
@@ -142,12 +143,12 @@ class TestTokenSchemeParity:
         # executions, ...) must be identical; only the sparse-core
         # markers (fast_forward, cache_hit) and per-round scaffolding
         # (phase markers, round spans) may differ.
-        def run(sparse):
+        def run(engine):
             sink = MemorySink()
             registry = MetricsRegistry()
             simulate(
                 _quiet_tail_instance(), scheme_cls(), 8,
-                record="costs", sparse=sparse,
+                record="costs", engine=engine,
                 tracer=Tracer(sink), registry=registry,
             )
             events = [
@@ -158,8 +159,8 @@ class TestTokenSchemeParity:
             ]
             return events, registry.snapshot()["counters"]
 
-        dense_events, dense_counters = run(sparse=False)
-        sparse_events, sparse_counters = run(sparse=True)
+        dense_events, dense_counters = run("dense")
+        sparse_events, sparse_counters = run("sparse")
         assert dense_events == sparse_events
         for name in ("engine.drops", "engine.reconfigs", "engine.executions"):
             assert dense_counters.get(name, 0) == sparse_counters.get(name, 0)
@@ -267,17 +268,17 @@ class TestSkipSoundness:
         assert RandomEvict().fixed_point_token() is not STATIONARY_TOKEN
         result = simulate(
             _quiet_tail_instance(), _TokenlessScheme(), 8,
-            record="costs", sparse=True,
+            record="costs", engine="sparse",
         )
         assert result.active_round_fraction == 1.0
 
     def test_hostile_constant_token_never_skipped(self):
         instance = _quiet_tail_instance(horizon=256)
         sparse = simulate(
-            instance, _HostileScheme(), 8, record="costs", sparse=True
+            instance, _HostileScheme(), 8, record="costs", engine="sparse"
         )
         dense = simulate(
-            instance, _HostileScheme(), 8, record="costs", sparse=False
+            instance, _HostileScheme(), 8, record="costs", engine="dense"
         )
         # The evict/insert churn bumps the cache epoch every round even
         # though the physical slot keeps its color (same-color reinsert
@@ -338,10 +339,10 @@ class TestHorizonEdge:
         sink = MemorySink()
         sparse = simulate(
             instance, _InertScheme(), 4, record="costs",
-            sparse=True, tracer=Tracer(sink),
+            engine="sparse", tracer=Tracer(sink),
         )
         dense = simulate(
-            instance, _InertScheme(), 4, record="costs", sparse=False
+            instance, _InertScheme(), 4, record="costs", engine="dense"
         )
         _assert_costs_identical(dense.cost, sparse.cost)
         assert sparse.cost.num_drops == 20
@@ -364,7 +365,7 @@ class TestHorizonEdge:
         sink = MemorySink()
         result = simulate(
             instance, _InertScheme(), 4, record="costs",
-            sparse=True, tracer=Tracer(sink),
+            engine="sparse", tracer=Tracer(sink),
         )
         assert result.rounds_executed < instance.horizon
         forwards = [r for r in sink.records if r.name == "fast_forward"]
@@ -435,6 +436,47 @@ class TestGeneralEngineParity:
             _assert_costs_identical(dense.cost, sparse.cost)
             if record == "full":
                 assert list(dense.trace) == list(sparse.trace)
+
+    @pytest.mark.parametrize("record", ["costs", "full"])
+    @pytest.mark.parametrize(
+        "bounds, arrivals, drop_round",
+        [
+            # The spec declares color 3 before color 1; both drop at 4.
+            ({3: 4, 1: 4}, {3: 0, 1: 0}, 4),
+            # Color 5 arrives first; color 2 arrives later with a
+            # shorter bound, and both drop at 8.
+            ({5: 8, 2: 4}, {5: 0, 2: 4}, 8),
+        ],
+        ids=["same-bound", "mixed-bounds"],
+    )
+    def test_drop_order_is_ascending_in_both_modes(
+        self, record, bounds, arrivals, drop_round
+    ):
+        factory = JobFactory()
+        jobs = []
+        for color, bound in bounds.items():
+            jobs += factory.batch(arrivals[color], color, bound, 2)
+        instance = make_instance(jobs, bounds, 2)
+        expected = [(drop_round, c) for c in sorted(bounds)]
+        for sparse in (True, False):
+            sink = MemorySink()
+            result = simulate_general(
+                instance, NeverReconfigurePolicy(), 2, record=record,
+                sparse=sparse, tracer=Tracer(sink),
+            )
+            drops = [
+                (r.round_index, r.data["color"])
+                for r in sink.records
+                if r.name == "drop"
+            ]
+            assert drops == expected
+            assert list(result.cost.drops_by_color) == sorted(bounds)
+            if record == "full":
+                assert [
+                    (e.round_index, e.color)
+                    for e in result.trace
+                    if isinstance(e, DropEvent)
+                ] == expected
 
     def test_general_sparse_actually_skips(self):
         instance = random_general(

@@ -5,7 +5,14 @@ import pytest
 from repro.algorithms.greedy import GreedyPendingPolicy
 from repro.algorithms.never import AlwaysReconfigurePolicy, NeverReconfigurePolicy
 from repro.algorithms.static import StaticPartitionPolicy
-from repro.core.instance import make_instance
+from repro.core.cost import CostModel
+from repro.core.instance import (
+    BatchMode,
+    CountSequence,
+    Instance,
+    ProblemSpec,
+    make_instance,
+)
 from repro.core.job import JobFactory
 from repro.simulation.general import GeneralEngine, simulate_general
 
@@ -113,6 +120,21 @@ class TestDegeneratePolicies:
     def test_greedy_hysteresis_validation(self):
         with pytest.raises(ValueError):
             GreedyPendingPolicy(hysteresis=-1)
+
+
+class TestCountSequenceRefused:
+    @pytest.mark.parametrize("record", ["full", "costs"])
+    def test_construction_names_the_problem(self, record):
+        spec = ProblemSpec({0: 4, 1: 8}, CostModel(2), BatchMode.RATE_LIMITED)
+        instance = Instance(spec, CountSequence({0: {0: 4, 1: 2}}, 12))
+        with pytest.raises(ValueError, match="needs job objects"):
+            GeneralEngine(
+                instance, GreedyPendingPolicy(), 4, copies=2, record=record
+            )
+        with pytest.raises(ValueError, match="needs job objects"):
+            simulate_general(
+                instance, GreedyPendingPolicy(), 4, copies=2, record=record
+            )
 
 
 class TestGeneralEngineHelpers:

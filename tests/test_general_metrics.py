@@ -1,7 +1,4 @@
-"""Metrics collection on the general engine, and engine parity checks."""
-
-import numpy as np
-import pytest
+"""Engine parity checks: the batched and general engines on one instance."""
 
 from repro.algorithms.greedy import GreedyPendingPolicy
 from repro.core.instance import BatchMode, make_instance
@@ -9,18 +6,6 @@ from repro.core.job import JobFactory
 from repro.simulation.engine import simulate
 from repro.simulation.general import simulate_general
 from repro.workloads.random_batched import random_rate_limited
-
-
-def test_general_engine_metrics_series():
-    inst = random_rate_limited(4, 2, 32, seed=2, bound_choices=(2, 4))
-    result = simulate_general(
-        inst, GreedyPendingPolicy(), 8, copies=2, collect_metrics=True
-    )
-    snap = result.metrics.snapshot()
-    assert int(snap.executions.sum()) == result.cost.executions
-    assert int(snap.drops.sum()) == result.cost.num_drops
-    assert int(snap.reconfigs.sum()) == result.cost.num_reconfigs
-    assert np.all(snap.occupancy <= 4)  # 8 resources / 2 copies
 
 
 def test_engines_agree_on_conservation():
@@ -56,12 +41,3 @@ def test_general_engine_respects_batched_deadlines():
         if type(event).__name__ == "DropEvent":
             drops_by_round[event.round_index] = event.count
     assert drops_by_round == {4: 3, 8: 3}
-
-
-def test_metrics_utilization_on_general_engine():
-    inst = random_rate_limited(4, 2, 32, seed=7, bound_choices=(2, 4))
-    result = simulate_general(
-        inst, GreedyPendingPolicy(), 4, collect_metrics=True
-    )
-    util = result.metrics.snapshot().utilization(4)
-    assert float(util.max(initial=0.0)) <= 1.0

@@ -527,23 +527,23 @@ def _cost_fingerprint(result):
 @given(
     seed=st.integers(0, 2**31),
     scheme=st.sampled_from([DeltaLRU, EDF, DeltaLRUEDF]),
-    sparse=st.booleans(),
+    engine=st.sampled_from(["sparse", "dense"]),
     speed=st.sampled_from([1, 2]),
 )
-def test_tracing_is_observational_batched(tmp_path, seed, scheme, sparse, speed):
+def test_tracing_is_observational_batched(tmp_path, seed, scheme, engine, speed):
     """JSONL-sink and null-sink runs produce bit-identical costs."""
     instance = random_rate_limited(
         4, 2, 48, seed=seed, load=0.8, bound_choices=(2, 4, 8)
     )
     untraced = simulate(
-        instance, scheme(), 8, speed=speed, sparse=sparse, record="costs"
+        instance, scheme(), 8, speed=speed, engine=engine, record="costs"
     )
     nulled = simulate(
         instance,
         scheme(),
         8,
         speed=speed,
-        sparse=sparse,
+        engine=engine,
         record="costs",
         tracer=Tracer(NullSink()),
     )
@@ -555,7 +555,7 @@ def test_tracing_is_observational_batched(tmp_path, seed, scheme, sparse, speed)
             scheme(),
             8,
             speed=speed,
-            sparse=sparse,
+            engine=engine,
             record="costs",
             tracer=Tracer(sink),
             registry=registry,

@@ -28,6 +28,7 @@ import pytest
 
 from repro.algorithms.dlru import DeltaLRU
 from repro.algorithms.dlru_edf import DeltaLRUEDF
+from repro.algorithms.greedy import GreedyPendingPolicy
 from repro.analysis.adversary_search import SearchConfig, search_adversary
 from repro.experiments.sweeps import run_matrix
 from repro.obs import (
@@ -54,6 +55,7 @@ from repro.obs.sampling import MONITOR_EVENT_NAMES
 from repro.offline.optimal import optimal_offline
 from repro.runtime import ParallelRunner
 from repro.simulation.engine import simulate
+from repro.simulation.general import simulate_general
 from repro.workloads.random_batched import random_batched, random_general
 
 
@@ -456,6 +458,43 @@ class TestSamplingTracer:
             ),
         )
         assert plain.cost.total == sampled.cost.total
+
+    def test_general_engine_bit_identical_and_keeps_keep_set(self):
+        instance = random_general(
+            6, 3, 256, seed=4, rate=0.1, bound_choices=(4, 8, 16)
+        )
+
+        def run(tracer=None):
+            registry = MetricsRegistry()
+            result = simulate_general(
+                instance, GreedyPendingPolicy(), 4, record="costs",
+                tracer=tracer, registry=registry,
+            )
+            return result, registry.snapshot()
+
+        plain, plain_snapshot = run()
+        full_sink = MemorySink(capacity=None)
+        full, _ = run(Tracer(full_sink))
+        sampled_sink = MemorySink(capacity=None)
+        tracer = SamplingTracer(
+            sampled_sink,
+            controller=SamplingController(probability=0.25, seed=7),
+        )
+        sampled, sampled_snapshot = run(tracer)
+        assert plain.cost == full.cost == sampled.cost
+        assert plain.rounds_executed == sampled.rounds_executed
+        assert plain_snapshot == sampled_snapshot
+        # Every keep-set event survives, in order and with its payload.
+        keep = lambda sink: [
+            (r.name, r.round_index, sorted(r.data.items()))
+            for r in sink
+            if r.kind == "event" and r.name in MONITOR_EVENT_NAMES
+        ]
+        assert keep(sampled_sink) == keep(full_sink)
+        assert 0 < len(list(sampled_sink)) < len(list(full_sink))
+        # The engine shed sampled-out rounds before building records.
+        stats = tracer.controller.stats()
+        assert stats["rounds_kept"] < stats["rounds_seen"]
 
     def test_adaptive_run_is_observational(self):
         instance = _instance(seed=9, horizon=256, colors=6)

@@ -89,9 +89,9 @@ def _monitored_run(instance, scheme, resources, monitors, **kwargs):
 @given(
     seed=st.integers(0, 2**31),
     scheme=st.sampled_from([DeltaLRU, EDF, DeltaLRUEDF]),
-    sparse=st.booleans(),
+    engine=st.sampled_from(["sparse", "dense"]),
 )
-def test_monitor_verdicts_match_offline_auditors(seed, scheme, sparse):
+def test_monitor_verdicts_match_offline_auditors(seed, scheme, engine):
     """Epoch/credit/containment monitors == the offline auditors."""
     instance = random_rate_limited(
         4, 2, 48, seed=seed, load=0.8, bound_choices=(2, 4, 8)
@@ -105,7 +105,7 @@ def test_monitor_verdicts_match_offline_auditors(seed, scheme, sparse):
         8,
         [epoch, credit, containment],
         record="full",
-        sparse=sparse,
+        engine=engine,
     )
     assert epoch.ok and credit.ok and containment.ok
 
@@ -161,15 +161,15 @@ def test_credit_scheme_balances_stay_nonnegative():
 )
 @given(
     seed=st.integers(0, 2**31),
-    sparse=st.booleans(),
+    engine=st.sampled_from(["sparse", "dense"]),
     speed=st.sampled_from([1, 2]),
 )
-def test_monitors_are_observational_batched(seed, sparse, speed):
+def test_monitors_are_observational_batched(seed, engine, speed):
     instance = random_rate_limited(
         4, 2, 48, seed=seed, load=0.8, bound_choices=(2, 4, 8)
     )
     baseline = simulate(
-        instance, DeltaLRUEDF(), 8, speed=speed, sparse=sparse, record="costs"
+        instance, DeltaLRUEDF(), 8, speed=speed, engine=engine, record="costs"
     )
     registry = MetricsRegistry()
     monitors = standard_monitors(instance, registry=registry)
@@ -179,7 +179,7 @@ def test_monitors_are_observational_batched(seed, sparse, speed):
         8,
         monitors,
         speed=speed,
-        sparse=sparse,
+        engine=engine,
         record="costs",
         registry=registry,
     )

@@ -37,7 +37,6 @@ from repro.runtime import (
 )
 from repro.simulation.engine import simulate
 from repro.simulation.general import simulate_general
-from repro.simulation.metrics import MetricsCollector
 from repro.workloads.random_batched import random_general, random_rate_limited
 
 
@@ -250,14 +249,6 @@ class TestTelemetry:
         ]
         assert {r["key"]["engine"] for r in regs} == {"vectorized"}
         assert {r["key"]["horizon"] for r in regs} == {256, 512}
-
-    def test_metrics_wall_clock(self):
-        collector = MetricsCollector(100)
-        assert collector.rounds_per_second == 0.0
-        collector.record_wall_clock(0.5, 100)
-        assert collector.rounds_per_second == pytest.approx(200.0)
-        with pytest.raises(ValueError):
-            collector.record_wall_clock(-1.0, 100)
 
 
 # ----------------------------------------------------- fast-path parity

@@ -14,8 +14,12 @@ from repro.algorithms.dlru import DeltaLRU
 from repro.algorithms.dlru_edf import DeltaLRUEDF
 from repro.algorithms.edf import EDF
 from repro.algorithms.seq_edf import SeqEDF
+from repro.algorithms.greedy import GreedyPendingPolicy
+from repro.core.instance import BatchMode, make_instance
+from repro.core.job import JobFactory
 from repro.offline.optimal import optimal_offline, optimal_offline_exhaustive
-from repro.simulation.engine import simulate
+from repro.simulation.engine import BatchedEngine, simulate
+from repro.simulation.general import GeneralEngine
 from repro.simulation.vectorized import numpy_available
 from repro.workloads.random_batched import (
     random_batched,
@@ -49,7 +53,7 @@ def _run_pair(instance, scheme_cls, *, speed, record):
         copies=copies,
         speed=speed,
         record=record,
-        sparse=False,
+        engine="dense",
     )
     sparse = simulate(
         instance,
@@ -58,7 +62,7 @@ def _run_pair(instance, scheme_cls, *, speed, record):
         copies=copies,
         speed=speed,
         record=record,
-        sparse=True,
+        engine="sparse",
     )
     return dense, sparse
 
@@ -111,9 +115,75 @@ class TestDenseSparseParity:
             16, 3, 512, seed=7, load=0.15, bound_choices=(64, 128)
         )
         result = simulate(
-            instance, DeltaLRUEDF(), 4, record="full", sparse=True
+            instance, DeltaLRUEDF(), 4, record="full", engine="sparse"
         )
         assert result.active_round_fraction == 1.0
+
+
+def _unordered_spec_instance():
+    """A batched instance whose spec declares colors out of order."""
+    factory = JobFactory()
+    bounds = {3: 4, 1: 4, 2: 8, 0: 2}
+    jobs = []
+    for k in range(0, 64, 2):
+        for color, bound in bounds.items():
+            if k % bound == 0 and (k + color) % 3:
+                jobs += factory.batch(k, color, bound, 1 + (k + color) % 2)
+    return make_instance(
+        jobs, bounds, 2, batch_mode=BatchMode.BATCHED, horizon=72
+    )
+
+
+class TestCalendars:
+    """Both modes read the calendars, so pin them against a scan."""
+
+    @pytest.mark.parametrize("start_round", [0, 1, 13, 40, 72])
+    def test_boundary_calendar_matches_scan(self, start_round):
+        instances = [_unordered_spec_instance()] + [
+            random_rate_limited(
+                6, 3, 96, seed=seed, load=0.7, bound_choices=(2, 4, 8)
+            )
+            for seed in (0, 1)
+        ]
+        for instance in instances:
+            if start_round > instance.horizon:
+                continue
+            engine = BatchedEngine(
+                instance, DeltaLRU(), 4, record="costs",
+                start_round=start_round,
+            )
+            bounds = instance.spec.delay_bounds
+            expected = {}
+            for k in range(start_round, instance.horizon):
+                # Spec declaration order, as the dense scan visited them.
+                colors = [c for c, d in bounds.items() if k % d == 0]
+                if colors:
+                    expected[k] = colors
+            assert engine._calendar == expected
+            assert engine._event_rounds == sorted(expected)
+
+    def test_deadline_calendar_matches_scan(self):
+        instances = [
+            random_general(
+                6, 4, 192, seed=seed, rate=0.1, bound_choices=(4, 8, 16)
+            )
+            for seed in (0, 1)
+        ]
+        factory = JobFactory()
+        jobs = factory.batch(0, 3, 4, 2) + factory.batch(0, 1, 4, 2)
+        jobs += factory.batch(2, 2, 8, 1) + factory.batch(9, 1, 4, 1)
+        instances.append(make_instance(jobs, {3: 4, 1: 4, 2: 8}, 2))
+        for instance in instances:
+            engine = GeneralEngine(instance, GreedyPendingPolicy(), 4)
+            jobs = list(instance.sequence)
+            expected = {}
+            for k in range(instance.horizon):
+                colors = sorted({j.color for j in jobs if j.deadline == k})
+                if colors:
+                    expected[k] = colors
+            assert engine._calendar == expected
+            arrivals = sorted({j.arrival for j in jobs})
+            assert list(engine._event_rounds) == arrivals
 
 
 @pytest.mark.skipif(

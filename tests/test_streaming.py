@@ -578,7 +578,7 @@ class TestRunResultZeroRounds:
             instance,
             DeltaLRU(),
             8,
-            sparse=True,
+            engine="sparse",
             start_round=instance.horizon,
         )
         result = engine.run()

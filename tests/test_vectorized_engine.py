@@ -33,7 +33,7 @@ from repro.algorithms.dlru_edf import DeltaLRUEDF
 from repro.core.instance import BatchMode, make_instance
 from repro.core.job import JobFactory
 from repro.obs import MemorySink, MetricsRegistry, Tracer, diff_traces
-from repro.simulation.engine import ENGINE_NAMES, simulate
+from repro.simulation.engine import ENGINE_NAMES, BatchedEngine, simulate
 from repro.simulation.vectorized import VectorizedEngine, numpy_available
 
 requires_numpy = pytest.mark.skipif(
@@ -102,6 +102,10 @@ class TestEngineSelection:
     def test_unknown_engine_is_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             simulate(_tiny_instance(), DeltaLRUEDF(), 4, engine="warp")
+        # BatchedEngine runs the driver's two modes; vectorized is its
+        # own class.
+        with pytest.raises(ValueError, match="VectorizedEngine"):
+            BatchedEngine(_tiny_instance(), DeltaLRUEDF(), 4, engine="vectorized")
 
     @requires_numpy
     def test_engine_name_is_surfaced(self):
