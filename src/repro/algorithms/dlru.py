@@ -35,14 +35,14 @@ class DeltaLRU(ReconfigurationScheme):
     def reconfigure(self, engine: BatchedEngine) -> None:
         if engine.at_fixed_point():
             return
-        capacity = engine.cache.capacity
-        desired = set(engine.lru_order()[:capacity])
-        cached = engine.cache.cached_colors()
+        cache = engine.cache
+        top = engine.lru_order()[: cache.capacity]
+        desired = set(top)
         # Maintain the invariant as a set difference: evict anything that
         # fell out of the top-capacity timestamp order, then admit the rest.
-        for color in sorted(cached - desired):
+        for color in sorted(cache.cached_colors() - desired):
             engine.cache_evict(color)
-        for color in engine.lru_order():
-            if color in desired and color not in engine.cache:
+        for color in top:
+            if color not in cache:
                 engine.cache_insert(color, section="lru")
         engine.mark_fixed_point()

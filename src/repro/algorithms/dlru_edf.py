@@ -20,6 +20,7 @@ resources (empirically reproduced in ``EXP-T1``).
 from __future__ import annotations
 
 from repro.simulation.engine import BatchedEngine, ReconfigurationScheme
+from repro.simulation.resources import CachePool
 
 
 class DeltaLRUEDF(ReconfigurationScheme):
@@ -49,20 +50,22 @@ class DeltaLRUEDF(ReconfigurationScheme):
         lru_capacity = int(capacity * self.lru_fraction)
         edf_capacity = capacity - lru_capacity
 
+        cache = engine.cache
         # Step 1: the ΔLRU component. The LRU set is the lru_capacity
         # eligible colors with the most recent timestamps; they must all be
         # cached.
-        lru_set = set(engine.lru_order()[:lru_capacity])
+        lru_top = engine.lru_order()[:lru_capacity]
+        lru_set = set(lru_top)
         # Rank eligible non-LRU colors the EDF way; this ranking also
         # supplies eviction victims (cached colors are always eligible).
         non_lru_ranking = [
             c for c in engine.rank_eligible() if c not in lru_set
         ]
-        for color in engine.lru_order()[:lru_capacity]:
-            if color in engine.cache:
+        for color in lru_top:
+            if color in cache:
                 continue
-            if engine.cache.is_full():
-                victim = self._lowest_ranked_cached(engine, non_lru_ranking)
+            if cache.is_full():
+                victim = self._lowest_ranked_cached(cache, non_lru_ranking)
                 engine.cache_evict(victim)
             engine.cache_insert(color, section="lru")
 
@@ -72,23 +75,22 @@ class DeltaLRUEDF(ReconfigurationScheme):
         admit = [
             color
             for color in non_lru_ranking[:edf_capacity]
-            if not engine.state(color).idle and color not in engine.cache
+            if not engine.state(color).idle and color not in cache
         ]
         for color in admit:
-            if engine.cache.is_full():
-                victim = self._lowest_ranked_cached(engine, non_lru_ranking)
+            if cache.is_full():
+                victim = self._lowest_ranked_cached(cache, non_lru_ranking)
                 engine.cache_evict(victim)
             engine.cache_insert(color, section="edf")
         engine.mark_fixed_point()
 
     @staticmethod
     def _lowest_ranked_cached(
-        engine: BatchedEngine, non_lru_ranking: list[int]
+        cache: CachePool, non_lru_ranking: list[int]
     ) -> int:
         """The cached non-LRU color with the lowest EDF rank."""
-        cached = engine.cache.cached_colors()
         for color in reversed(non_lru_ranking):
-            if color in cached:
+            if color in cache:
                 return color
         raise RuntimeError(
             "cache full of LRU colors; capacity split leaves no EDF room"

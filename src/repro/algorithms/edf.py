@@ -15,6 +15,7 @@ thrashing.
 from __future__ import annotations
 
 from repro.simulation.engine import BatchedEngine, ReconfigurationScheme
+from repro.simulation.resources import CachePool
 
 
 class EDF(ReconfigurationScheme):
@@ -41,15 +42,14 @@ class EDF(ReconfigurationScheme):
             if state.idle or color in engine.cache:
                 continue
             if engine.cache.is_full():
-                victim = self._lowest_ranked_cached(engine, ranking)
+                victim = self._lowest_ranked_cached(engine.cache, ranking)
                 engine.cache_evict(victim)
             engine.cache_insert(color, section="edf")
         engine.mark_fixed_point()
 
     @staticmethod
-    def _lowest_ranked_cached(engine: BatchedEngine, ranking: list[int]) -> int:
-        cached = engine.cache.cached_colors()
+    def _lowest_ranked_cached(cache: CachePool, ranking: list[int]) -> int:
         for color in reversed(ranking):
-            if color in cached:
+            if color in cache:
                 return color
         raise RuntimeError("cache full but no cached color found in the ranking")

@@ -142,6 +142,8 @@ class RequestSequence:
             for arrival, group in groupby(self._jobs, key=_ARRIVAL)
         }
         self._counts: dict[int, dict[int, int]] | None = None
+        self._rounds: tuple[int, ...] | None = None
+        self._deadlines: dict[int, list[int]] | None = None
         last_deadline = max((job.deadline for job in self._jobs), default=0)
         # The drop phase of round `last_deadline` is the final event that can
         # touch a job, so the minimal safe horizon is last_deadline + 1.
@@ -194,8 +196,10 @@ class RequestSequence:
         return self._by_round.get(round_index, ())
 
     def arrival_rounds(self) -> tuple[int, ...]:
-        """Rounds with at least one arrival, ascending."""
-        return tuple(sorted(self._by_round))
+        """Rounds with at least one arrival, ascending (derived once)."""
+        if self._rounds is None:
+            self._rounds = tuple(sorted(self._by_round))
+        return self._rounds
 
     @property
     def arrival_counts(self) -> dict[int, dict[int, int]]:
@@ -211,6 +215,32 @@ class RequestSequence:
                 for arrival, jobs in self._by_round.items()
             }
         return self._counts
+
+    @property
+    def deadline_calendar(self) -> dict[int, list[int]]:
+        """``{round: [colors]}``: the colors with a job deadline in that
+        round, each list ascending, over the deadlines before the horizon
+        (no round of a run reaches the others).
+
+        Derived on first use and kept, like :attr:`arrival_counts`, so
+        every general-engine run over one instance shares one
+        derivation.  Callers must not mutate the result.
+        """
+        if self._deadlines is None:
+            calendar: dict[int, list[int]] = {}
+            horizon = self._horizon
+            for job in self._jobs:
+                if job.deadline >= horizon:
+                    continue
+                bucket = calendar.get(job.deadline)
+                if bucket is None:
+                    calendar[job.deadline] = [job.color]
+                elif job.color not in bucket:
+                    bucket.append(job.color)
+            for bucket in calendar.values():
+                bucket.sort()
+            self._deadlines = calendar
+        return self._deadlines
 
     @property
     def colors(self) -> tuple[int, ...]:

@@ -49,10 +49,11 @@ delay-bound multiple, built once per engine — lets the drop and arrival
 phases touch only those colors, in both modes.  The default
 ``engine="sparse"`` mode adds:
 
-* **Incremental orderings** — the ΔLRU / EDF orderings are cached
-  between the events that can change them (boundaries, and pending
-  queues draining empty) instead of being re-sorted from scratch every
-  mini-round.
+* **Incremental orderings** — the ΔLRU / EDF orderings are sorted on
+  per-color keys the phases store where they change them (a color's
+  own boundaries, and its queue draining empty), and cached between
+  the events that can change them instead of being re-derived from
+  scratch every mini-round.
 * **Round skipping** — in ``record="costs"`` mode, whole inactive
   stretches (no pending jobs anywhere, no boundary, no
   eligible-but-uncached color) are fast-forwarded in O(1): every phase
@@ -73,7 +74,9 @@ phases touch only those colors, in both modes.  The default
 
 ``engine="dense"`` is the reference mode: the same driver with
 fast-forward, drain settling, the order caches and fixed-point skipping
-turned off, so every round and every scheme pass runs in full.  The two
+turned off, so every round and every scheme pass runs in full, and
+both orderings are sorted from scratch off :class:`ColorState` (the
+parity tests thereby check the stored keys).  The two
 modes are cost- and trace-exact against each other (property-tested),
 and dense remains the before/after benchmark baseline.
 
@@ -997,11 +1000,15 @@ class BatchedEngine(RoundDriver):
             color: ColorState(color, bound)
             for color, bound in instance.spec.delay_bounds.items()
         }
-        # Incremental bookkeeping: the eligible colors as a sorted list
-        # (maintained in both modes) and the ΔLRU / EDF orderings,
-        # cached between the events that can change them and only
-        # consulted in sparse mode.
+        # Incremental bookkeeping, maintained in both modes: the eligible
+        # colors as a sorted list, and each eligible color's EDF key
+        # ``(idle, dd, D, color)`` and ΔLRU key ``(-timestamp, color)``,
+        # stored where the phases change them.  The two orderings are
+        # sorted on the stored keys and cached between the events that
+        # can change them; only sparse mode reads either.
         self._eligible_sorted: list[int] = []
+        self._edf_keys: dict[int, tuple] = {}
+        self._lru_keys: dict[int, tuple] = {}
         self._rank_cache: list[int] | None = None
         self._lru_cache: list[int] | None = None
         self._calendar, self._event_rounds = self._build_calendar(
@@ -1084,6 +1091,7 @@ class BatchedEngine(RoundDriver):
             if n == pending:
                 self.order_epoch += 1
                 self._rank_cache = None
+                self._edf_keys[st.color] = (True, st.dd, st.delay_bound, st.color)
             self.cost.record_execution(st.color, n)
         if obs is not None:
             obs._queue_samples.append(self._total_pending)
@@ -1182,6 +1190,12 @@ class BatchedEngine(RoundDriver):
         if count:
             st.add_batch(k, count)
             self._total_pending += count
+        if st.eligible:
+            # dd and the timestamp move only at the color's own
+            # boundaries, so its keys are rewritten here (and the EDF key
+            # again when its queue runs empty).
+            self._edf_keys[color] = (not st.pending, st.dd, st.delay_bound, color)
+            self._lru_keys[color] = (-st.timestamp(k), color)
         if trace is not None or tracer is not None:
             # Timestamp updates drive the super-epoch machinery (§3.4);
             # mirror them onto the bus so live monitors can close
@@ -1214,6 +1228,7 @@ class BatchedEngine(RoundDriver):
                 # leading sort key); recency is unaffected.
                 self.order_epoch += 1
                 self._rank_cache = None
+                self._edf_keys[color] = (True, st.dd, st.delay_bound, color)
             self.cost.record_execution(color, taken)
             if obs is not None:
                 obs.record_execution(color, k - st.arrival, taken)
@@ -1335,6 +1350,11 @@ class BatchedEngine(RoundDriver):
         self._num_eligible_uncached = sum(
             1 for c in self._eligible_sorted if c not in self.cache
         )
+        self._edf_keys = {c: self._rank_key(c) for c in self._eligible_sorted}
+        self._lru_keys = {
+            c: (-self.states[c].timestamp(self.start_round), c)
+            for c in self._eligible_sorted
+        }
         self._rank_cache = None
         self._lru_cache = None
         self._probe_state = None
@@ -1360,15 +1380,17 @@ class BatchedEngine(RoundDriver):
 
         Nonidle colors come first; then ascending deadline, breaking ties
         by increasing delay bound, then the consistent order of colors.
-        Calls over the full eligible pool are cached between the events
-        that can reorder them (phase boundaries, idle flips).
+        In sparse mode, calls over the full eligible pool sort on the
+        stored keys and are cached between the events that can reorder
+        them (phase boundaries, idle flips); dense mode and explicit
+        pools sort from scratch.
         """
         if colors is None and self.sparse:
             if self._rank_cache is None:
                 if self.obs is not None:
                     self.obs._order_misses += 1
                 self._rank_cache = sorted(
-                    self._eligible_sorted, key=self._rank_key
+                    self._eligible_sorted, key=self._edf_keys.__getitem__
                 )
             elif self.obs is not None:
                 self.obs._order_hits += 1
@@ -1384,17 +1406,17 @@ class BatchedEngine(RoundDriver):
         """Eligible colors by timestamp recency (most recent first).
 
         Ties broken by the consistent order of colors for determinism.
-        Full-pool calls are cached between phase boundaries (timestamps
-        only move at delay-bound multiples).
+        In sparse mode, full-pool calls sort on the stored keys and are
+        cached between phase boundaries (timestamps only move at
+        delay-bound multiples); dense mode and explicit pools sort from
+        scratch.
         """
         if colors is None and self.sparse:
             if self._lru_cache is None:
                 if self.obs is not None:
                     self.obs._order_misses += 1
-                now = self.round_index
                 self._lru_cache = sorted(
-                    self._eligible_sorted,
-                    key=lambda c: (-self.states[c].timestamp(now), c),
+                    self._eligible_sorted, key=self._lru_keys.__getitem__
                 )
             elif self.obs is not None:
                 self.obs._order_hits += 1

@@ -23,7 +23,9 @@ skips ``Trace`` and ``Schedule`` construction, the ``tracer`` /
 same way, and the engine supplies only its own phases:
 
 * **Deadline calendar** — a per-round list of the colors with a job
-  deadline that round, in ascending color order, so the drop phase
+  deadline that round, in ascending color order, derived once per
+  sequence (:attr:`~repro.core.instance.RequestSequence.deadline_calendar`),
+  so the drop phase
   touches only the colors that can actually drop (within a color,
   arrivals are FIFO and share one delay bound, so the queue front is
   always the earliest deadline).
@@ -142,32 +144,13 @@ class GeneralEngine(RoundDriver):
         self.pending: dict[int, deque[Job]] = {
             color: deque() for color in instance.spec.delay_bounds
         }
-        self._calendar = self._build_calendar(instance.horizon)
-        # An idle stretch (nothing pending) lasts until the next arrival.
+        # Both derived once per sequence.  A round absent from the
+        # deadline calendar can never drop anything (within a color,
+        # FIFO order is deadline order, so the queue front bounds every
+        # deadline behind it); an idle stretch (nothing pending) lasts
+        # until the next arrival.
+        self._calendar = instance.sequence.deadline_calendar
         self._event_rounds = instance.sequence.arrival_rounds()
-
-    def _build_calendar(self, horizon: int) -> dict[int, list[int]]:
-        """Per-round lists of colors with a job deadline that round,
-        each in ascending color order.
-
-        Building cost is O(num_jobs); a round absent from the calendar
-        can never drop anything (within a color, FIFO order is deadline
-        order, so the queue front bounds every deadline behind it).
-        Deadlines at or past ``horizon`` are excluded — no round of the
-        run reaches them.
-        """
-        calendar: dict[int, list[int]] = {}
-        for job in self.instance.sequence:
-            if job.deadline >= horizon:
-                continue
-            bucket = calendar.get(job.deadline)
-            if bucket is None:
-                calendar[job.deadline] = [job.color]
-            elif job.color not in bucket:
-                bucket.append(job.color)
-        for bucket in calendar.values():
-            bucket.sort()
-        return calendar
 
     # --------------------------------------------------------------- phases
 

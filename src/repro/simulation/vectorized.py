@@ -318,6 +318,7 @@ class VectorizedEngine(BatchedEngine):
             cached=cached,
             cached_set=cached_set,
             eligible_sorted=eligible_sorted,
+            lru=None,
             capacity=capacity,
             insert=insert,
             evict=evict,
@@ -387,6 +388,7 @@ class VectorizedEngine(BatchedEngine):
 
             next_k = boundary_rounds[bi + 1] if bi + 1 < nB else horizon
             minis = (next_k - k) * speed
+            ctx.lru = None  # eligibility or timestamps may have moved
             t = 0
             while t < minis:
                 if num_elig_uncached:
@@ -496,14 +498,27 @@ class VectorizedEngine(BatchedEngine):
         return out
 
     @classmethod
+    def _lru_order(cls, ctx: "_KernelContext", now: int) -> list[int]:
+        """Eligible colors by ΔLRU recency, derived once per span.
+
+        Eligibility and timestamps only move at boundary rounds, so the
+        kernel calls after drain events inside one span reuse the order
+        (the run loop clears ``ctx.lru`` at each boundary round).
+        """
+        order = ctx.lru
+        if order is None:
+            ts = cls._timestamps(ctx, now)
+            order = ctx.lru = [
+                i
+                for _, i in sorted(
+                    (-t, i) for t, i in zip(ts, ctx.eligible_sorted)
+                )
+            ]
+        return order
+
+    @classmethod
     def _kernel_dlru(cls, ctx: "_KernelContext", now: int) -> None:
-        ts = cls._timestamps(ctx, now)
-        lru_order = [
-            i
-            for _, i in sorted(
-                (-t, i) for t, i in zip(ts, ctx.eligible_sorted)
-            )
-        ]
+        lru_order = cls._lru_order(ctx, now)
         desired = set(lru_order[: ctx.capacity])
         for i in sorted(ctx.cached_set - desired):
             ctx.evict(i)
@@ -541,13 +556,7 @@ class VectorizedEngine(BatchedEngine):
         capacity = ctx.capacity
         lru_capacity = int(capacity * self.scheme.lru_fraction)
         edf_capacity = capacity - lru_capacity
-        ts = self._timestamps(ctx, now)
-        lru_order = [
-            i
-            for _, i in sorted(
-                (-t, i) for t, i in zip(ts, ctx.eligible_sorted)
-            )
-        ]
+        lru_order = self._lru_order(ctx, now)
         lru_set = set(lru_order[:lru_capacity])
         non_lru = [i for i in self._ranking(ctx, now) if i not in lru_set]
         cached, pend = ctx.cached, ctx.pend
@@ -585,6 +594,7 @@ class _KernelContext:
         "cached",
         "cached_set",
         "eligible_sorted",
+        "lru",
         "capacity",
         "insert",
         "evict",

@@ -53,10 +53,16 @@ class TestRankEligible:
     def test_nonidle_before_idle(self):
         engine = build_engine()
         advance(engine, 1)
-        # Drain color 0's pendings: it becomes idle, ranks after color 1.
-        engine.state(0).pending = 0
-        ranking = engine.rank_eligible()
-        assert ranking == [1, 0]
+        assert engine.rank_eligible() == [0, 1]
+        # Drain color 0's 3 jobs through the engine, two per round at
+        # copies 2 (round 1 is no boundary, so nothing drops or arrives
+        # there): it becomes idle and ranks after color 1.
+        engine.cache_insert(0)
+        engine._execution_phase(0, 0)
+        engine.round_index = 1
+        engine._execution_phase(1, 0)
+        assert engine.state(0).idle
+        assert engine.rank_eligible() == [1, 0]
 
     def test_deadline_orders_nonidle(self):
         engine = build_engine()

@@ -184,6 +184,10 @@ class TestCalendars:
             assert engine._calendar == expected
             arrivals = sorted({j.arrival for j in jobs})
             assert list(engine._event_rounds) == arrivals
+            # Derived once per sequence: a second engine shares both.
+            again = GeneralEngine(instance, GreedyPendingPolicy(), 4)
+            assert again._calendar is engine._calendar
+            assert again._event_rounds is engine._event_rounds
 
 
 @pytest.mark.skipif(
