@@ -316,6 +316,30 @@ def _cmd_offline(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seeded_batched(args: argparse.Namespace, label: str):
+    """The seeded ``random_batched`` workload that ``record`` and ``obs
+    monitor`` run, built after checking the flags that shape it; a bad
+    value raises ``ValueError`` naming it."""
+    from repro.simulation.engine import check_geometry
+    from repro.workloads.random_batched import random_batched
+
+    for flag in ("colors", "horizon"):
+        if getattr(args, flag) < 1:
+            raise ValueError(
+                f"--{flag} must be at least 1, got {getattr(args, flag)}"
+            )
+    # Both commands simulate at the default replication, copies=2.
+    check_geometry(args.resources, 2, args.speed)
+    return random_batched(
+        args.colors,
+        args.delta,
+        args.horizon,
+        seed=args.seed,
+        load=args.load,
+        name=f"{label}-seed{args.seed}",
+    )
+
+
 def _cmd_record(args: argparse.Namespace) -> int:
     import importlib
 
@@ -328,8 +352,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         render_metrics,
     )
     from repro.obs.sampling import SamplingController, SamplingTracer
-    from repro.simulation.engine import check_geometry, simulate
-    from repro.workloads.random_batched import random_batched
+    from repro.simulation.engine import simulate
 
     module_name, class_name = _SCHEME_CHOICES[args.scheme].split(":")
     scheme_factory = getattr(importlib.import_module(module_name), class_name)
@@ -339,11 +362,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
     if args.sample is not None and args.epochs:
         print("--epochs reads the full trace; it cannot ride a sampled one")
         return 2
-    for flag in ("colors", "horizon"):
-        if getattr(args, flag) < 1:
-            return _usage_error(
-                f"--{flag} must be at least 1, got {getattr(args, flag)}"
-            )
     probability = None
     if args.sample not in (None, "adaptive"):
         try:
@@ -354,16 +372,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
             )
     controller = None
     try:
-        # simulate() below runs at its default replication, copies=2.
-        check_geometry(args.resources, 2, args.speed)
-        instance = random_batched(
-            args.colors,
-            args.delta,
-            args.horizon,
-            seed=args.seed,
-            load=args.load,
-            name=f"record-seed{args.seed}",
-        )
+        instance = _seeded_batched(args, "record")
         if args.sample == "adaptive":
             controller = SamplingController(
                 target_overhead=args.sample_target, seed=args.seed
@@ -418,8 +427,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         print(
             f"sampling: kept {stats['rounds_kept']}/{stats['rounds_seen']} "
             f"rounds at p={stats['probability']} "
-            f"({stats['records_emitted']} records emitted, "
-            f"{stats['records_suppressed']} suppressed)"
+            f"({stats['records_emitted']} records emitted)"
         )
     print()
     print(render_metrics(registry.snapshot()))
@@ -463,18 +471,13 @@ def _cmd_obs_monitor(args: argparse.Namespace) -> int:
         standard_monitors,
     )
     from repro.simulation.engine import simulate
-    from repro.workloads.random_batched import random_batched
 
     module_name, class_name = _SCHEME_CHOICES[args.scheme].split(":")
     scheme_factory = getattr(importlib.import_module(module_name), class_name)
-    instance = random_batched(
-        args.colors,
-        args.delta,
-        args.horizon,
-        seed=args.seed,
-        load=args.load,
-        name=f"monitor-seed{args.seed}",
-    )
+    try:
+        instance = _seeded_batched(args, "monitor")
+    except ValueError as error:
+        return _usage_error(str(error))
     registry = MetricsRegistry()
     monitors = standard_monitors(instance, policy=args.policy, registry=registry)
     sinks = [JsonlSink(args.out)] if args.out else [MemorySink()]

@@ -138,7 +138,6 @@ class SamplingController:
         "rounds_seen",
         "rounds_kept",
         "emitted",
-        "suppressed",
         "_threshold",
         "_round",
         "_round_keep",
@@ -178,7 +177,6 @@ class SamplingController:
         self.rounds_seen = 0
         self.rounds_kept = 0
         self.emitted = 0
-        self.suppressed = 0
         self._threshold = round(self.probability * _P_SCALE)
         self._round: int | None = None
         self._round_keep = True
@@ -258,8 +256,14 @@ class SamplingController:
     # -------------------------------------------------------------- stats
 
     def stats(self) -> dict[str, Any]:
-        """JSON-ready sampling telemetry (surfaced by ``repro record``)."""
-        offered = self.emitted + self.suppressed
+        """JSON-ready sampling telemetry (surfaced by ``repro record``).
+
+        At a fixed probability every figure is the same whichever path
+        the engine takes.  There is no count of suppressed records: the
+        engine sheds sampled-out rounds before building their records
+        (see :meth:`keep_round`) unless a profiler turns that off, so
+        the records offered for suppression depend on the path.
+        """
         return {
             "adaptive": self.adaptive,
             "probability": round(self.probability, 6),
@@ -268,10 +272,6 @@ class SamplingController:
             "rounds_seen": self.rounds_seen,
             "rounds_kept": self.rounds_kept,
             "records_emitted": self.emitted,
-            "records_suppressed": self.suppressed,
-            "sampled_fraction": (
-                round(self.emitted / offered, 6) if offered else 1.0
-            ),
         }
 
 
@@ -314,7 +314,6 @@ class SamplingTracer(Tracer):
             return
         ctrl = self.controller
         if not ctrl.admits(kind, name, round_index):
-            ctrl.suppressed += 1
             return
         ctrl.emitted += 1
         record = TraceRecord(self._seq, kind, name, round_index, data, self.worker)
@@ -355,7 +354,6 @@ class SamplingSink(Sink):
     def emit(self, record: TraceRecord) -> None:
         ctrl = self.controller
         if not ctrl.admits(record.kind, record.name, record.round_index):
-            ctrl.suppressed += 1
             return
         ctrl.emitted += 1
         if ctrl.time_this_emit():

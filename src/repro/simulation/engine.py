@@ -63,14 +63,18 @@ phases touch only those colors, in both modes.  The default
   state (RNG digests, credit vectors) skip after a one-round probe, and
   schemes returning ``None`` are never skipped.
 * **Drain settling** — with no tracer attached, a stationary scheme
-  whose last completed pass is still current (:meth:`at_fixed_point`)
-  would do nothing until the next boundary or the next queue to run
-  empty; those rounds are pure execution, at ``min(copies, pending)``
-  jobs per cached color and mini-round.  The engine settles such a
-  drain stretch in one step: one subtraction per cached color, charged
-  with one ``record_execution`` per color, and an attached registry
-  gets the same queue-depth samples, execution ages (in closed form)
-  and fixed-point skips the simulated rounds would have recorded.
+  does nothing until the next boundary once every eligible color is
+  cached (eligibility only changes at boundaries, and the contract
+  says such a pass mutates nothing, queues running empty or not), and
+  nothing until the next queue to run empty while its last completed
+  pass is still current (:meth:`at_fixed_point`).  Those rounds are
+  pure execution, at ``min(copies, pending)`` jobs per cached color
+  and mini-round.  The engine settles such a drain stretch in one
+  step: one subtraction per cached color, charged with one
+  ``record_execution`` per color, and an attached registry gets the
+  same queue-depth samples and execution ages (in closed form) the
+  simulated rounds would have recorded, and one fixed-point skip per
+  settled call.
 
 ``engine="dense"`` is the reference mode: the same driver with
 fast-forward, drain settling, the order caches and fixed-point skipping
@@ -308,20 +312,27 @@ class ReconfigurationScheme(ABC):
     #: Stationarity contract, opted into by schemes that qualify: the
     #: scheme's ``reconfigure`` is a deterministic function of the
     #: scheme-visible engine state (eligibility, timestamps, deadlines,
-    #: idleness, cache contents), and whenever every pending queue is
-    #: empty, no phase boundary intervenes, and every eligible color is
-    #: cached, calling it again performs no cache mutations.  The sparse
-    #: engine core fast-forwards inactive stretches immediately for
-    #: stationary schemes; non-stationary schemes can still opt into
+    #: idleness, cache contents), and within a boundary-free stretch,
+    #: whatever is pending, a pass that starts with every eligible color
+    #: cached performs no cache mutations.  The four kernel schemes
+    #: (ΔLRU, EDF, ΔLRU-EDF, Seq-EDF) meet it: cached colors are always
+    #: eligible, they insert only uncached eligible colors, and they
+    #: evict only to make room.  This is a documented contract, not a
+    #: type check (``tests/test_fixed_point_contract.py`` checks it on
+    #: every pass of the kernel schemes).  The sparse engine core
+    #: fast-forwards inactive stretches immediately for stationary
+    #: schemes; non-stationary schemes can still opt into
     #: probe-verified skipping via :meth:`fixed_point_token`.
     #:
-    #: A stationary scheme that calls :meth:`BatchedEngine.mark_fixed_point`
-    #: also lets the sparse core skip *every* ``reconfigure`` call while
-    #: its last completed pass is current (see
-    #: :meth:`BatchedEngine.at_fixed_point`), pending work or not: such
-    #: drain stretches are settled without calling the scheme at all.
-    #: A scheme or subclass whose decisions read the round index, the
-    #: cost counters, or pending counts must therefore not set this flag.
+    #: The batched sparse core also skips the ``reconfigure`` calls of
+    #: a stationary scheme, pending work or not, up to the next
+    #: boundary while every eligible color is cached, and up to the
+    #: next queue to run empty while a pass completed with
+    #: :meth:`BatchedEngine.mark_fixed_point` is current (see
+    #: :meth:`BatchedEngine.at_fixed_point`): such drain stretches are
+    #: settled without calling the scheme at all.  A scheme or subclass
+    #: whose decisions read the round index, the cost counters, or
+    #: pending counts must therefore not set this flag.
     stationary: bool = False
 
     def setup(self, engine: "BatchedEngine") -> None:
@@ -670,9 +681,13 @@ class RoundDriver:
           event round when the scheme's ``fixed_point_token()`` proves
           its rounds are no-ops;
         * a *drain stretch* (an engine with ``_settle_drain``, a
-          stationary scheme whose last completed pass is still current,
-          no tracer attached) is settled in closed form: only execution
-          happens until the next event round or the first queue to run
+          stationary scheme that has every eligible color cached or
+          whose last completed pass is still current, no tracer
+          attached) is settled in closed form: only execution happens
+          until the next event round.  With every eligible color cached
+          it ends earlier only when the last queue runs empty and
+          nothing is pending outside the cache, so the inactive-stretch
+          skip takes over; otherwise it ends at the first queue to run
           empty.
         """
         horizon = self.instance.horizon
@@ -732,13 +747,18 @@ class RoundDriver:
                 self._probe_state = None
                 if not (
                     settle is not None
-                    and self._scheme_pass_epoch == self.order_epoch
+                    and (
+                        self._scheme_pass_epoch == self.order_epoch
+                        or not self._num_eligible_uncached
+                    )
                     and token_fn() is STATIONARY_TOKEN
                 ):
                     continue
                 # Drain stretch: up to the next event round every
-                # reconfigure call would return at at_fixed_point, so
-                # only execution happens and it settles in closed form.
+                # reconfigure call would return at at_fixed_point, or
+                # would start with every eligible color cached and so
+                # mutate nothing; only execution happens, and it settles
+                # in closed form.
                 end = next_event(k)
                 if end == k:
                     continue  # round k is an event round
@@ -832,10 +852,12 @@ class RoundDriver:
 
         Where the engine settles drain stretches (the batched engine),
         the loop goes one step further for a stationary scheme: while
-        this would return True it skips the ``reconfigure`` calls
-        altogether and settles the rounds in closed form (untraced
-        ``record="costs"`` runs), counting each skipped call in
-        ``engine.fixed_point_skips`` as if it had returned here.
+        this would return True, or while every eligible color is cached
+        (the stationarity contract makes such a pass a no-op), it skips
+        the ``reconfigure`` calls altogether and settles the rounds in
+        closed form (untraced ``record="costs"`` runs), counting each
+        skipped call in ``engine.fixed_point_skips`` as if it had
+        returned here.
         """
         if self.sparse and self._scheme_pass_epoch == self.order_epoch:
             if self.tracer is not None:
@@ -1043,36 +1065,67 @@ class BatchedEngine(RoundDriver):
         """Settle the drain stretch that starts at round ``k``.
 
         The caller guarantees that ``[k, end)`` holds no boundary and
-        that the stationary scheme's last pass is current, so every
-        ``reconfigure`` call would return at :meth:`at_fixed_point` and
-        each cached color just runs ``min(copies, pending)`` jobs per
-        mini-round.  That holds until a queue runs empty (the idle flip
-        bumps ``order_epoch``): the stretch therefore ends at ``end`` or
-        with the first round in which a queue empties, provided it
-        empties in that round's last mini-round; an earlier emptying
-        reruns the pass within the round, which then runs normally.
+        that no ``reconfigure`` call of the stationary scheme in it
+        would mutate the cache, so each cached color just runs
+        ``min(copies, pending)`` jobs per mini-round.  How far that
+        holds depends on why the calls are no-ops:
+
+        * every eligible color is cached: by the stationarity contract
+          no pass mutates anything until the next boundary, queues
+          running empty or not.  The stretch runs to ``end``, or, when
+          nothing is pending outside the cache, to the round in which
+          the last queue empties; the inactive-stretch skip takes over
+          from there;
+        * otherwise the scheme's last pass is current, which holds only
+          until a queue runs empty (the idle flip bumps ``order_epoch``):
+          the stretch ends at ``end`` or with the first round in which
+          a queue empties, provided it empties in that round's last
+          mini-round; an earlier emptying reruns the pass within the
+          round, which then runs normally.
+
         Returns the next round to simulate (``k`` if none settles).
         """
         copies, speed = self.copies, self.speed
         per_round = copies * speed
         states = self.states
         draining = []
-        dt = end - k
         for slot in self.cache.occupied_slots():
             st = states[slot.occupant]
             if st.pending:
                 draining.append(st)
+        dt = end - k
+        if self._num_eligible_uncached:
+            for st in draining:
                 # Mini-rounds until the queue empties, in whole rounds.
                 dt = min(dt, -(-st.pending // copies) // speed)
+        elif self._total_pending == sum(st.pending for st in draining):
+            # Rounds until the last queue empties.
+            dt = min(dt, max(-(-st.pending // per_round) for st in draining))
         if dt <= 0:
             return k
         obs = self.obs
-        if obs is not None:
-            # Before the last settled round every draining color still
-            # has more than per_round * dt - copies jobs, so each runs
-            # exactly per_round jobs per round; the depth falls linearly.
-            depth, rate = self._total_pending, per_round * len(draining)
-            obs._queue_samples.extend([depth - rate * j for j in range(1, dt)])
+        if obs is not None and dt > 1:
+            # After j settled rounds each draining color has run
+            # min(pending, per_round * j) jobs, so the depth is linear in
+            # j between the rounds in which queues empty: one range per
+            # piece.  The last round's sample is the final depth,
+            # appended below.
+            samples = obs._queue_samples
+            base, slope, j = self._total_pending, per_round * len(draining), 1
+            for full, pending in sorted(
+                (st.pending // per_round, st.pending) for st in draining
+            ):
+                # Up to round j = full this color still runs per_round
+                # jobs a round; after it, its whole queue is gone.
+                top = min(full, dt - 1)
+                if top >= j:
+                    samples.extend(
+                        range(base - slope * j, base - slope * (top + 1), -slope)
+                    )
+                    j = top + 1
+                base -= pending
+                slope -= per_round
+            samples.extend([base] * (dt - j))
         budget = per_round * dt
         for st in draining:
             pending = st.pending
@@ -1160,6 +1213,11 @@ class BatchedEngine(RoundDriver):
     def _arrive_one(
         self, k: int, color: int, st: ColorState, count: int, trace
     ) -> None:
+        # timestamp(k) is the latest wrap before k, and wraps fall only
+        # on this color's boundaries: it moved since the previous one
+        # only if the color wrapped there.
+        moved = st.last_wrap == k - st.delay_bound
+        was_eligible = st.eligible
         st.dd = k + st.delay_bound
         st.cnt += count
         tracer = self.tracer
@@ -1193,9 +1251,11 @@ class BatchedEngine(RoundDriver):
         if st.eligible:
             # dd and the timestamp move only at the color's own
             # boundaries, so its keys are rewritten here (and the EDF key
-            # again when its queue runs empty).
+            # again when its queue runs empty); the ΔLRU key only when
+            # the color just turned eligible or its timestamp moved.
             self._edf_keys[color] = (not st.pending, st.dd, st.delay_bound, color)
-            self._lru_keys[color] = (-st.timestamp(k), color)
+            if moved or not was_eligible:
+                self._lru_keys[color] = (-st.timestamp(k), color)
         if trace is not None or tracer is not None:
             # Timestamp updates drive the super-epoch machinery (§3.4);
             # mirror them onto the bus so live monitors can close

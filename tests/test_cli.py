@@ -203,9 +203,13 @@ def test_stream_rejects_out_of_range_config(tmp_path, monkeypatch, capsys, args,
 )
 def test_record_rejects_out_of_range_config(tmp_path, monkeypatch, capsys, args, field):
     monkeypatch.chdir(tmp_path)
-    assert main(["record", "trace.jsonl", *args]) == 2
-    _assert_one_error_line(capsys, field)
-    assert list(tmp_path.iterdir()) == []
+    # `obs monitor` builds the same seeded workload through the same
+    # checks (its --resources 3 and --colors 0 were tracebacks, and
+    # --horizon 0 ran an empty instance).
+    for command in (["record", "trace.jsonl"], ["obs", "monitor"]):
+        assert main([*command, *args]) == 2, command
+        _assert_one_error_line(capsys, field)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_describe_command_json(tmp_path, capsys):

@@ -18,8 +18,10 @@ that contract:
 * fast-forward targets are clamped at the horizon and never jump a
   final drop round, in both engine cores;
 * drain stretches a stationary scheme provably sits out are settled in
-  closed form without moving a cost counter or a registry instrument,
-  under every attachment and segmentation that allows them.
+  closed form without moving a cost counter, a registry histogram or
+  any counter but the round split and the scheme-pass counters, under
+  every attachment and segmentation that allows them; and a pass that
+  starts with every eligible color cached mutates nothing.
 """
 
 import importlib.util
@@ -46,6 +48,7 @@ from repro.obs import MemorySink, MetricsRegistry, PhaseProfiler, Tracer
 from repro.offline.heuristic import LookaheadPolicy
 from repro.simulation.engine import (
     STATIONARY_TOKEN,
+    BatchedEngine,
     ReconfigurationScheme,
     simulate,
 )
@@ -627,23 +630,60 @@ drain_instances = st.builds(
 )
 
 
+#: Counters of scheme passes: a traced run makes, as full no-op passes,
+#: calls that the settle skips, so these may differ between the two.
+_PASS_COUNTERS = (
+    "engine.fixed_point_skips",
+    "engine.order_cache_hits",
+    "engine.order_cache_misses",
+)
+
+
 def _counters_without_split(snapshot):
-    """Snapshot minus the executed/fast-forwarded split, plus its sum."""
+    """Snapshot minus the executed/fast-forwarded split and the pass
+    counters, plus the split's sum."""
     counters = dict(snapshot["counters"])
     covered = counters.pop("engine.rounds_executed", 0) + counters.pop(
         "engine.rounds_fast_forwarded", 0
     )
+    for name in _PASS_COUNTERS:
+        counters.pop(name, None)
     return {**snapshot, "counters": counters}, covered
+
+
+class _CachedPassCheck(ReconfigurationScheme):
+    """Runs ``inner``'s pass and asserts the widened stationarity
+    contract: a pass that starts with every eligible color cached
+    mutates nothing.
+
+    The kernel schemes keep no state besides the engine's, so only
+    ``reconfigure`` needs delegating.
+    """
+
+    def __init__(self, inner: ReconfigurationScheme) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.stationary = inner.stationary
+        self.checked = 0
+
+    def reconfigure(self, engine):
+        if engine._num_eligible_uncached:
+            self.inner.reconfigure(engine)
+            return
+        epoch = engine._cache_epoch
+        self.inner.reconfigure(engine)
+        assert engine._cache_epoch == epoch, engine.round_index
+        self.checked += 1
 
 
 class TestDrainSettling:
     """Drain stretches settled in closed form by the sparse core.
 
-    After a round in which a stationary scheme completed its pass, every
-    round up to the next boundary (or the first queue to run empty) is
-    pure execution; the sparse core settles it in one step.  That must
-    be invisible in costs, in registry instruments, and across stream
-    segmentations.
+    After a round in which a stationary scheme completed its pass, or
+    with every eligible color cached, every round up to the next
+    boundary is pure execution; the sparse core settles it in one step.
+    That must be invisible in costs, in registry instruments, and across
+    stream segmentations.
     """
 
     @drain_settings
@@ -667,13 +707,51 @@ class TestDrainSettling:
         # A silent disable of the settle would leave these equal.
         assert settled > 0
 
+    @pytest.mark.parametrize("make", [random_rate_limited, random_batched])
+    @pytest.mark.parametrize("scheme_cls, copies, speed", DRAIN_CASES)
+    def test_all_cached_simulates_only_boundary_rounds(
+        self, make, scheme_cls, copies, speed
+    ):
+        # Six colors fit in 16 resources, so after every boundary round's
+        # pass each eligible color is cached: the settle carries the run
+        # to the next boundary straight through queues running empty,
+        # and only the boundary rounds are simulated.
+        for seed in range(5):
+            instance = make(
+                6, 3, 2048, seed=seed, load=0.4, bound_choices=(32, 64, 128)
+            )
+            engine = BatchedEngine(
+                instance, scheme_cls(), 16, copies=copies, speed=speed,
+                record="costs",
+            )
+            assert engine.run().rounds_executed == len(engine._event_rounds)
+
+    @drain_settings
+    @given(instance=drain_instances)
+    def test_pass_with_every_eligible_color_cached_mutates_nothing(
+        self, instance
+    ):
+        # The stationarity contract the settle relies on, checked on
+        # every pass of the dense mode, which runs each one in full.
+        checked = 0
+        for scheme_cls, copies, speed in DRAIN_CASES:
+            check = _CachedPassCheck(scheme_cls())
+            simulate(
+                instance, check, 8, copies=copies, speed=speed,
+                record="costs", engine="dense",
+            )
+            checked += check.checked
+        assert checked > 0
+
     @drain_settings
     @given(instance=drain_instances)
     def test_registry_matches_traced_run(self, instance):
         # A tracer keeps the per-round loop, so its registry records
         # every drain round as simulated; the settled run must record
-        # the same samples, ages and skips, and only move rounds from
-        # executed to fast-forwarded.
+        # the same samples, ages and every other counter, and only move
+        # rounds from executed to fast-forwarded.  The traced run makes
+        # calls the settle skips as full no-op passes, which count in
+        # the pass counters instead of as fixed-point skips.
         for scheme_cls, copies, speed in DRAIN_CASES:
             kwargs = dict(copies=copies, speed=speed, record="costs")
             plain, traced = MetricsRegistry(), MetricsRegistry()

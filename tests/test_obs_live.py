@@ -534,6 +534,37 @@ class TestSamplingTracer:
             r.kind == "span_start" and r.name == "round" for r in sink
         )
 
+    def test_stats_do_not_depend_on_the_engine_shortcut(self):
+        # A profiler turns the keep_round shortcut off, so the tracer is
+        # offered every record of a sampled-out round; stats() must read
+        # the same either way, on both engines.
+        from repro.algorithms.never import AlwaysReconfigurePolicy
+        from repro.obs import PhaseProfiler
+
+        batched = _instance(seed=6, horizon=256, colors=6)
+        general = random_general(6, 4, 192, seed=0)
+        runs = {
+            "batched": lambda **kw: simulate(
+                batched, DeltaLRU(), 2, record="costs", **kw
+            ),
+            "general": lambda **kw: simulate_general(
+                general, AlwaysReconfigurePolicy(), 4, record="costs", **kw
+            ),
+        }
+        for name, run in runs.items():
+            stats = []
+            for profiler in (None, PhaseProfiler()):
+                controller = SamplingController(probability=0.3, seed=5)
+                run(
+                    tracer=SamplingTracer(
+                        MemorySink(capacity=None), controller=controller
+                    ),
+                    profiler=profiler,
+                )
+                stats.append(controller.stats())
+            assert stats[0] == stats[1], name
+            assert 0 < stats[0]["rounds_kept"] < stats[0]["rounds_seen"], name
+
     def test_replay_bypasses_sampling(self):
         from repro.obs import TraceRecord
 
