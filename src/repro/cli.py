@@ -192,6 +192,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         return _usage_error(str(error))
+    if args.jobs is not None and args.jobs < 1:
+        return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
     # Restarts are pre-seeded, so parallel results match serial exactly.
     runner = (
         ParallelRunner(max_workers=args.jobs)

@@ -179,6 +179,9 @@ class IntervalPackingRelaxation:
     The future side is precomputed once per instance (``O(A * D)`` for
     ``A`` arrival rounds and ``D`` distinct deadlines); each
     :meth:`floor` call is then ``O((D + |pending|) log D)``.
+    :meth:`ceiling` is an ``O(1)`` upper bound on :meth:`floor` that sees
+    only the number of carried jobs, so a caller can skip :meth:`floor`
+    wherever even its ceiling could not change a decision.
     """
 
     def __init__(
@@ -227,6 +230,8 @@ class IntervalPackingRelaxation:
                     best_here = slack
             best_from[i] = max(best_here, best_from[i + 1])
         self._best_from = best_from
+        # start round -> (best_from[i0], peak future slack) for ceiling().
+        self._ceiling_terms: dict[int, tuple[int, int]] = {}
 
     def _future_confined(self, i: int, b: int) -> int:
         """Jobs with arrival >= rounds[i] and deadline <= b."""
@@ -267,6 +272,37 @@ class IntervalPackingRelaxation:
             if slack > best:
                 best = slack
         return best * self.drop_cost
+
+    def ceiling(self, start_round: int, carried: int) -> int:
+        """Upper bound on :meth:`floor` for any ``carried`` pending jobs.
+
+        A window ``[start_round, b)`` of :meth:`floor` confines at most
+        ``carried`` pending jobs, and its future part ``F(b) =
+        confined(start_round, b) - capacity * (b - start_round)`` steps up
+        only at a future deadline while the capacity term keeps falling,
+        so ``F(b)`` is at most ``peak``, the maximum of ``F`` over future
+        deadlines past ``start_round`` (or 0 if there are none).  Hence
+        every pending multiset of ``carried`` jobs has ``floor <=
+        drop_cost * max(best_from, carried + peak)``.  Both terms depend
+        only on ``start_round`` and are computed once per round.
+        """
+        terms = self._ceiling_terms.get(start_round)
+        if terms is None:
+            i0 = bisect_left(self.rounds, start_round)
+            peak = 0
+            if i0 < len(self.rounds):
+                row = self._confined[i0]
+                for j in range(
+                    bisect_right(self.deadlines, start_round), len(self.deadlines)
+                ):
+                    slack = row[j] - self.capacity * (
+                        self.deadlines[j] - start_round
+                    )
+                    if slack > peak:
+                        peak = slack
+            terms = self._ceiling_terms[start_round] = (self._best_from[i0], peak)
+        best_from, peak = terms
+        return max(best_from, carried + peak) * self.drop_cost
 
 
 class ColorPhaseBound:

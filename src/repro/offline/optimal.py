@@ -33,7 +33,8 @@ facts about the problem:
    is the max of the per-color suffix floors, the
    :class:`~repro.offline.lower_bounds.ColorPhaseBound` phase
    decomposition, and the fractional
-   :class:`~repro.offline.lower_bounds.IntervalPackingRelaxation`.
+   :class:`~repro.offline.lower_bounds.IntervalPackingRelaxation`,
+   evaluated only where its ceiling could change a cut.
 
 The optimal path always survives the band (its ``g`` plus any admissible
 bound never exceeds the optimum, which never exceeds a certified
@@ -41,10 +42,11 @@ incumbent), so the terminal minimum is exact and its back-pointer chain
 replays into a feasible :class:`~repro.core.schedule.Schedule` checked
 by the shared verifier.
 
-Two independent oracles check it in the tests:
-:func:`optimal_offline_exhaustive`, the original recursive exhaustive
-search, and :func:`repro.offline.bruteforce.bruteforce_optimal_cost`.
-A ``max_states`` guard protects against accidental use on large
+Two oracles check it in the tests: :func:`optimal_offline_exhaustive`,
+the original recursive exhaustive search, which shares the solver's
+transition helpers, and
+:func:`repro.offline.bruteforce.bruteforce_optimal_cost`, which shares
+none of them.  A ``max_states`` guard protects against accidental use on large
 instances; when it fires, :class:`SearchSpaceExceeded` carries the nodes
 expanded, the best incumbent found, and the dominant bound source, so
 truncated solves are diagnosable instead of opaque.
@@ -181,13 +183,19 @@ def _reconfig_count(old: CacheKey, new: CacheKey) -> int:
     the non-black assignments not covered: ``Σ_c max(0, new(c) - old(c))``
     over non-black colors.
     """
-    old_counts = Counter(old)
-    new_counts = Counter(new)
-    return sum(
-        max(0, new_counts[c] - old_counts.get(c, 0))
-        for c in new_counts
-        if c != BLACK
-    )
+    unmatched: dict[int, int] = {}
+    for c in old:
+        unmatched[c] = unmatched.get(c, 0) + 1
+    recolored = 0
+    for c in new:
+        if c == BLACK:
+            continue
+        left = unmatched.get(c, 0)
+        if left:
+            unmatched[c] = left - 1
+        else:
+            recolored += 1
+    return recolored
 
 
 def _drop_and_arrive(
@@ -208,20 +216,29 @@ def _drop_and_arrive(
 
 
 def _execute_abstract(cache: CacheKey, pending: PendingKey) -> PendingKey:
-    """Each slot executes its color's earliest-deadline pending job."""
-    items = dict(pending)
-    for color, width in Counter(cache).items():
-        if color == BLACK:
-            continue
-        for _ in range(width):
-            deadlines = [d for (c, d) in items if c == color]
-            if not deadlines:
-                break
-            key = (color, min(deadlines))
-            items[key] -= 1
-            if items[key] == 0:
-                del items[key]
-    return tuple(sorted(items.items()))
+    """Each slot executes its color's earliest-deadline pending job.
+
+    ``pending`` must be sorted by ``(color, deadline)``, as every
+    :data:`PendingKey` is: one pass then meets each color's entries most
+    urgent first, and each entry gives up ``min(width left, count)`` jobs
+    to the slots of its color.  The result stays sorted.
+    """
+    width: dict[int, int] = {}
+    for color in cache:
+        if color != BLACK:
+            width[color] = width.get(color, 0) + 1
+    out = []
+    for entry in pending:
+        (color, _), count = entry
+        free = width.get(color)
+        if free:
+            run = min(free, count)
+            width[color] = free - run
+            if run == count:
+                continue
+            entry = (entry[0], count - run)
+        out.append(entry)
+    return tuple(out)
 
 
 def _future_arrivals_by_color(
@@ -267,7 +284,10 @@ class _BoundOracle:
       layer that prices overload.
 
     :meth:`cheap_bound` maxes the first two; the solver adds the third
-    where it scores candidate rows.
+    on a candidate row only where
+    :meth:`~repro.offline.lower_bounds.IntervalPackingRelaxation.ceiling`
+    says it could change the row's cut.  The per-color future job counts
+    of a start round are one table per solve (:meth:`future_counts`).
     """
 
     __slots__ = (
@@ -275,6 +295,7 @@ class _BoundOracle:
         "delta",
         "drop_cost",
         "future_by_color",
+        "future_tables",
         "packing",
         "phases",
     )
@@ -291,6 +312,7 @@ class _BoundOracle:
         self.delta = delta
         self.drop_cost = drop_cost
         self.future_by_color = _future_arrivals_by_color(arrivals)
+        self.future_tables: dict[int, dict[int, int]] = {}
         self.packing = IntervalPackingRelaxation(arrivals, m, drop_cost)
         self.phases = ColorPhaseBound(arrivals, m, horizon, delta, drop_cost)
 
@@ -302,17 +324,28 @@ class _BoundOracle:
         i = bisect_right(rounds, start_round - 1)
         return suffix[i] if i < len(rounds) else 0
 
+    def future_counts(self, start_round: int) -> dict[int, int]:
+        """``{color: jobs arriving at or after start_round}``, nonzero only.
+
+        Built once per start round; callers must not mutate it.
+        """
+        table = self.future_tables.get(start_round)
+        if table is None:
+            table = {}
+            for color in self.future_by_color:
+                future = self._future_count(color, start_round)
+                if future:
+                    table[color] = future
+            self.future_tables[start_round] = table
+        return table
+
     def suffix_floor(
         self, start_round: int, cache: CacheKey, pending: PendingKey
     ) -> tuple[int, str]:
         """Per-color and capacity floors on the suffix, with attribution."""
-        per_color: dict[int, int] = {}
+        per_color = dict(self.future_counts(start_round))
         for (color, _), count in pending:
             per_color[color] = per_color.get(color, 0) + count
-        for color in self.future_by_color:
-            future = self._future_count(color, start_round)
-            if future:
-                per_color[color] = per_color.get(color, 0) + future
         merged = [((color, 0), count) for color, count in per_color.items()]
         floor = pending_reconfig_floor(
             merged, set(cache), self.delta, self.drop_cost
@@ -332,8 +365,9 @@ class _BoundOracle:
         """Max of the suffix and phase floors and the name of the winner.
 
         The packing relaxation is not included.  The solver's sweep
-        evaluates it on every candidate row it scores; the beam walk's
-        ordering and the inactive-stretch jump use these layers alone.
+        evaluates it on the candidate rows where its ceiling could change
+        the cut; the beam walk's ordering and the inactive-stretch jump
+        use these layers alone.
         """
         best, source = self.suffix_floor(start_round, cache, pending)
         phased = self.phases.floor(start_round, cache, pending)
@@ -435,6 +469,14 @@ class _LayeredSolver:
         self.expanded = 0
         self.pruned = 0
         self.bound_hist: dict[str, int] = {}
+        #: Per-solve memos of the transition tables: candidate rows by
+        #: (cache, pending count per color), shared by the beam walk and
+        #: the sweep, and recolored slots by (old cache, new cache).
+        self._rows: dict[
+            tuple[CacheKey, tuple[tuple[int, int], ...]],
+            tuple[tuple[int, CacheKey], ...],
+        ] = {}
+        self._reconfigs: dict[tuple[CacheKey, CacheKey], int] = {}
         self._parents: dict[
             tuple[int, CacheKey, PendingKey],
             tuple[int, CacheKey, PendingKey, CacheKey],
@@ -521,7 +563,7 @@ class _LayeredSolver:
 
     def _candidate_rows(
         self, cache: CacheKey, pending2: PendingKey
-    ) -> list[tuple[int, CacheKey]]:
+    ) -> tuple[tuple[int, CacheKey], ...]:
         """Lazy-normal-form candidates as ``(reconfig cost, cache)`` rows.
 
         Some optimal schedule only ever recolors a slot in a round where
@@ -531,13 +573,20 @@ class _LayeredSolver:
         Δ — never increases cost), so candidates where a strictly
         increased color count exceeds that color's post-arrival backlog
         are unreachable in the normal form and skipped outright.
+
+        The rows depend only on ``cache`` and the pending count per
+        color, so they are memoized per solve on that key.
         """
         pend_count: dict[int, int] = {}
         for (c, _), count in pending2:
             pend_count[c] = pend_count.get(c, 0) + count
-        pending_colors = tuple(sorted(pend_count))
-        rows: list[tuple[int, CacheKey]] = []
-        for cand in _candidate_caches(cache, pending_colors, self.m):
+        # pending2 is sorted by color, so pend_count's items are too.
+        key = (cache, tuple(pend_count.items()))
+        rows = self._rows.get(key)
+        if rows is not None:
+            return rows
+        built: list[tuple[int, CacheKey]] = []
+        for cand in _candidate_caches(cache, tuple(pend_count), self.m):
             lazy = True
             for c in set(cand):
                 if c == BLACK:
@@ -547,8 +596,17 @@ class _LayeredSolver:
                     lazy = False
                     break
             if lazy:
-                rows.append((_reconfig_count(cache, cand) * self.delta, cand))
+                built.append((self._reconfig_cost(cache, cand), cand))
+        rows = self._rows[key] = tuple(built)
         return rows
+
+    def _reconfig_cost(self, old: CacheKey, new: CacheKey) -> int:
+        """``Δ`` times :func:`_reconfig_count`, memoized per solve."""
+        key = (old, new)
+        cost = self._reconfigs.get(key)
+        if cost is None:
+            cost = self._reconfigs[key] = _reconfig_count(old, new) * self.delta
+        return cost
 
     def _forward(
         self, cutoff: int
@@ -560,10 +618,18 @@ class _LayeredSolver:
         cutoff`` provably keeps the optimal path and the terminal minimum
         is exact.  Returns that minimum and its terminal state; the
         back-pointer chain to it is kept for :meth:`_fill_memo`.
+
+        Each candidate row's bound is the oracle's cheap bound, raised to
+        the packing relaxation's floor where that is larger.  The floor
+        is evaluated only where its O(1) ceiling exceeds the cheap bound
+        and would cut the row; elsewhere the floor could neither cut the
+        row nor take a cut's attribution, so the cuts and the
+        ``bound_source_histogram`` are those of evaluating it everywhere.
         """
         horizon = self.horizon
         drop = self.drop_cost
         oracle = self.oracle
+        packing = oracle.packing
         layers: dict[int, dict[tuple[CacheKey, PendingKey], int]] = {
             0: {((BLACK,) * self.m, ()): 0}
         }
@@ -627,9 +693,15 @@ class _LayeredSolver:
                         source = "terminal"
                     else:
                         bound, source = oracle.cheap_bound(k1, cand, after)
-                        packed = oracle.packing.floor(k1, after)
-                        if packed > bound:
-                            bound, source = packed, "relaxation"
+                        ceiling = packing.ceiling(
+                            k1, sum(count for _, count in after)
+                        )
+                        # Below either test the relaxation can neither cut
+                        # the row nor take a cut's attribution.
+                        if ceiling > bound and g3 + ceiling > cutoff:
+                            packed = packing.floor(k1, after)
+                            if packed > bound:
+                                bound, source = packed, "relaxation"
                     if g3 + bound > cutoff:
                         self.pruned += 1
                         self.bound_hist[source] = (
@@ -861,10 +933,11 @@ def optimal_offline_exhaustive(
 ) -> OptimalResult:
     """Original recursive memoized exhaustive search.
 
-    One of the two independent oracles for :func:`optimal_offline` (the
-    other is :func:`repro.offline.bruteforce.bruteforce_optimal_cost`):
-    the property tests and ``repro offline --check exhaustive``
-    cross-check the solver's optimum against it.
+    One of the two oracles for :func:`optimal_offline` (the other is
+    :func:`repro.offline.bruteforce.bruteforce_optimal_cost`): the
+    property tests and ``repro offline --check exhaustive`` cross-check
+    the solver's optimum against it.  It shares the solver's transition
+    helpers, so only the brute force is independent of them.
     """
     if num_resources <= 0:
         raise ValueError("need at least one resource")

@@ -101,6 +101,8 @@ def _assert_one_error_line(capsys, field):
         ("--horizon", "-8", "horizon"),  # was numpy's negative dimensions
         ("--horizon", "0", "horizon"),  # was "best ratio: 0.000"
         ("--iterations", "-5", "iterations"),  # ran one evaluation per restart
+        ("--jobs", "0", "--jobs"),  # ran serially, clamped to one worker
+        ("--jobs", "-3", "--jobs"),  # ran serially, clamped to one worker
     ],
 )
 def test_search_rejects_out_of_range_config(capsys, flag, value, field):

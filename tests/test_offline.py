@@ -1,13 +1,17 @@
 """Tests of the offline layer: exact optimum, lower bounds, heuristics,
 and the handcrafted appendix schedules."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.dlru_edf import DeltaLRUEDF
 from repro.algorithms.greedy import GreedyPendingPolicy
 from repro.algorithms.static import StaticPartitionPolicy
 from repro.core.instance import BatchMode, make_instance
-from repro.core.job import JobFactory
+from repro.core.job import BLACK, JobFactory
 from repro.core.validation import verify_schedule
 from repro.offline.handcrafted import (
     appendix_a_offline_schedule,
@@ -15,12 +19,18 @@ from repro.offline.handcrafted import (
 )
 from repro.offline.heuristic import LookaheadPolicy, best_offline_heuristic
 from repro.offline.lower_bounds import (
+    IntervalPackingRelaxation,
     capacity_lower_bound,
     combined_lower_bound,
     par_edf_drop_lower_bound,
     per_color_lower_bound,
 )
-from repro.offline.optimal import SearchSpaceExceeded, optimal_offline
+from repro.offline.optimal import (
+    SearchSpaceExceeded,
+    _execute_abstract,
+    _reconfig_count,
+    optimal_offline,
+)
 from repro.simulation.engine import simulate
 from repro.simulation.general import simulate_general
 from repro.workloads.adversarial import appendix_a_instance, appendix_b_instance
@@ -146,6 +156,167 @@ class TestLowerBounds:
         assert per_color_lower_bound(empty_instance) == 0
         assert capacity_lower_bound(empty_instance, 1) == 0
         assert combined_lower_bound(empty_instance, 1) == 0
+
+
+def _aggregate(batches):
+    """``[(color, deadline, count)]`` -> sorted ``((color, deadline), count)``."""
+    counts = {}
+    for color, deadline, count in batches:
+        counts[(color, deadline)] = counts.get((color, deadline), 0) + count
+    return tuple(sorted(counts.items()))
+
+
+@st.composite
+def packing_cases(draw):
+    """Future arrivals, a start round and a pending multiset released there."""
+    colors = draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 24))
+    capacity = draw(st.integers(1, 3))
+    drop_cost = draw(st.integers(1, 2))
+    arrivals = {}
+    for a, color, window, count in draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, horizon - 1),
+                st.integers(0, colors - 1),
+                st.integers(1, 8),
+                st.integers(1, 4),
+            ),
+            max_size=12,
+        )
+    ):
+        batch = arrivals.setdefault(a, {})
+        key = (color, min(a + window, horizon))
+        batch[key] = batch.get(key, 0) + count
+    start = draw(st.integers(0, horizon))
+    pending = _aggregate(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, colors - 1),
+                    st.integers(start, horizon),
+                    st.integers(1, 4),
+                ),
+                max_size=5,
+            )
+        )
+    )
+    return arrivals, capacity, drop_cost, start, pending
+
+
+def _windowed_floor(arrivals, capacity, drop_cost, start, pending):
+    """From-scratch max over windows ``[a, b)`` with ``start <= a <= b``."""
+    jobs = [
+        (a, deadline, count)
+        for a, batch in arrivals.items()
+        for (_, deadline), count in batch.items()
+    ]
+    jobs += [(start, deadline, count) for (_, deadline), count in pending]
+    last = max([start] + [deadline for _, deadline, _ in jobs])
+    best = 0
+    for a in range(start, last + 1):
+        for b in range(a, last + 1):
+            confined = sum(
+                count for r, deadline, count in jobs if r >= a and deadline <= b
+            )
+            best = max(best, confined - capacity * (b - a))
+    return best * drop_cost
+
+
+class TestIntervalPackingRelaxation:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=packing_cases())
+    def test_floor_is_the_window_maximum_and_ceiling_covers_it(self, case):
+        arrivals, capacity, drop_cost, start, pending = case
+        relaxation = IntervalPackingRelaxation(arrivals, capacity, drop_cost)
+        floor = relaxation.floor(start, pending)
+        assert floor == _windowed_floor(
+            arrivals, capacity, drop_cost, start, pending
+        )
+        carried = sum(count for _, count in pending)
+        assert relaxation.ceiling(start, carried) >= floor
+
+    def test_ceiling_is_tight_on_one_overloaded_window(self):
+        # Four jobs due by round 2 on one resource: two must drop, and
+        # the ceiling with no carried jobs is exactly that floor.
+        relaxation = IntervalPackingRelaxation({0: {(0, 2): 4}}, 1, 3)
+        assert relaxation.floor(0) == 6
+        assert relaxation.ceiling(0, 0) == 6
+        # Two carried jobs due at round 1 make six due by round 2, so
+        # four drop, and the ceiling for two carried jobs matches.
+        assert relaxation.floor(0, (((1, 1), 2),)) == 12
+        assert relaxation.ceiling(0, 2) == 12
+
+
+def _reference_execute_abstract(cache, pending):
+    """The original per-slot rescan of ``_execute_abstract``."""
+    items = dict(pending)
+    for color, width in Counter(cache).items():
+        if color == BLACK:
+            continue
+        for _ in range(width):
+            deadlines = [d for (c, d) in items if c == color]
+            if not deadlines:
+                break
+            key = (color, min(deadlines))
+            items[key] -= 1
+            if items[key] == 0:
+                del items[key]
+    return tuple(sorted(items.items()))
+
+
+def _reference_reconfig_count(old, new):
+    """The original two-``Counter`` body of ``_reconfig_count``."""
+    old_counts = Counter(old)
+    new_counts = Counter(new)
+    return sum(
+        max(0, new_counts[c] - old_counts.get(c, 0))
+        for c in new_counts
+        if c != BLACK
+    )
+
+
+@st.composite
+def transition_states(draw):
+    """Two slot multisets over up to five colors and BLACK, and a pending."""
+    m = draw(st.integers(1, 4))
+    colors = draw(st.integers(1, 5))
+    slot = st.sampled_from((BLACK,) + tuple(range(colors)))
+    old = tuple(sorted(draw(st.lists(slot, min_size=m, max_size=m))))
+    new = tuple(sorted(draw(st.lists(slot, min_size=m, max_size=m))))
+    pending = _aggregate(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, colors - 1),
+                    st.integers(1, 12),
+                    st.integers(1, 5),
+                ),
+                max_size=8,
+            )
+        )
+    )
+    return old, new, pending
+
+
+class TestTransitionHelpers:
+    """The solver and the exhaustive oracle share these helpers, so they
+    are checked against their original bodies, kept here as references."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(state=transition_states())
+    def test_helpers_match_their_references(self, state):
+        old, new, pending = state
+        assert _execute_abstract(new, pending) == _reference_execute_abstract(
+            new, pending
+        )
+        assert _reconfig_count(old, new) == _reference_reconfig_count(old, new)
+
+    def test_execute_takes_each_colors_earliest_deadlines(self):
+        cache = (BLACK, 0, 0, 2)
+        pending = (((0, 3), 1), ((0, 5), 2), ((1, 2), 1), ((2, 4), 1))
+        assert _execute_abstract(cache, pending) == (((0, 5), 1), ((1, 2), 1))
+        assert _reconfig_count((BLACK, 0, 0, 2), (0, 1, 1, 2)) == 2
 
 
 class TestHeuristics:
