@@ -27,9 +27,8 @@ class DeltaLRU(ReconfigurationScheme):
 
     name = "dLRU"
     # Pure function of (eligibility, timestamps, cache); once desired ⊆
-    # cache holds, repeat calls with frozen state are no-ops.  The
-    # sparse core reads this through the default fixed_point_token()
-    # (STATIONARY_TOKEN = skip inactive stretches without a probe).
+    # cache holds, repeat calls with frozen state are no-ops, so the
+    # sparse core may skip inactive stretches and settle drains.
     stationary = True
 
     def reconfigure(self, engine: BatchedEngine) -> None:

@@ -29,8 +29,7 @@ class DeltaLRUEDF(ReconfigurationScheme):
     name = "dLRU-EDF"
     # Both components are pure functions of the scheme-visible state; the
     # LRU set is cached after one call and the EDF component only admits
-    # nonidle colors, so frozen state ⇒ no-op.  fixed_point_token()
-    # defaults to STATIONARY_TOKEN accordingly.
+    # nonidle colors, so frozen state ⇒ no-op.
     stationary = True
 
     def __init__(self, lru_fraction: float = 0.5) -> None:

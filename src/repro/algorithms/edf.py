@@ -23,9 +23,7 @@ class EDF(ReconfigurationScheme):
 
     name = "EDF"
     # Admits only nonidle colors and never evicts without admitting, so
-    # empty-queue stretches are fixed points; the default
-    # fixed_point_token() maps this to STATIONARY_TOKEN (probe-free
-    # skipping).
+    # empty-queue stretches are fixed points the sparse core may skip.
     stationary = True
 
     def reconfigure(self, engine: BatchedEngine) -> None:

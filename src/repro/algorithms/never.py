@@ -26,16 +26,8 @@ class AlwaysReconfigurePolicy(GeneralPolicy):
 
     name = "always-reconfigure"
     # NOT stationary: an empty backlog makes it evict every cached color,
-    # so the *first* empty-queue round still mutates the cache and cannot
-    # be skipped outright.
-
-    def fixed_point_token(self) -> str:
-        # The policy keeps no hidden state — its decisions are a pure
-        # function of backlog and cache contents, both covered by the
-        # engine epochs — so a constant token is a valid contract: the
-        # probe round absorbs the evict-everything transition, and the
-        # steady empty-cache state that follows is skippable.
-        return "backlog-pure"
+    # so the *first* empty-queue round still mutates the cache; the
+    # engine simulates every round.
 
     def reconfigure(self, engine: GeneralEngine) -> None:
         capacity = engine.cache.capacity

@@ -20,10 +20,8 @@ repeats or adversary-search restarts replays the identical stream
 instead of silently continuing the previous run's.
 
 Sparse-core contract: neither scheme is stationary (an eviction draw is
-random), but both expose their full generator state as the
-:meth:`~repro.simulation.engine.ReconfigurationScheme.fixed_point_token`,
-so the engine fast-forwards an inactive stretch only after a probe round
-proves no randomness would have been consumed.
+random, and marking keeps a mark set the engine cannot see), so the
+engine simulates every round of both.
 """
 
 from __future__ import annotations
@@ -32,25 +30,6 @@ import numpy as np
 
 from repro.runtime.seeding import derive_seed
 from repro.simulation.engine import BatchedEngine, ReconfigurationScheme
-
-
-def rng_state_token(rng: np.random.Generator) -> tuple:
-    """Equality-comparable digest of a generator's full internal state.
-
-    Two equal tokens mean the generator would produce identical draws —
-    exactly the evidence the probe protocol needs to prove an inactive
-    round consumed no randomness.
-    """
-    state = rng.bit_generator.state
-    inner = state.get("state")
-    if isinstance(inner, dict):
-        inner = tuple(sorted(inner.items()))
-    return (
-        state.get("bit_generator"),
-        inner,
-        state.get("has_uint32"),
-        state.get("uinteger"),
-    )
 
 
 class RandomEvict(ReconfigurationScheme):
@@ -66,9 +45,6 @@ class RandomEvict(ReconfigurationScheme):
         if seed is not None:
             self._seed = seed
         self._rng = np.random.default_rng(derive_seed(self._seed, self.name))
-
-    def fixed_point_token(self) -> tuple:
-        return rng_state_token(self._rng)
 
     def state_dict(self) -> dict:
         # bit_generator.state is a plain dict of ints/strings for every
@@ -110,12 +86,6 @@ class RandomizedMarking(ReconfigurationScheme):
 
     def setup(self, engine: BatchedEngine) -> None:
         self._marked = set()
-
-    def fixed_point_token(self) -> tuple:
-        # The mark set is decision state the engine cannot see; include
-        # it alongside the RNG digest so a skip also certifies that no
-        # marking-phase transition would have happened.
-        return (rng_state_token(self._rng), tuple(sorted(self._marked)))
 
     def state_dict(self) -> dict:
         return {

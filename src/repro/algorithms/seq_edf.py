@@ -26,8 +26,8 @@ class SeqEDF(EDF):
 
     name = "Seq-EDF"
     # Inherits EDF's stationarity (same admission rule, different cache
-    # geometry) and hence its STATIONARY_TOKEN fixed-point contract;
-    # stated explicitly so the sparse-core contract is visible.
+    # geometry); stated explicitly so the sparse-core contract is
+    # visible.
     stationary = True
 
 

@@ -19,9 +19,8 @@ class StaticPartitionPolicy(GeneralPolicy):
 
     name = "static"
     # Only acts in (round 0, mini-round 0), which the sparse core never
-    # skips; every later call is a no-op by construction.  The default
-    # fixed_point_token() therefore resolves to STATIONARY_TOKEN and
-    # inactive stretches fast-forward without a probe round.
+    # skips; every later call is a no-op by construction, so inactive
+    # stretches fast-forward.
     stationary = True
 
     def __init__(

@@ -62,11 +62,6 @@ class SearchConfig:
     offline_windows: Sequence[int] = (32,)
     #: Hysteresis values tried by the hindsight-schedule denominator.
     offline_hysteresis: Sequence[float] = (1.0,)
-    #: Engine backend for scoring runs (None = default sparse core;
-    #: "vectorized" needs the repro[vec] extra).  Scores are engine-
-    #: independent — all backends are bit-identical on costs — so this
-    #: is purely a throughput knob for large searches.
-    engine: str | None = None
     #: Optional warm start: a rate-limited instance to seed the first
     #: restart with (its per-color delay bounds override the random
     #: bound assignment).  Random mutation rarely synthesizes the
@@ -273,12 +268,9 @@ def _score(
 
     def run_online() -> int:
         # Only the total cost matters here, so take the engine fast path.
+        # Every backend gives the same cost, so the default core scores.
         return simulate(
-            instance,
-            scheme_factory(),
-            config.num_resources,
-            record="costs",
-            engine=config.engine,
+            instance, scheme_factory(), config.num_resources, record="costs"
         ).total_cost
 
     def run_offline() -> int:

@@ -9,8 +9,8 @@ paper's bookkeeping nuances during development.
 
 :class:`CreditScheme` turns the same accounting into a runnable
 reconfiguration scheme — credit earned on wrapping rounds, spent on
-admissions — and doubles as the credit-vector exemplar of the sparse
-core's ``fixed_point_token()`` contract.
+admissions.  Its credit vector is decision state the engine cannot see,
+so it is not stationary and the engine simulates its every round.
 """
 
 from __future__ import annotations
@@ -405,12 +405,11 @@ class CreditScheme(ReconfigurationScheme):
     scheme's reconfiguration cost never exceeds the credit earned — the
     Lemma 3.3 inequality holds by construction rather than by analysis.
 
-    The credit vector is exactly the decision state the engine cannot
-    see, which makes it the scheme's
-    :meth:`~repro.simulation.engine.ReconfigurationScheme.fixed_point_token`:
-    wraps only happen in arrival phases (which the sparse core never
-    skips), so during an inactive stretch the vector is constant and the
-    probe-verified fast-forward is sound.
+    The credit vector is decision state the engine cannot see, so the
+    scheme is not
+    :attr:`~repro.simulation.engine.ReconfigurationScheme.stationary`
+    and the engine simulates every round of it; :meth:`state_dict`
+    carries the vector across stream checkpoints.
     """
 
     name = "credit-edf"
@@ -429,9 +428,6 @@ class CreditScheme(ReconfigurationScheme):
     def setup(self, engine: BatchedEngine) -> None:
         self._credit = {}
         self._last_wrap_seen = {}
-
-    def fixed_point_token(self) -> tuple:
-        return tuple(sorted(self._credit.items()))
 
     def state_dict(self) -> dict:
         return {

@@ -182,6 +182,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     module_name, class_name = _SCHEME_CHOICES[args.scheme].split(":")
     scheme_factory = getattr(importlib.import_module(module_name), class_name)
+    if args.jobs is not None and args.jobs < 1:
+        return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         config = SearchConfig(
             iterations=args.iterations,
@@ -190,16 +192,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
             horizon=args.horizon,
             shared_cache=args.shared_cache,
         )
+        # Restarts are pre-seeded, so parallel results match serial exactly.
+        runner = (
+            ParallelRunner(max_workers=args.jobs)
+            if args.jobs is not None
+            else ParallelRunner.from_env(default_workers=1)
+        )
     except ValueError as error:
         return _usage_error(str(error))
-    if args.jobs is not None and args.jobs < 1:
-        return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
-    # Restarts are pre-seeded, so parallel results match serial exactly.
-    runner = (
-        ParallelRunner(max_workers=args.jobs)
-        if args.jobs is not None
-        else ParallelRunner.from_env(default_workers=1)
-    )
     result = search_adversary(
         scheme_factory, config, runner=runner, recorder=_recorder_for(args)
     )
@@ -631,7 +631,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.obs.registry import RegistrySink, RunRegistry
     from repro.obs.service import OpsService, OpsState
+    from repro.runtime import ParallelRunner
 
+    if args.demo:
+        try:
+            runner = ParallelRunner.from_env(default_workers=2)
+        except ValueError as error:
+            return _usage_error(str(error))
     run_registry = (
         RunRegistry(args.registry_dir) if args.registry_dir else None
     )
@@ -644,7 +650,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.demo:
             from repro.algorithms import DeltaLRU, DeltaLRUEDF, EDF
             from repro.experiments.sweeps import run_matrix
-            from repro.runtime import ParallelRunner
             from repro.workloads.random_batched import random_batched
 
             instances = [
@@ -661,7 +666,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 [DeltaLRUEDF, DeltaLRU, EDF],
                 8,
                 record="costs",
-                runner=ParallelRunner.from_env(default_workers=2),
+                runner=runner,
                 recorder=recorder,
                 publish=state.publish_snapshot,
             )

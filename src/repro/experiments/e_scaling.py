@@ -84,7 +84,7 @@ def _scaling_cell(task: tuple) -> dict:
             GreedyPendingPolicy(),
             resources,
             record=record,
-            sparse=(engine == "general-sparse"),
+            engine=engine.removeprefix("general-"),
         )
     else:
         instance = random_rate_limited(

@@ -133,21 +133,19 @@ def pending_drop_floor(
 
 
 def pending_reconfig_floor(
-    pending,
+    per_color: Mapping[int, int],
     cached_colors,
     delta: int,
     drop_cost: int = 1,
 ) -> int:
     """Per-color floor over pending colors outside ``cached_colors``.
 
-    The state-level analogue of :func:`per_color_lower_bound`: each
-    pending color not currently cached forces the schedule to either
-    recolor a slot to it (``>= Δ``) or drop all of its pending jobs.
-    The charges are disjoint across colors, so the sum is admissible.
+    ``per_color`` maps each color to its job count.  The state-level
+    analogue of :func:`per_color_lower_bound`: each such color not
+    currently cached forces the schedule to either recolor a slot to it
+    (``>= Δ``) or drop all of its jobs.  The charges are disjoint across
+    colors, so the sum is admissible.
     """
-    per_color: dict[int, int] = {}
-    for (color, _), count in pending:
-        per_color[color] = per_color.get(color, 0) + count
     return sum(
         min(delta, count * drop_cost)
         for color, count in per_color.items()

@@ -346,9 +346,9 @@ class _BoundOracle:
         per_color = dict(self.future_counts(start_round))
         for (color, _), count in pending:
             per_color[color] = per_color.get(color, 0) + count
-        merged = [((color, 0), count) for color, count in per_color.items()]
+        # The cache tuple holds m slots, so membership tests need no set.
         floor = pending_reconfig_floor(
-            merged, set(cache), self.delta, self.drop_cost
+            per_color, cache, self.delta, self.drop_cost
         )
         source = "reconfig_floor"
         if pending:

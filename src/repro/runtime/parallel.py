@@ -48,9 +48,9 @@ class ParallelRunner:
     Parameters
     ----------
     max_workers:
-        Worker process count; ``None`` uses ``os.cpu_count()``.  A value
-        of 1 (or a 1-core machine with ``max_workers=None``) short-circuits
-        to the serial path.
+        Worker process count, at least 1; ``None`` uses
+        ``os.cpu_count()``.  A value of 1 (or a 1-core machine with
+        ``max_workers=None``) short-circuits to the serial path.
     chunk_size:
         Tasks per submitted future; ``None`` picks roughly four chunks
         per worker so stragglers rebalance without per-task IPC.
@@ -67,32 +67,42 @@ class ParallelRunner:
     chunk_size: int | None = None
     force_serial: bool = False
 
+    def __post_init__(self) -> None:
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError(
+                f"max_workers must be at least 1, got {self.max_workers}"
+            )
+
     @classmethod
     def from_env(cls, default_workers: int | None = None) -> "ParallelRunner":
         """Build a runner honoring the ``REPRO_PARALLEL`` environment knob.
 
-        ``REPRO_PARALLEL=0`` forces serial; any other integer sets the
-        worker count; unset falls back to ``default_workers``.
+        ``REPRO_PARALLEL=0`` forces serial; a positive integer sets the
+        worker count; unset falls back to ``default_workers``.  Anything
+        else raises ``ValueError``.
         """
         raw = os.environ.get("REPRO_PARALLEL", "").strip()
-        if raw == "0":
+        if not raw:
+            return cls(max_workers=default_workers)
+        try:
+            workers = int(raw)
+            if workers < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"REPRO_PARALLEL must be 0 (serial) or a positive worker "
+                f"count, got {raw!r}"
+            ) from None
+        if workers == 0:
             return cls(force_serial=True)
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_PARALLEL must be an integer, got {raw!r}"
-                ) from None
-            return cls(max_workers=max(1, workers))
-        return cls(max_workers=default_workers)
+        return cls(max_workers=workers)
 
     def resolved_workers(self) -> int:
         """Worker count after applying defaults and the serial switches."""
         if self.force_serial:
             return 1
         if self.max_workers is not None:
-            return max(1, self.max_workers)
+            return self.max_workers
         return max(1, os.cpu_count() or 1)
 
     def _chunked(self, tasks: list[Any], workers: int) -> list[list[Any]]:

@@ -57,11 +57,9 @@ phases touch only those colors, in both modes.  The default
 * **Round skipping** — in ``record="costs"`` mode, whole inactive
   stretches (no pending jobs anywhere, no boundary, no
   eligible-but-uncached color) are fast-forwarded in O(1): every phase
-  of such a round is provably a no-op.  Which schemes qualify is a
-  per-scheme contract, :meth:`ReconfigurationScheme.fixed_point_token`:
-  stationary schemes skip immediately, schemes with verifiable decision
-  state (RNG digests, credit vectors) skip after a one-round probe, and
-  schemes returning ``None`` are never skipped.
+  of such a round is provably a no-op.  Only a scheme that sets
+  :attr:`ReconfigurationScheme.stationary` qualifies; every other
+  scheme simulates every round.
 * **Drain settling** — with no tracer attached, a stationary scheme
   does nothing until the next boundary once every eligible color is
   cached (eligibility only changes at boundaries, and the contract
@@ -288,21 +286,6 @@ def _active_tracer(tracer):
     return None
 
 
-class _StationaryToken:
-    """Singleton sentinel for :meth:`ReconfigurationScheme.fixed_point_token`."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "STATIONARY_TOKEN"
-
-
-#: Returned by ``fixed_point_token()`` for stationary schemes: the engine
-#: may fast-forward an inactive stretch immediately, without the one-round
-#: probe that non-stationary tokens require (see ``fixed_point_token``).
-STATIONARY_TOKEN = _StationaryToken()
-
-
 class ReconfigurationScheme(ABC):
     """Strategy invoked in the reconfiguration phase of every mini-round."""
 
@@ -319,10 +302,9 @@ class ReconfigurationScheme(ABC):
     #: eligible, they insert only uncached eligible colors, and they
     #: evict only to make room.  This is a documented contract, not a
     #: type check (``tests/test_fixed_point_contract.py`` checks it on
-    #: every pass of the kernel schemes).  The sparse engine core
-    #: fast-forwards inactive stretches immediately for stationary
-    #: schemes; non-stationary schemes can still opt into
-    #: probe-verified skipping via :meth:`fixed_point_token`.
+    #: every pass of the kernel schemes).  It is the only licence to
+    #: skip: the sparse engine core fast-forwards inactive stretches of
+    #: a stationary scheme, and simulates every round of any other.
     #:
     #: The batched sparse core also skips the ``reconfigure`` calls of
     #: a stationary scheme, pending work or not, up to the next
@@ -350,35 +332,6 @@ class ReconfigurationScheme(ABC):
         silently continuing one RNG stream.
         """
 
-    def fixed_point_token(self) -> object | None:
-        """Opaque digest of the scheme's inactive-round decision state.
-
-        The sparse core consults this in ``record="costs"`` mode when an
-        *inactive stretch* begins (no pending jobs anywhere, no eligible
-        uncached color, no boundary until the next calendar round):
-
-        * ``None`` — never skip; the engine executes every round.  This
-          is the conservative default for non-stationary schemes.
-        * :data:`STATIONARY_TOKEN` — skip immediately; the stationarity
-          contract already proves inactive rounds are no-ops.
-        * any other equality-comparable value — *probe protocol*: the
-          engine executes one more inactive round and skips only if the
-          token and the engine's order/cache epochs all came back
-          unchanged, i.e. the executed round was observably an identity
-          map on scheme and engine state.  Randomized schemes return an
-          RNG-state digest (a skip is taken only when no randomness
-          would have been consumed); credit schemes return their credit
-          vector.
-
-        Contract for non-``None``, non-sentinel tokens: ``reconfigure``
-        must be a deterministic function of the token-covered internal
-        state and the scheme-visible engine state, and must not depend
-        on the raw round index within a boundary-free stretch.  The
-        default derives the token from :attr:`stationary`, so existing
-        schemes keep their exact behavior.
-        """
-        return STATIONARY_TOKEN if self.stationary else None
-
     def state_dict(self) -> dict:
         """JSON-ready snapshot of the scheme's mutable decision state.
 
@@ -387,8 +340,7 @@ class ReconfigurationScheme(ABC):
         schemes (the four paper kernels) return ``{}``; schemes holding
         decision state the engine cannot see — RNG streams, mark sets,
         credit vectors — must override both this and :meth:`load_state`
-        to round-trip it exactly (same contract as
-        :meth:`fixed_point_token`, which digests the same state).
+        to round-trip it exactly.
         """
         return {}
 
@@ -513,8 +465,8 @@ class RoundDriver:
     "only differ in the way the resources are reconfigured".  The driver
     owns everything the engines have in common: the construction
     checks, :meth:`run` and its :class:`RunResult`, the round loop
-    (plain and instrumented), the inactive-stretch fast-forward with its
-    probe protocol, the fixed-point handshake with the scheme
+    (plain and instrumented), the inactive-stretch fast-forward, the
+    fixed-point handshake with the scheme
     (:meth:`at_fixed_point` / :meth:`mark_fixed_point`) and the cache
     mutators (:meth:`cache_insert` / :meth:`cache_evict`).  An engine
     supplies the rest:
@@ -530,10 +482,10 @@ class RoundDriver:
     * optionally ``_settle_drain(k, end)``, which settles a stretch of
       pure execution in closed form (the batched engine).
 
-    ``sparse=False`` is the dense reference mode: the same loop with
+    ``engine="dense"`` is the reference mode: the same loop with
     fast-forward, drain settling, the order caches and fixed-point
     skipping turned off, so every round is simulated and every scheme
-    pass runs in full.
+    pass runs in full; ``engine="sparse"`` turns them on.
     """
 
     #: Backend identifier surfaced in the run span and bench rows.
@@ -551,13 +503,18 @@ class RoundDriver:
         copies: int,
         speed: int,
         record: str,
-        sparse: bool,
+        engine: str,
         start_round: int = 0,
         tracer=None,
         registry=None,
         profiler=None,
         reconfig_observer=None,
     ) -> None:
+        if engine not in ("sparse", "dense"):
+            raise ValueError(
+                f"{type(self).__name__} runs engine='sparse' or 'dense', not "
+                f"{engine!r}; the vectorized backend is VectorizedEngine"
+            )
         check_geometry(num_resources, copies, speed)
         if record not in ("full", "costs"):
             raise ValueError("record must be 'full' or 'costs'")
@@ -571,7 +528,7 @@ class RoundDriver:
         self.copies = copies
         self.speed = speed
         self.record = record
-        self.sparse = sparse
+        self.sparse = engine == "sparse"
         self.delta = instance.reconfig_cost
         self.cache = CachePool(num_resources // copies, copies)
         full = record == "full"
@@ -608,15 +565,6 @@ class RoundDriver:
         #: Epoch at which the scheme last completed a reconfiguration
         #: pass (see :meth:`at_fixed_point`); ``None`` until it does.
         self._scheme_pass_epoch: int | None = None
-        #: Monotone counter of cache mutations (inserts and evictions).
-        #: Together with ``order_epoch`` it lets the probe protocol prove
-        #: an executed round was an identity map: equal epochs before and
-        #: after mean the scheme touched nothing the engine can see.
-        self._cache_epoch = 0
-        #: Last ``(order_epoch, cache_epoch, token)`` observed at a skip
-        #: checkpoint; a repeat observation proves the round in between
-        #: was a no-op (see ReconfigurationScheme.fixed_point_token).
-        self._probe_state: tuple | None = None
         scheme.reset()
 
     # ------------------------------------------------------------------ run
@@ -675,36 +623,35 @@ class RoundDriver:
         """Simulate each round, then fast-forward what can be proven.
 
         After each simulated round of a sparse ``record="costs"`` run
-        the loop tries two skips:
+        of a stationary scheme the loop tries two skips:
 
         * an *inactive stretch* (the engine is idle) jumps to the next
-          event round when the scheme's ``fixed_point_token()`` proves
-          its rounds are no-ops;
-        * a *drain stretch* (an engine with ``_settle_drain``, a
-          stationary scheme that has every eligible color cached or
-          whose last completed pass is still current, no tracer
-          attached) is settled in closed form: only execution happens
-          until the next event round.  With every eligible color cached
-          it ends earlier only when the last queue runs empty and
-          nothing is pending outside the cache, so the inactive-stretch
-          skip takes over; otherwise it ends at the first queue to run
-          empty.
+          event round: the stationarity contract makes its rounds
+          no-ops;
+        * a *drain stretch* (an engine with ``_settle_drain``, a scheme
+          that has every eligible color cached or whose last completed
+          pass is still current, no tracer attached) is settled in
+          closed form: only execution happens until the next event
+          round.  With every eligible color cached it ends earlier only
+          when the last queue runs empty and nothing is pending outside
+          the cache, so the inactive-stretch skip takes over; otherwise
+          it ends at the first queue to run empty.
+
+        Every round of a non-stationary scheme is simulated.
         """
         horizon = self.instance.horizon
         events = self._event_rounds
         num_events = len(events)
         tr, obs, prof = self.tracer, self.obs, self.profiler
         # Skipping is only sound when nothing observes the skipped rounds
-        # (no trace or schedule) and the scheme vouches for its
-        # inactive-round behavior through fixed_point_token().  The
+        # (no trace or schedule) and the scheme is stationary.  The
         # attachments (tracer/registry/profiler) do NOT disable it:
         # skipped rounds are provable global no-ops, so the trace
         # records a single ``fast_forward`` event instead of empty rounds.
-        can_skip = self.sparse and self.record == "costs"
+        can_skip = self.sparse and self.record == "costs" and self.scheme.stationary
         # A tracer asks for per-round events (execute, cache_hit), so
         # traced runs keep simulating drain rounds one by one.
         settle = self._settle_drain if can_skip and tr is None else None
-        token_fn = self.scheme.fixed_point_token
         # Registry-only runs take the plain round body; the span/phase
         # indirection is only worth paying when a tracer or profiler
         # consumes the markers.
@@ -744,14 +691,9 @@ class RoundDriver:
             if not can_skip:
                 continue
             if self._total_pending or self._num_eligible_uncached:
-                self._probe_state = None
-                if not (
-                    settle is not None
-                    and (
-                        self._scheme_pass_epoch == self.order_epoch
-                        or not self._num_eligible_uncached
-                    )
-                    and token_fn() is STATIONARY_TOKEN
+                if settle is None or (
+                    self._num_eligible_uncached
+                    and self._scheme_pass_epoch != self.order_epoch
                 ):
                     continue
                 # Drain stretch: up to the next event round every
@@ -772,30 +714,15 @@ class RoundDriver:
                     continue
                 # The settle ran the last queue empty: what follows is an
                 # inactive stretch, skipped as after a simulated round.
-            token = token_fn()
-            if token is None:
-                self._probe_state = None
-                continue
-            skip = token is STATIONARY_TOKEN
-            if not skip:
-                state = (self.order_epoch, self._cache_epoch, token)
-                # Probe protocol: skip only after one fully executed
-                # inactive round left the token and both engine
-                # epochs unchanged — that round was observably an
-                # identity map, and nothing differs for the rounds
-                # up to the next event round.
-                skip = state == self._probe_state
-                self._probe_state = state
-            if not skip:
-                continue
             # Every round in [k, target) is a global no-op: no drops or
             # arrivals (no event round), no executions (nothing pending),
-            # and the token contract proves the reconfiguration phases
-            # perform no mutations.  With no event round left the target
-            # is the horizon; no end-of-horizon drop can be lost to that
-            # because instances place every deadline before ``horizon``,
-            # making each drop round an event round the skip lands on,
-            # never jumps over — pinned by the horizon-edge tests.
+            # and the stationarity contract proves the reconfiguration
+            # phases perform no mutations.  With no event round left the
+            # target is the horizon; no end-of-horizon drop can be lost to
+            # that because instances place every deadline before
+            # ``horizon``, making each drop round an event round the skip
+            # lands on, never jumps over — pinned by the horizon-edge
+            # tests.
             target = next_event(k)
             if target > k:
                 if tr is not None:
@@ -879,7 +806,6 @@ class RoundDriver:
     def cache_insert(self, color: int, *, section: str = "main") -> None:
         """Bring ``color`` into the cache, recording costs and events."""
         slot, reconfigured, old_physical = self.cache.insert(color)
-        self._cache_epoch += 1
         if self._reconfig_observer is not None and reconfigured:
             self._reconfig_observer(color, reconfigured)
         st = self.states.get(color)
@@ -924,7 +850,6 @@ class RoundDriver:
     def cache_evict(self, color: int) -> None:
         """Drop ``color`` from the cache (free of charge; slots persist)."""
         self.cache.evict(color)
-        self._cache_epoch += 1
         st = self.states.get(color)
         if st is not None and st.eligible:
             self._num_eligible_uncached += 1
@@ -957,10 +882,10 @@ class BatchedEngine(RoundDriver):
         (fast path) and only maintains the cost breakdown.
     engine:
         ``"sparse"`` (default) caches the orderings and (in ``"costs"``
-        mode) fast-forwards inactive stretches and settles drain
-        stretches; ``"dense"`` is the reference mode that simulates
-        every round and every scheme pass in full.  Both produce
-        identical costs, schedules, and traces.
+        mode, for a stationary scheme) fast-forwards inactive stretches
+        and settles drain stretches; ``"dense"`` is the reference mode
+        that simulates every round and every scheme pass in full.  Both
+        produce identical costs, schedules, and traces.
     start_round:
         First round to simulate (default 0).  Streaming sessions run a
         long horizon as a chain of segment engines: each segment covers
@@ -991,11 +916,6 @@ class BatchedEngine(RoundDriver):
                 "BatchedEngine requires a batched instance; wrap general "
                 "instances with the VarBatch reduction first"
             )
-        if engine not in ("sparse", "dense"):
-            raise ValueError(
-                f"BatchedEngine runs engine='sparse' or 'dense', not "
-                f"{engine!r}; the vectorized backend is VectorizedEngine"
-            )
         if record == "full" and isinstance(instance.sequence, CountSequence):
             raise ValueError(
                 "record='full' names every executed job, but a count "
@@ -1008,7 +928,7 @@ class BatchedEngine(RoundDriver):
             copies=copies,
             speed=speed,
             record=record,
-            sparse=engine == "sparse",
+            engine=engine,
             start_round=start_round,
             tracer=tracer,
             registry=registry,
@@ -1333,7 +1253,7 @@ class BatchedEngine(RoundDriver):
         deadlines, eligibility, wrap history, pending batches, the cache
         pool (occupant *and* physical color per slot), and the
         accumulated :class:`CostBreakdown`.  Derived bookkeeping (the
-        eligible ordering, order/cache epochs, probe state) is
+        eligible ordering, the order caches, the fixed-point epoch) is
         recomputed by :meth:`import_state`: it only accelerates the
         sparse core and never changes costs, so leaving it out keeps
         the snapshot minimal and the restore trivially consistent.
@@ -1402,7 +1322,8 @@ class BatchedEngine(RoundDriver):
             )
         self.cost = cost
         # Rebuild the derived sparse-core bookkeeping from the canonical
-        # state; caches and probe state start cold (cost-neutral).
+        # state; the order caches and the fixed-point epoch start cold
+        # (cost-neutral).
         self._total_pending = sum(st.pending for st in self.states.values())
         self._eligible_sorted = sorted(
             c for c, st in self.states.items() if st.eligible
@@ -1417,7 +1338,6 @@ class BatchedEngine(RoundDriver):
         }
         self._rank_cache = None
         self._lru_cache = None
-        self._probe_state = None
         self._scheme_pass_epoch = None
 
     # ------------------------------------------------- scheme-facing helpers

@@ -29,73 +29,42 @@ same way, and the engine supplies only its own phases:
   touches only the colors that can actually drop (within a color,
   arrivals are FIFO and share one delay bound, so the queue front is
   always the earliest deadline).
-* **Round skipping** — with ``sparse=True`` (default) and
+* **Round skipping** — with ``engine="sparse"`` (default) and
   ``record="costs"``, stretches with no pending jobs are fast-forwarded
   to the next arrival round in O(1) (every phase of such a round is a
-  no-op).  Which policies qualify is the same per-scheme contract as
-  the batched engine, :meth:`GeneralPolicy.fixed_point_token`:
-  stationary policies skip immediately, policies with verifiable
-  decision state skip after a one-round probe, and policies returning
-  ``None`` are never skipped.
+  no-op).  As in the batched engine, only a policy that sets
+  :attr:`~repro.simulation.engine.ReconfigurationScheme.stationary`
+  qualifies; every round of any other policy is simulated.
 * **Fixed-point reconfigure skipping** — policies whose pass is
   idempotent call ``at_fixed_point`` / ``mark_fixed_point`` to elide
   whole reconfiguration passes between backlog changes (arrivals,
   drops, executions), exactly as in the batched engine.
 
-``sparse=False`` is the dense reference mode: every round is simulated
+``engine="dense"`` is the reference mode: every round is simulated
 and every policy pass runs in full.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections import deque
 
 from repro.core.events import ArrivalEvent, DropEvent, ExecuteEvent
 from repro.core.instance import CountSequence, Instance
 from repro.core.job import Job
 from repro.core.schedule import Execution
-from repro.simulation.engine import STATIONARY_TOKEN, RoundDriver, RunResult
+from repro.simulation.engine import ReconfigurationScheme, RoundDriver, RunResult
 
 
-class GeneralPolicy(ABC):
+class GeneralPolicy(ReconfigurationScheme):
     """Reconfiguration strategy for the general engine."""
 
-    name: str = "abstract"
-
-    #: Stationarity contract (see
+    #: Stationarity (see
     #: :attr:`~repro.simulation.engine.ReconfigurationScheme.stationary`):
     #: after round 0, whenever every pending queue is empty and no
     #: arrivals intervene, ``reconfigure`` performs no cache mutations.
-    #: Policies that evict on empty backlogs (or randomize) must keep the
-    #: conservative ``False`` default — they can still opt into
-    #: probe-verified skipping through :meth:`fixed_point_token`.
+    #: Policies that evict on empty backlogs (or randomize) keep the
+    #: ``False`` default, and the engine simulates their every round.
     stationary: bool = False
-
-    def setup(self, engine: "GeneralEngine") -> None:
-        """Hook called once before round 0 (default: no-op)."""
-
-    def reset(self, seed: int | None = None) -> None:
-        """Re-initialize per-run mutable state (default: no-op).
-
-        Called once at engine construction, before :meth:`setup`; see
-        :meth:`repro.simulation.engine.ReconfigurationScheme.reset`.
-        """
-
-    def fixed_point_token(self) -> object | None:
-        """Inactive-round decision-state digest.
-
-        Same contract as
-        :meth:`repro.simulation.engine.ReconfigurationScheme.fixed_point_token`:
-        ``None`` = never skip, :data:`~repro.simulation.engine.STATIONARY_TOKEN`
-        = skip immediately, anything else = skip after a one-round probe
-        proves the token and the engine epochs did not move.
-        """
-        return STATIONARY_TOKEN if self.stationary else None
-
-    @abstractmethod
-    def reconfigure(self, engine: "GeneralEngine") -> None:
-        """Mutate ``engine``'s cache for the current round."""
 
 
 class GeneralEngine(RoundDriver):
@@ -103,7 +72,7 @@ class GeneralEngine(RoundDriver):
 
     Runs on the shared :class:`~repro.simulation.engine.RoundDriver`;
     this class supplies the per-job queues and the phases that read
-    them.  ``sparse=False`` is the dense reference mode (see
+    them.  ``engine="dense"`` is the reference mode (see
     :class:`~repro.simulation.engine.RoundDriver`).
     """
 
@@ -118,7 +87,7 @@ class GeneralEngine(RoundDriver):
         copies: int = 1,
         speed: int = 1,
         record: str = "full",
-        sparse: bool = True,
+        engine: str = "sparse",
         tracer=None,
         registry=None,
         profiler=None,
@@ -136,7 +105,7 @@ class GeneralEngine(RoundDriver):
             copies=copies,
             speed=speed,
             record=record,
-            sparse=sparse,
+            engine=engine,
             tracer=tracer,
             registry=registry,
             profiler=profiler,
@@ -272,7 +241,7 @@ def simulate_general(
     copies: int = 1,
     speed: int = 1,
     record: str = "full",
-    sparse: bool = True,
+    engine: str = "sparse",
     tracer=None,
     registry=None,
     profiler=None,
@@ -285,7 +254,7 @@ def simulate_general(
         copies=copies,
         speed=speed,
         record=record,
-        sparse=sparse,
+        engine=engine,
         tracer=tracer,
         registry=registry,
         profiler=profiler,

@@ -49,9 +49,9 @@ The fast path replicates the dense core event for event:
 The fast path is only taken for ``record="costs"`` runs with no
 instrumentation attached (no tracer/profiler/registry) and one
 of the four paper schemes; anything else — full-record runs, attached
-monitors, token-based randomized schemes — falls back to the faithful
-sparse core, which honors the ``fixed_point_token()``/``reset(seed)``
-contract for every scheme and emits the identical obs stream.  A
+monitors, randomized and credit schemes — falls back to the faithful
+sparse core, which honors the ``stationary``/``reset(seed)`` contract
+for every scheme and emits the identical obs stream.  A
 ``reconfig_observer`` *is* supported on the fast path (reduction
 pipelines stream outer costs through it in ``record="costs"`` mode).
 
@@ -119,7 +119,6 @@ class VectorizedEngine(BatchedEngine):
         speed: int = 1,
         record: str = "full",
         start_round: int = 0,
-        columnar: bool = True,
         tracer=None,
         registry=None,
         profiler=None,
@@ -142,14 +141,13 @@ class VectorizedEngine(BatchedEngine):
         self.engine_name = "vectorized"
         # The columnar path compiles the *whole* request sequence up
         # front and assumes it owns the run from round 0 with empty
-        # initial state.  Streaming sessions pass ``columnar=False`` (the
-        # compile is O(total jobs), which contradicts the O(pending)
-        # streaming bound) and segment engines start mid-run — both run
-        # the faithful sparse core under the vectorized backend name,
-        # which is cost-exact by the existing parity property tests.
+        # initial state.  An engine started mid-run runs the faithful
+        # sparse core under the vectorized backend name, which is
+        # cost-exact by the parity property tests.  (Streaming sessions
+        # build the sparse core directly: the compile is O(total jobs),
+        # which contradicts their O(pending) bound.)
         self._vector_path = (
-            columnar
-            and start_round == 0
+            start_round == 0
             and record == "costs"
             and self.tracer is None
             and self.profiler is None

@@ -307,32 +307,20 @@ class StreamSession:
             self.recorder.sample(end)
 
     def _build_engine(self, instance: Instance, start: int) -> BatchedEngine:
-        kwargs = dict(
-            copies=self.copies,
-            speed=self.speed,
-            record="costs",
-            start_round=start,
-            registry=self.registry,
-        )
-        if self.engine == "vectorized":
-            from repro.simulation.vectorized import VectorizedEngine
-
-            # columnar=False: the columnar compile ingests whole
-            # sequences and assumes empty initial state; streaming runs
-            # the faithful sparse core under the vectorized backend.
-            return VectorizedEngine(
-                instance,
-                self.scheme,
-                self.num_resources,
-                columnar=False,
-                **kwargs,
-            )
+        # The vectorized compile ingests whole sequences from empty
+        # initial state, so a "vectorized" session runs every segment on
+        # the sparse core it would fall back to; the name stays accepted
+        # so sessions and checkpoints that record it still run.
         return BatchedEngine(
             instance,
             self.scheme,
             self.num_resources,
-            engine=self.engine,
-            **kwargs,
+            copies=self.copies,
+            speed=self.speed,
+            record="costs",
+            engine="dense" if self.engine == "dense" else "sparse",
+            start_round=start,
+            registry=self.registry,
         )
 
     # ------------------------------------------------- checkpoint/restore

@@ -110,6 +110,27 @@ def test_search_rejects_out_of_range_config(capsys, flag, value, field):
     _assert_one_error_line(capsys, field)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "dlru-edf", "--iterations", "2", "--horizon", "8"],
+        ["serve", "--demo", "--port", "0", "--ttl", "0"],
+    ],
+    ids=["search", "serve-demo"],
+)
+@pytest.mark.parametrize(
+    "value",
+    [
+        "-3",  # ran serially and exited 0
+        "abc",  # was a ValueError traceback
+    ],
+)
+def test_bad_repro_parallel_is_one_error_line(monkeypatch, capsys, argv, value):
+    monkeypatch.setenv("REPRO_PARALLEL", value)
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, "REPRO_PARALLEL")
+
+
 def test_offline_resources_size_only_the_solver(capsys):
     # --resources used to land in random_general's Δ slot as well, so
     # --resources 4 solved a Δ = 4 instance (cost 13).

@@ -1,18 +1,16 @@
-"""Fixed-point token contract: parity, soundness, and lifecycle tests.
+"""Skip contract: parity, soundness, and lifecycle tests.
 
-The sparse cores may skip an inactive stretch only when the scheme's
-``fixed_point_token()`` proves the skipped rounds are identity maps —
-immediately for :data:`STATIONARY_TOKEN`, via the one-round probe
-protocol for any other token, never for ``None``.  Everything here pins
-that contract:
+The sparse cores may skip a round only for a scheme that sets
+``ReconfigurationScheme.stationary``; every round of any other scheme is
+simulated.  Everything here pins that contract:
 
-* randomized and credit schemes (probe tokens) stay bit-identical to the
-  dense core across speeds and record modes, on workloads where the
-  sparse core genuinely skips;
+* randomized and credit schemes (not stationary) stay bit-identical to
+  the dense core across speeds and record modes, and simulate exactly
+  the rounds the dense core does, as do the non-stationary general
+  policies;
 * the filtered obs event streams of the two cores are identical;
-* a scheme without a token is never skipped, and a hostile scheme that
-  mutates the cache behind a constant token is never skipped either
-  (the cache epoch defeats it);
+* a hostile scheme that mutates the cache on every call is never
+  skipped;
 * ``reset()`` makes back-to-back runs of one scheme instance
   bit-identical (the RNG-lifecycle regression);
 * fast-forward targets are clamped at the horizon and never jump a
@@ -47,7 +45,6 @@ from repro.algorithms.seq_edf import SeqEDF
 from repro.obs import MemorySink, MetricsRegistry, PhaseProfiler, Tracer
 from repro.offline.heuristic import LookaheadPolicy
 from repro.simulation.engine import (
-    STATIONARY_TOKEN,
     BatchedEngine,
     ReconfigurationScheme,
     simulate,
@@ -61,6 +58,8 @@ from repro.workloads.random_batched import (
     random_rate_limited,
 )
 
+#: The batched schemes that are not stationary: decision state the
+#: engine cannot see (an RNG stream, a mark set, a credit vector).
 TOKEN_SCHEMES = [
     pytest.param(RandomEvict, id="random-evict"),
     pytest.param(RandomizedMarking, id="randomized-marking"),
@@ -108,7 +107,11 @@ def _batched_workloads(seed):
 
 
 class TestTokenSchemeParity:
-    """Randomized & credit schemes: sparse == dense, bit for bit."""
+    """Randomized & credit schemes: sparse == dense, bit for bit.
+
+    These schemes carry decision state the engine cannot see, so they
+    are not stationary and the sparse core simulates their every round.
+    """
 
     @pytest.mark.parametrize("scheme_cls", TOKEN_SCHEMES)
     @pytest.mark.parametrize("speed", [1, 2])
@@ -129,23 +132,11 @@ class TestTokenSchemeParity:
                     assert list(dense.trace) == list(sparse.trace)
 
     @pytest.mark.parametrize("scheme_cls", TOKEN_SCHEMES)
-    def test_probe_protocol_actually_skips(self, scheme_cls):
-        # The quiet-tail workload must be skipped through, not merely
-        # survived: a probe token that never matches would silently
-        # degrade the sparse core to dense speed.
-        sparse = simulate(
-            _quiet_tail_instance(), scheme_cls(), 8,
-            record="costs", engine="sparse",
-        )
-        assert sparse.rounds_executed is not None
-        assert sparse.active_round_fraction < 0.8
-
-    @pytest.mark.parametrize("scheme_cls", TOKEN_SCHEMES)
     def test_obs_event_streams_match(self, scheme_cls):
         # The cost-relevant event stream (drops, arrivals, reconfigs,
-        # executions, ...) must be identical; only the sparse-core
-        # markers (fast_forward, cache_hit) and per-round scaffolding
-        # (phase markers, round spans) may differ.
+        # executions, ...) must be identical, and on the quiet-tail
+        # workload, where a stationary scheme would be fast-forwarded,
+        # no round of a non-stationary scheme may be.
         def run(engine):
             sink = MemorySink()
             registry = MetricsRegistry()
@@ -167,12 +158,12 @@ class TestTokenSchemeParity:
         assert dense_events == sparse_events
         for name in ("engine.drops", "engine.reconfigs", "engine.executions"):
             assert dense_counters.get(name, 0) == sparse_counters.get(name, 0)
-        assert dense_counters.get("engine.rounds_fast_forwarded", 0) == 0
-        assert sparse_counters["engine.rounds_fast_forwarded"] > 0
+        for counters in (dense_counters, sparse_counters):
+            assert counters.get("engine.rounds_fast_forwarded", 0) == 0
         assert (
             sparse_counters["engine.rounds_executed"]
-            + sparse_counters["engine.rounds_fast_forwarded"]
             == dense_counters["engine.rounds_executed"]
+            == _quiet_tail_instance().horizon
         )
 
 
@@ -183,10 +174,10 @@ class TestVectorizedBackendContract:
     """The vectorized backend under the same scheme contract.
 
     Kernel schemes (the four paper schemes) take the columnar fast path;
-    token schemes (randomized, credit) fall back to the faithful sparse
-    core inside the same backend — both must stay bit-identical to the
-    dense core, and the fallback must keep honoring the
-    ``fixed_point_token()``/``reset(seed)`` lifecycle.
+    randomized and credit schemes fall back to the faithful sparse core
+    inside the same backend — both must stay bit-identical to the dense
+    core, and the fallback must keep honoring the ``reset(seed)``
+    lifecycle.
     """
 
     @pytest.mark.parametrize("scheme_cls", TOKEN_SCHEMES)
@@ -206,18 +197,6 @@ class TestVectorizedBackendContract:
             if record == "full":
                 assert list(dense.trace) == list(vectorized.trace)
 
-    def test_fallback_still_skips_quiet_tails(self):
-        # A token scheme through the vectorized backend rides the sparse
-        # fallback, calendar fast-forward included.
-        from repro.algorithms.randomized import RandomEvict
-
-        result = simulate(
-            _quiet_tail_instance(), RandomEvict(), 8,
-            record="costs", engine="vectorized",
-        )
-        assert result.rounds_executed is not None
-        assert result.active_round_fraction < 0.8
-
     def test_back_to_back_runs_are_bit_identical(self):
         # reset() at engine construction applies to the vectorized
         # backend exactly as to the others.
@@ -232,30 +211,15 @@ class TestVectorizedBackendContract:
         _assert_costs_identical(first.cost, second.cost)
 
 
-class _TokenlessScheme(ReconfigurationScheme):
-    """Opts out of skipping entirely: ``fixed_point_token() -> None``."""
-
-    name = "tokenless"
-
-    def fixed_point_token(self):
-        return None
-
-    def reconfigure(self, engine):
-        return None
-
-
 class _HostileScheme(ReconfigurationScheme):
-    """Mutates the cache every call behind a constant token.
+    """Mutates the cache on every call, though it keeps no state.
 
-    A constant token alone must never authorize a skip: the cache epoch
-    in the probe tuple changes every round, so the probe never proves a
-    fixed point and the engine must execute every round.
+    Having no hidden state does not make a scheme stationary: this one
+    churns the cache on quiet rounds too, so the engine must simulate
+    every round of it.
     """
 
     name = "hostile"
-
-    def fixed_point_token(self):
-        return "constant"
 
     def reconfigure(self, engine):
         if 0 in engine.cache:
@@ -265,17 +229,11 @@ class _HostileScheme(ReconfigurationScheme):
 
 
 class TestSkipSoundness:
-    def test_tokenless_scheme_never_skipped(self):
-        # Default contract sanity first.
-        assert _TokenlessScheme().fixed_point_token() is None
-        assert RandomEvict().fixed_point_token() is not STATIONARY_TOKEN
-        result = simulate(
-            _quiet_tail_instance(), _TokenlessScheme(), 8,
-            record="costs", engine="sparse",
-        )
-        assert result.active_round_fraction == 1.0
-
     def test_hostile_constant_token_never_skipped(self):
+        # The churn costs nothing after the first insert (a same-color
+        # reinsert lands on the slot that still holds the color), so the
+        # bill alone need not show a skipped round; the round count does.
+        assert not _HostileScheme.stationary
         instance = _quiet_tail_instance(horizon=256)
         sparse = simulate(
             instance, _HostileScheme(), 8, record="costs", engine="sparse"
@@ -283,11 +241,51 @@ class TestSkipSoundness:
         dense = simulate(
             instance, _HostileScheme(), 8, record="costs", engine="dense"
         )
-        # The evict/insert churn bumps the cache epoch every round even
-        # though the physical slot keeps its color (same-color reinsert
-        # is elided), so the probe must fail on the epoch, not the bill.
         assert sparse.active_round_fraction == 1.0
+        assert sparse.rounds_executed == dense.rounds_executed
         _assert_costs_identical(dense.cost, sparse.cost)
+
+
+#: ``(simulate function, non-stationary scheme, stationary control)``
+#: for every non-stationary scheme the package ships.
+NON_STATIONARY_CASES = [
+    pytest.param(simulate, RandomEvict, EDF, id="random-evict"),
+    pytest.param(simulate, RandomizedMarking, EDF, id="randomized-marking"),
+    pytest.param(simulate, CreditScheme, EDF, id="credit-edf"),
+    pytest.param(
+        simulate_general, AlwaysReconfigurePolicy, GreedyPendingPolicy,
+        id="always",
+    ),
+    pytest.param(
+        simulate_general, partial(LookaheadPolicy, 16), GreedyPendingPolicy,
+        id="lookahead",
+    ),
+]
+
+
+class TestNonStationaryNeverSkipped:
+    """``stationary`` is the only licence to skip a round."""
+
+    @pytest.mark.parametrize("run, scheme_cls, control", NON_STATIONARY_CASES)
+    def test_sparse_simulates_every_round(self, run, scheme_cls, control):
+        # On each workload the stationary control is fast-forwarded, so
+        # the non-stationary scheme has rounds the sparse core could
+        # skip; it must simulate every one of them, as dense does.
+        if run is simulate:
+            instance = _quiet_tail_instance()
+        else:
+            instance = random_general(
+                8, 4, 1024, seed=3, rate=0.02, bound_choices=(32, 64)
+            )
+        assert not scheme_cls().stationary
+        assert control.stationary
+        skipped = run(instance, control(), 8, record="costs")
+        assert skipped.rounds_executed < instance.horizon
+        dense = run(instance, scheme_cls(), 8, record="costs", engine="dense")
+        sparse = run(instance, scheme_cls(), 8, record="costs", engine="sparse")
+        _assert_costs_identical(dense.cost, sparse.cost)
+        assert sparse.rounds_executed == dense.rounds_executed
+        assert sparse.rounds_executed == instance.horizon
 
 
 class TestResetLifecycle:
@@ -309,11 +307,13 @@ class TestResetLifecycle:
         # (e.g. at the next engine construction) replays the new stream,
         # not the constructor's.
         a, b = RandomEvict(seed=1), RandomEvict(seed=2)
+        assert a.state_dict() != b.state_dict()
         a.reset(seed=2)
-        assert a.fixed_point_token() == b.fixed_point_token()
+        assert a.state_dict() == b.state_dict()
         a._rng.random()
+        assert a.state_dict() != b.state_dict()
         a.reset()
-        assert a.fixed_point_token() == b.fixed_point_token()
+        assert a.state_dict() == b.state_dict()
 
 
 class _InertScheme(ReconfigurationScheme):
@@ -384,11 +384,11 @@ class TestHorizonEdge:
         sink = MemorySink()
         sparse = simulate_general(
             instance, NeverReconfigurePolicy(), 4, record="costs",
-            sparse=True, tracer=Tracer(sink),
+            engine="sparse", tracer=Tracer(sink),
         )
         dense = simulate_general(
             instance, NeverReconfigurePolicy(), 4, record="costs",
-            sparse=False,
+            engine="dense",
         )
         _assert_costs_identical(dense.cost, sparse.cost)
         assert sparse.cost.num_drops == 5
@@ -409,7 +409,7 @@ class TestHorizonEdge:
         sink = MemorySink()
         result = simulate_general(
             instance, NeverReconfigurePolicy(), 4, record="costs",
-            sparse=True, tracer=Tracer(sink),
+            engine="sparse", tracer=Tracer(sink),
         )
         assert result.rounds_executed < instance.horizon
         forwards = [r for r in sink.records if r.name == "fast_forward"]
@@ -430,11 +430,11 @@ class TestGeneralEngineParity:
             )
             dense = simulate_general(
                 instance, policy_cls(), 8, speed=speed,
-                record=record, sparse=False,
+                record=record, engine="dense",
             )
             sparse = simulate_general(
                 instance, policy_cls(), 8, speed=speed,
-                record=record, sparse=True,
+                record=record, engine="sparse",
             )
             _assert_costs_identical(dense.cost, sparse.cost)
             if record == "full":
@@ -461,11 +461,11 @@ class TestGeneralEngineParity:
             jobs += factory.batch(arrivals[color], color, bound, 2)
         instance = make_instance(jobs, bounds, 2)
         expected = [(drop_round, c) for c in sorted(bounds)]
-        for sparse in (True, False):
+        for engine in ("sparse", "dense"):
             sink = MemorySink()
             result = simulate_general(
                 instance, NeverReconfigurePolicy(), 2, record=record,
-                sparse=sparse, tracer=Tracer(sink),
+                engine=engine, tracer=Tracer(sink),
             )
             drops = [
                 (r.round_index, r.data["color"])
@@ -486,10 +486,10 @@ class TestGeneralEngineParity:
             8, 4, 2048, seed=3, rate=0.01, bound_choices=(32, 64)
         )
         sparse = simulate_general(
-            instance, GreedyPendingPolicy(), 8, record="costs", sparse=True
+            instance, GreedyPendingPolicy(), 8, record="costs", engine="sparse"
         )
         dense = simulate_general(
-            instance, GreedyPendingPolicy(), 8, record="costs", sparse=False
+            instance, GreedyPendingPolicy(), 8, record="costs", engine="dense"
         )
         _assert_costs_identical(dense.cost, sparse.cost)
         assert sparse.rounds_executed < instance.horizon
@@ -500,7 +500,7 @@ class TestGeneralEngineParity:
             8, 4, 512, seed=3, rate=0.01, bound_choices=(32, 64)
         )
         result = simulate_general(
-            instance, GreedyPendingPolicy(), 8, record="full", sparse=True
+            instance, GreedyPendingPolicy(), 8, record="full", engine="sparse"
         )
         assert result.active_round_fraction == 1.0
 
@@ -509,12 +509,12 @@ class TestGeneralEngineParity:
             8, 4, 1024, seed=3, rate=0.02, bound_choices=(32, 64)
         )
 
-        def run(sparse):
+        def run(engine):
             sink = MemorySink()
             registry = MetricsRegistry()
             simulate_general(
                 instance, GreedyPendingPolicy(), 8,
-                record="costs", sparse=sparse,
+                record="costs", engine=engine,
                 tracer=Tracer(sink), registry=registry,
             )
             events = [
@@ -525,8 +525,8 @@ class TestGeneralEngineParity:
             ]
             return events, registry.snapshot()["counters"]
 
-        dense_events, dense_counters = run(sparse=False)
-        sparse_events, sparse_counters = run(sparse=True)
+        dense_events, dense_counters = run("dense")
+        sparse_events, sparse_counters = run("sparse")
         assert dense_events == sparse_events
         for name in ("engine.drops", "engine.reconfigs", "engine.executions"):
             assert dense_counters.get(name, 0) == sparse_counters.get(name, 0)
@@ -657,7 +657,9 @@ class _CachedPassCheck(ReconfigurationScheme):
     mutates nothing.
 
     The kernel schemes keep no state besides the engine's, so only
-    ``reconfigure`` needs delegating.
+    ``reconfigure`` needs delegating.  ``setup`` wraps the engine's two
+    cache mutators to count every call, so an evict followed by a
+    reinsert of the same color counts too.
     """
 
     def __init__(self, inner: ReconfigurationScheme) -> None:
@@ -665,14 +667,25 @@ class _CachedPassCheck(ReconfigurationScheme):
         self.name = inner.name
         self.stationary = inner.stationary
         self.checked = 0
+        self.mutations = 0
+
+    def setup(self, engine):
+        for name in ("cache_insert", "cache_evict"):
+            mutate = getattr(engine, name)
+
+            def counted(*args, _mutate=mutate, **kwargs):
+                self.mutations += 1
+                return _mutate(*args, **kwargs)
+
+            setattr(engine, name, counted)
 
     def reconfigure(self, engine):
         if engine._num_eligible_uncached:
             self.inner.reconfigure(engine)
             return
-        epoch = engine._cache_epoch
+        before = self.mutations
         self.inner.reconfigure(engine)
-        assert engine._cache_epoch == epoch, engine.round_index
+        assert self.mutations == before, engine.round_index
         self.checked += 1
 
 
@@ -733,7 +746,7 @@ class TestDrainSettling:
     ):
         # The stationarity contract the settle relies on, checked on
         # every pass of the dense mode, which runs each one in full.
-        checked = 0
+        checked = mutations = 0
         for scheme_cls, copies, speed in DRAIN_CASES:
             check = _CachedPassCheck(scheme_cls())
             simulate(
@@ -741,7 +754,11 @@ class TestDrainSettling:
                 record="costs", engine="dense",
             )
             checked += check.checked
+            mutations += check.mutations
+        # Passes were checked, and the counting wrappers saw the
+        # scheme's cache mutations.
         assert checked > 0
+        assert mutations > 0
 
     @drain_settings
     @given(instance=drain_instances)

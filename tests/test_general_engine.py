@@ -137,6 +137,16 @@ class TestCountSequenceRefused:
             )
 
 
+class TestEngineSelection:
+    @pytest.mark.parametrize("engine", ["vectorized", "warp"])
+    def test_unknown_engine_is_rejected(self, staggered_instance, engine):
+        # The same selector and message as BatchedEngine's.
+        with pytest.raises(ValueError, match="runs engine='sparse' or 'dense'"):
+            simulate_general(
+                staggered_instance, GreedyPendingPolicy(), 2, engine=engine
+            )
+
+
 class TestGeneralEngineHelpers:
     def test_pending_count_and_earliest_deadline(self, staggered_instance):
         engine = GeneralEngine(

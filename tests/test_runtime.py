@@ -118,6 +118,16 @@ class TestParallelRunner:
         monkeypatch.setenv("REPRO_PARALLEL", "nonsense")
         with pytest.raises(ValueError):
             ParallelRunner.from_env()
+        # A negative count used to be clamped to one worker.
+        monkeypatch.setenv("REPRO_PARALLEL", "-3")
+        with pytest.raises(ValueError, match="REPRO_PARALLEL"):
+            ParallelRunner.from_env()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_is_refused(self, workers):
+        # resolved_workers used to clamp these to one worker.
+        with pytest.raises(ValueError, match="max_workers"):
+            ParallelRunner(max_workers=workers)
 
 
 # ------------------------------------------------------------- telemetry

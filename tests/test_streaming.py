@@ -795,16 +795,3 @@ class TestResumeMetricReseed:
         restored = StreamCheckpoint.from_payload(payload)
         assert restored.obs_state == {}
         assert restored.round == 400
-
-
-class TestVectorizedColumnarFlag:
-    def test_columnar_false_matches_columnar_true(self):
-        pytest.importorskip("numpy")
-        from repro.simulation.vectorized import VectorizedEngine
-
-        instance = _instance(horizon=600)
-        fast = VectorizedEngine(instance, DeltaLRU(), 8).run()
-        scalar = VectorizedEngine(
-            instance, DeltaLRU(), 8, columnar=False
-        ).run()
-        assert fast.cost == scalar.cost
