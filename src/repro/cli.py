@@ -32,14 +32,30 @@ each invocation to the persistent run registry the ``runs`` and
 
 Reports are printed as fixed-width tables plus ASCII series; pass
 ``--output PATH`` to also write the rendered report to a file.
+
+Exit codes::
+
+    0    success
+    1    the command ran and its answer is negative: a cross-check
+         mismatch, a search space exceeded, a monitor violation, a
+         firing alert, differing runs or traces
+    2    bad input (an unknown id, an unreadable or malformed file, an
+         out-of-range flag, an unwritable output path), reported as one
+         ``error:`` line on stderr
+    130  interrupted
+
+:func:`main` alone reports bad input: the commands raise
+:class:`~repro.core.inputs.InputError` (or let an ``OSError`` through).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
+from repro.core.inputs import InputError
 
 #: Where ``--registry-dir`` points when passed without a value.
 DEFAULT_REGISTRY_DIR = ".repro/runs"
@@ -49,13 +65,31 @@ DEFAULT_REGISTRY_DIR = ".repro/runs"
 OFFLINE_DELTA = 2
 
 
-def _usage_error(message: str, service=None) -> int:
-    """Print one ``error:`` line, stop the ops service if one runs, and
-    return the usage exit status."""
-    print(f"error: {message}", file=sys.stderr)
-    if service is not None:
-        service.stop()
-    return 2
+@contextmanager
+def _configuring():
+    """Context in which a command builds its configuration from its
+    flags: a ``ValueError`` a constructor raises there is a bad flag
+    value, and is re-raised as an :class:`InputError`."""
+    try:
+        yield
+    except InputError:
+        raise
+    except ValueError as error:
+        raise InputError(str(error)) from error
+
+
+def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 1:
+            raise InputError(
+                f"--{flag.replace('_', '-')} must be at least 1, got {value}"
+            )
+
+
+def _check_port(flag: str, port: int) -> None:
+    if not 0 <= port <= 65535:
+        raise InputError(f"{flag} must be a port in 0..65535, got {port}")
 
 
 def _recorder_for(args: argparse.Namespace):
@@ -68,53 +102,6 @@ def _recorder_for(args: argparse.Namespace):
     return RegistrySink(registry_dir)
 
 
-def _open_registry(registry_dir: str):
-    """Open an existing registry for reading, or None (caller exits 1)."""
-    from repro.obs.registry import RunRegistry
-
-    root = Path(registry_dir)
-    if not root.is_dir() or not any(root.glob("seg-*.jsonl")):
-        print(
-            f"error: no run registry at {registry_dir} — record runs first "
-            "with `repro record|search|offline --registry-dir "
-            f"{registry_dir}`",
-            file=sys.stderr,
-        )
-        return None
-    return RunRegistry(root)
-
-
-def _load_trace(path: str, label: str = "trace"):
-    """Load a JSONL trace for a command, or None (caller exits 1).
-
-    Missing files, empty files, and truncated/corrupt JSONL all fail
-    with one clear line on stderr instead of a traceback.
-    """
-    from repro.obs.tracing import read_jsonl_trace
-
-    target = Path(path)
-    if not target.is_file():
-        print(f"error: {label} file {path} does not exist", file=sys.stderr)
-        return None
-    try:
-        records = read_jsonl_trace(target)
-    except ValueError as error:
-        print(
-            f"error: {label} file is truncated or corrupt — {error}\n"
-            "(a torn trailing line from a crashed writer can be skipped "
-            "with read_jsonl_trace(..., strict=False))",
-            file=sys.stderr,
-        )
-        return None
-    if not records:
-        print(
-            f"error: {label} file {path} contains no trace records",
-            file=sys.stderr,
-        )
-        return None
-    return records
-
-
 def _cmd_list(_: argparse.Namespace) -> int:
     from repro.experiments.registry import EXPERIMENTS
 
@@ -125,19 +112,14 @@ def _cmd_list(_: argparse.Namespace) -> int:
     return 0
 
 
-def _emit(report, output: str | None) -> None:
-    text = report.render()
-    print(text)
-    if output:
-        Path(output).write_text(text + "\n")
-        print(f"\n[written to {output}]")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.registry import run_experiment
 
-    report = run_experiment(args.experiment_id, quick=args.quick)
-    _emit(report, args.output)
+    text = run_experiment(args.experiment_id, quick=args.quick).render()
+    print(text)
+    if args.output:
+        Path(args.output).write_text(text + "\n")
+        print(f"\n[written to {args.output}]")
     return 0
 
 
@@ -174,17 +156,22 @@ _SCHEME_CHOICES = {
 }
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _scheme_factory(name: str):
+    """The scheme class a ``_SCHEME_CHOICES`` key names."""
     import importlib
 
+    module_name, class_name = _SCHEME_CHOICES[name].split(":")
+    return getattr(importlib.import_module(module_name), class_name)
+
+
+def _cmd_search(args: argparse.Namespace) -> int:
     from repro.analysis.adversary_search import SearchConfig, search_adversary
     from repro.runtime import ParallelRunner
 
-    module_name, class_name = _SCHEME_CHOICES[args.scheme].split(":")
-    scheme_factory = getattr(importlib.import_module(module_name), class_name)
+    scheme_factory = _scheme_factory(args.scheme)
     if args.jobs is not None and args.jobs < 1:
-        return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
-    try:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    with _configuring():
         config = SearchConfig(
             iterations=args.iterations,
             restarts=args.restarts,
@@ -198,8 +185,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             if args.jobs is not None
             else ParallelRunner.from_env(default_workers=1)
         )
-    except ValueError as error:
-        return _usage_error(str(error))
     result = search_adversary(
         scheme_factory, config, runner=runner, recorder=_recorder_for(args)
     )
@@ -226,18 +211,11 @@ def _cmd_offline(args: argparse.Namespace) -> int:
     )
     from repro.workloads.random_batched import random_general
 
-    for flag in ("horizon", "colors", "resources", "max_states"):
-        value = getattr(args, flag)
-        if value < 1:
-            return _usage_error(
-                f"--{flag.replace('_', '-')} must be at least 1, got {value}"
-            )
+    _at_least_one(args, "horizon", "colors", "resources", "max_states")
     if min(args.bounds) < 1:
-        return _usage_error(
-            f"--bounds must be at least 1, got {min(args.bounds)}"
-        )
+        raise InputError(f"--bounds must be at least 1, got {min(args.bounds)}")
     if not (math.isfinite(args.rate) and args.rate >= 0):
-        return _usage_error(
+        raise InputError(
             f"--rate must be finite and nonnegative, got {args.rate}"
         )
     # The EXP-P cell family fixes Δ; --resources sizes the solver only.
@@ -321,30 +299,25 @@ def _cmd_offline(args: argparse.Namespace) -> int:
 def _seeded_batched(args: argparse.Namespace, label: str):
     """The seeded ``random_batched`` workload that ``record`` and ``obs
     monitor`` run, built after checking the flags that shape it; a bad
-    value raises ``ValueError`` naming it."""
+    value raises :class:`InputError` naming it."""
     from repro.simulation.engine import check_geometry
     from repro.workloads.random_batched import random_batched
 
-    for flag in ("colors", "horizon"):
-        if getattr(args, flag) < 1:
-            raise ValueError(
-                f"--{flag} must be at least 1, got {getattr(args, flag)}"
-            )
-    # Both commands simulate at the default replication, copies=2.
-    check_geometry(args.resources, 2, args.speed)
-    return random_batched(
-        args.colors,
-        args.delta,
-        args.horizon,
-        seed=args.seed,
-        load=args.load,
-        name=f"{label}-seed{args.seed}",
-    )
+    _at_least_one(args, "colors", "horizon")
+    with _configuring():
+        # Both commands simulate at the default replication, copies=2.
+        check_geometry(args.resources, 2, args.speed)
+        return random_batched(
+            args.colors,
+            args.delta,
+            args.horizon,
+            seed=args.seed,
+            load=args.load,
+            name=f"{label}-seed{args.seed}",
+        )
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    import importlib
-
     from repro.obs import (
         JsonlSink,
         MetricsRegistry,
@@ -356,33 +329,30 @@ def _cmd_record(args: argparse.Namespace) -> int:
     from repro.obs.sampling import SamplingController, SamplingTracer
     from repro.simulation.engine import simulate
 
-    module_name, class_name = _SCHEME_CHOICES[args.scheme].split(":")
-    scheme_factory = getattr(importlib.import_module(module_name), class_name)
+    scheme_factory = _scheme_factory(args.scheme)
     if args.epochs and args.record != "full":
-        print("--epochs needs the full event trace; pass --record full")
-        return 2
+        raise InputError("--epochs needs the full event trace; pass --record full")
     if args.sample is not None and args.epochs:
-        print("--epochs reads the full trace; it cannot ride a sampled one")
-        return 2
+        raise InputError(
+            "--epochs reads the full trace; it cannot ride a sampled one"
+        )
     probability = None
     if args.sample not in (None, "adaptive"):
         try:
             probability = float(args.sample)
         except ValueError:
-            return _usage_error(
+            raise InputError(
                 "--sample takes a keep probability in [0, 1] or 'adaptive'"
-            )
+            ) from None
+    instance = _seeded_batched(args, "record")
     controller = None
-    try:
-        instance = _seeded_batched(args, "record")
+    with _configuring():
         if args.sample == "adaptive":
             controller = SamplingController(
                 target_overhead=args.sample_target, seed=args.seed
             )
         elif args.sample is not None:
             controller = SamplingController(probability=probability, seed=args.seed)
-    except ValueError as error:
-        return _usage_error(str(error))
     registry = MetricsRegistry()
     profiler = PhaseProfiler() if args.profile else None
     with JsonlSink(args.out) as sink:
@@ -441,26 +411,22 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.render import render_trace_timeline
+    from repro.obs.tracing import read_jsonl_trace
 
-    records = _load_trace(args.trace)
-    if records is None:
-        return 1
+    records = read_jsonl_trace(args.trace)
     print(render_trace_timeline(records, max_rounds=args.rounds))
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.render import render_trace_stats
+    from repro.obs.tracing import read_jsonl_trace
 
-    records = _load_trace(args.trace)
-    if records is None:
-        return 1
-    print(render_trace_stats(records))
+    print(render_trace_stats(read_jsonl_trace(args.trace)))
     return 0
 
 
 def _cmd_obs_monitor(args: argparse.Namespace) -> int:
-    import importlib
     import json
 
     from repro.obs import (
@@ -474,16 +440,14 @@ def _cmd_obs_monitor(args: argparse.Namespace) -> int:
     )
     from repro.simulation.engine import simulate
 
-    module_name, class_name = _SCHEME_CHOICES[args.scheme].split(":")
-    scheme_factory = getattr(importlib.import_module(module_name), class_name)
-    try:
-        instance = _seeded_batched(args, "monitor")
-    except ValueError as error:
-        return _usage_error(str(error))
+    scheme_factory = _scheme_factory(args.scheme)
+    instance = _seeded_batched(args, "monitor")
     registry = MetricsRegistry()
     monitors = standard_monitors(instance, policy=args.policy, registry=registry)
-    sinks = [JsonlSink(args.out)] if args.out else [MemorySink()]
-    tracer = Tracer(TeeSink(*sinks, *monitors))
+    jsonl = JsonlSink(args.out) if args.out else None
+    tracer = Tracer(
+        TeeSink(jsonl if jsonl is not None else MemorySink(), *monitors)
+    )
     try:
         result = simulate(
             instance,
@@ -499,6 +463,9 @@ def _cmd_obs_monitor(args: argparse.Namespace) -> int:
     except MonitorError as error:
         print(f"VIOLATION (policy=raise): {error}")
         return 1
+    finally:
+        if jsonl is not None:
+            jsonl.close()
     print(
         f"{instance.name}: total cost {result.total_cost} "
         f"(reconfig {result.cost.reconfig_cost}, drops {result.cost.drop_cost})"
@@ -531,25 +498,20 @@ def _cmd_obs_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    from repro.obs import diff_traces, render_trace_diff
+    from repro.obs import diff_traces, read_jsonl_trace, render_trace_diff
 
-    records_a = _load_trace(args.trace_a, label="baseline trace")
-    if records_a is None:
-        return 1
-    records_b = _load_trace(args.trace_b, label="candidate trace")
-    if records_b is None:
-        return 1
-    diff = diff_traces(records_a, records_b, num_ranges=args.ranges)
+    diff = diff_traces(
+        read_jsonl_trace(args.trace_a),
+        read_jsonl_trace(args.trace_b),
+        num_ranges=args.ranges,
+    )
     print(render_trace_diff(diff))
     return 0 if diff.identical else 1
 
 
 def _cmd_obs_export(args: argparse.Namespace) -> int:
-    import json
-
     if (args.chrome is None) == (args.prom is None):
-        print("pass exactly one of --chrome or --prom")
-        return 2
+        raise InputError("pass exactly one of --chrome or --prom")
     if args.chrome:
         from repro.obs import read_jsonl_trace, write_chrome_trace
 
@@ -557,22 +519,23 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
         print(f"{count} trace events written to {args.chrome}")
         print("open in https://ui.perfetto.dev or chrome://tracing")
         return 0
-    from repro.obs import prometheus_text
+    from repro.obs import snapshot_file_prometheus
 
-    snapshot = json.loads(Path(args.source).read_text())
-    text = prometheus_text(snapshot)
+    text = snapshot_file_prometheus(args.source)
     Path(args.prom).write_text(text)
     print(f"{len(text.splitlines())} exposition lines written to {args.prom}")
     return 0
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
+    from repro.core.inputs import read_text
     from repro.workloads.stats import describe_workload
     from repro.workloads.traces import instance_from_csv, load_instance
 
     path = Path(args.trace)
     if path.suffix == ".csv":
-        instance = instance_from_csv(path.read_text())
+        text = read_text(path, "CSV trace")
+        instance = instance_from_csv(text, f"CSV trace {path}")
     else:
         instance = load_instance(path)
     print(describe_workload(instance))
@@ -580,11 +543,11 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_list(args: argparse.Namespace) -> int:
-    from repro.obs.registry import render_run_list
+    from repro.obs.registry import RunRegistry, render_run_list
 
-    registry = _open_registry(args.registry_dir)
-    if registry is None:
-        return 1
+    if args.limit < 0:
+        raise InputError(f"--limit must be nonnegative, got {args.limit}")
+    registry = RunRegistry.existing(args.registry_dir)
     print(render_run_list(registry.last(args.limit, kind=args.kind)))
     if registry.skipped_lines:
         print(
@@ -595,33 +558,18 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_show(args: argparse.Namespace) -> int:
-    from repro.obs.registry import render_run
+    from repro.obs.registry import RunRegistry, render_run
 
-    registry = _open_registry(args.registry_dir)
-    if registry is None:
-        return 1
-    try:
-        record = registry.get(args.run_id)
-    except KeyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(render_run(record))
+    registry = RunRegistry.existing(args.registry_dir)
+    print(render_run(registry.get(args.run_id)))
     return 0
 
 
 def _cmd_runs_diff(args: argparse.Namespace) -> int:
-    from repro.obs.registry import diff_runs, render_run_diff
+    from repro.obs.registry import RunRegistry, diff_runs, render_run_diff
 
-    registry = _open_registry(args.registry_dir)
-    if registry is None:
-        return 1
-    try:
-        record_a = registry.get(args.run_a)
-        record_b = registry.get(args.run_b)
-    except KeyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    diff = diff_runs(record_a, record_b)
+    registry = RunRegistry.existing(args.registry_dir)
+    diff = diff_runs(registry.get(args.run_a), registry.get(args.run_b))
     print(render_run_diff(diff))
     return 0 if diff.identical_outcome else 1
 
@@ -633,14 +581,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.service import OpsService, OpsState
     from repro.runtime import ParallelRunner
 
+    _check_port("--port", args.port)
+    if args.ttl is not None and not args.ttl >= 0:
+        raise InputError(f"--ttl must be nonnegative, got {args.ttl}")
     if args.demo:
-        try:
+        with _configuring():
             runner = ParallelRunner.from_env(default_workers=2)
-        except ValueError as error:
-            return _usage_error(str(error))
-    run_registry = (
-        RunRegistry(args.registry_dir) if args.registry_dir else None
-    )
+    run_registry = RunRegistry(args.registry_dir) if args.registry_dir else None
     state = OpsState(run_registry=run_registry)
     service = OpsService(state, host=args.host, port=args.port)
     service.start()
@@ -694,56 +641,40 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    import importlib
-
-    from repro.obs.metrics import MetricsRegistry, render_metrics
+    from repro.obs.metrics import MetricsRegistry
     from repro.streaming import (
         AdmissionPolicy,
         StreamSession,
         rate_limited_source,
     )
-    from repro.streaming.checkpoint import CheckpointError
 
-    module_name, class_name = _SCHEME_CHOICES[args.scheme].split(":")
-    scheme_factory = getattr(importlib.import_module(module_name), class_name)
+    scheme_factory = _scheme_factory(args.scheme)
     if args.rounds < 0:
-        return _usage_error(f"--rounds must be nonnegative, got {args.rounds}")
+        raise InputError(f"--rounds must be nonnegative, got {args.rounds}")
     if args.checkpoint is None:
         if args.resume:
-            return _usage_error("--resume needs --checkpoint PATH")
+            raise InputError("--resume needs --checkpoint PATH")
         if args.checkpoint_every is not None:
-            return _usage_error("--checkpoint-every needs --checkpoint PATH")
+            raise InputError("--checkpoint-every needs --checkpoint PATH")
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        return _usage_error(
+        raise InputError(
             f"--checkpoint-every must be at least 1, got {args.checkpoint_every}"
         )
+    state = None
+    if args.serve is not None:
+        from repro.obs.service import OpsState
 
-    def make_source():
-        return rate_limited_source(
+        _check_port("--serve", args.serve)
+        state = OpsState()
+    registry = state.metrics if state is not None else MetricsRegistry()
+
+    with _configuring():
+        source = rate_limited_source(
             args.colors, args.delta, seed=args.seed, load=args.load
         )
-
-    service = None
-    state = None
-    try:
-        policy = (
-            AdmissionPolicy(queue_cap=args.queue_cap)
-            if args.queue_cap is not None
-            else None
-        )
-        if args.serve is not None:
-            from repro.obs.service import OpsService, OpsState
-
-            state = OpsState()
-            service = OpsService(state, port=args.serve).start()
-            print(
-                f"serving on {service.url} "
-                "(endpoints: /metrics /stream /series /alerts /health)"
-            )
-            registry = state.metrics
-        else:
-            registry = MetricsRegistry()
-
+        policy = None
+        if args.queue_cap is not None:
+            policy = AdmissionPolicy(queue_cap=args.queue_cap)
         recorder = None
         if args.series is not None or args.rules is not None or state is not None:
             from repro.obs.alerts import load_rules
@@ -753,10 +684,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             recorder = SeriesRecorder(
                 registry, capacity=args.series_capacity, rules=rules
             )
-
         if args.resume:
             session = StreamSession.resume(
-                make_source(),
+                source,
                 scheme_factory(),
                 args.checkpoint,
                 policy=policy,
@@ -764,10 +694,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 recorder=recorder,
                 segment_rounds=args.segment,
             )
-            print(f"resumed from {args.checkpoint} at round {session.round}")
         else:
             session = StreamSession(
-                make_source(),
+                source,
                 scheme_factory(),
                 args.resources,
                 engine=args.engine,
@@ -777,13 +706,31 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 recorder=recorder,
                 segment_rounds=args.segment,
             )
-    except CheckpointError as error:
-        print(f"error: {error}", file=sys.stderr)
-        if service is not None:
-            service.stop()
-        return 1
-    except ValueError as error:
-        return _usage_error(str(error), service)
+    if session.round > args.rounds:
+        raise InputError(
+            f"checkpoint {args.checkpoint} is already at round "
+            f"{session.round}, past the --rounds target {args.rounds}"
+        )
+    if args.resume:
+        print(f"resumed from {args.checkpoint} at round {session.round}")
+    with ExitStack() as stack:
+        if state is not None:
+            from repro.obs.service import OpsService
+
+            service = stack.enter_context(OpsService(state, port=args.serve))
+            print(
+                f"serving on {service.url} "
+                "(endpoints: /metrics /stream /series /alerts /health)"
+            )
+        return _stream(args, session, registry, recorder, state)
+
+
+def _stream(args, session, registry, recorder, state) -> int:
+    """Run ``repro stream``'s session to ``--rounds``, checkpointing and
+    publishing to ``state`` (the ops service's, or None), then report."""
+    import time
+
+    from repro.obs.metrics import render_metrics
 
     def publish(_checkpoint=None) -> None:
         if state is None:
@@ -813,19 +760,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             if recorder.alerts is not None:
                 state.publish_alerts(recorder.alerts.payload())
 
-    remaining = args.rounds - session.round
-    if remaining < 0:
-        print(
-            f"error: checkpoint is already at round {session.round}, past "
-            f"the --rounds target {args.rounds}",
-            file=sys.stderr,
-        )
-        if service is not None:
-            service.stop()
-        return 1
     try:
         result = session.run(
-            remaining,
+            args.rounds - session.round,
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=args.checkpoint,
             on_checkpoint=publish,
@@ -840,8 +777,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             )
         else:
             print(f"\ninterrupted at round {session.round}; no checkpoint")
-        if service is not None:
-            service.stop()
         return 130
     if args.checkpoint is not None:
         # Skip the save if the periodic cadence already checkpointed this
@@ -894,15 +829,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         if base:
             print()
             print(render_series(recorder, names=base))
-    if service is not None:
-        if args.serve_ttl:
-            import time as _time
-
-            try:
-                _time.sleep(args.serve_ttl)
-            except KeyboardInterrupt:
-                pass
-        service.stop()
+    if state is not None and args.serve_ttl:
+        try:
+            time.sleep(args.serve_ttl)
+        except KeyboardInterrupt:
+            pass
     return 0
 
 
@@ -922,12 +853,8 @@ def _cmd_alerts_check(args: argparse.Namespace) -> int:
     from repro.obs.alerts import evaluate_rules, load_rules
     from repro.obs.timeseries import read_series_jsonl
 
-    try:
-        rules = load_rules(args.rules)
-        snapshot = read_series_jsonl(args.series)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    rules = load_rules(args.rules)
+    snapshot = read_series_jsonl(args.series)
     engine = evaluate_rules(rules, snapshot["series"])
     print(
         f"{args.series}: {len(snapshot['series'])} series, "
@@ -945,10 +872,11 @@ def _cmd_alerts_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_alerts_watch(args: argparse.Namespace) -> int:
-    import json as _json
     import time as _time
     from urllib.error import URLError
     from urllib.request import urlopen
+
+    from repro.core.inputs import parse_json
 
     url = args.url.rstrip("/")
     if not url.startswith("http"):
@@ -964,10 +892,10 @@ def _cmd_alerts_watch(args: argparse.Namespace) -> int:
         while True:
             try:
                 with urlopen(endpoint, timeout=5) as response:
-                    payload = _json.loads(response.read().decode("utf-8"))
+                    body = response.read().decode("utf-8")
             except (URLError, OSError, ValueError) as error:
-                print(f"error: cannot poll {endpoint}: {error}", file=sys.stderr)
-                return 2
+                raise InputError(f"cannot poll {endpoint}: {error}") from error
+            payload = parse_json(body, f"response of {endpoint}")
             if not payload.get("active"):
                 print(f"{endpoint}: no alert engine published yet")
             else:
@@ -1038,6 +966,37 @@ def _add_registry_dir(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="append this invocation to the persistent run registry "
         f"(default dir when passed bare: {DEFAULT_REGISTRY_DIR})",
+    )
+
+
+def _add_run_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    delta: int,
+    load: float,
+    horizon: int | None = None,
+    engine_help: str = "engine backend (vectorized needs the repro[vec] extra)",
+) -> None:
+    """The scheme, seeded-workload and engine flags of ``record``, ``obs
+    monitor`` and ``stream`` (``--horizon`` only where it is given)."""
+    parser.add_argument(
+        "--scheme", choices=sorted(_SCHEME_CHOICES), default="dlru-edf"
+    )
+    parser.add_argument("--colors", type=int, default=8)
+    parser.add_argument("--delta", type=int, default=delta)
+    if horizon is not None:
+        parser.add_argument("--horizon", type=int, default=horizon)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--load", type=float, default=load, help=f"offered load (default {load})"
+    )
+    parser.add_argument("--resources", type=int, default=8)
+    parser.add_argument("--speed", type=int, default=1)
+    parser.add_argument(
+        "--engine",
+        choices=("sparse", "dense", "vectorized"),
+        default="sparse",
+        help=engine_help,
     )
 
 
@@ -1146,24 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a seeded workload with the trace bus on, writing JSONL",
     )
     p_record.add_argument("out", help="JSONL trace output path")
-    p_record.add_argument(
-        "--scheme", choices=sorted(_SCHEME_CHOICES), default="dlru-edf"
-    )
-    p_record.add_argument("--colors", type=int, default=8)
-    p_record.add_argument("--delta", type=int, default=4)
-    p_record.add_argument("--horizon", type=int, default=256)
-    p_record.add_argument("--seed", type=int, default=7)
-    p_record.add_argument(
-        "--load", type=float, default=0.35, help="offered load (default 0.35)"
-    )
-    p_record.add_argument("--resources", type=int, default=8)
-    p_record.add_argument("--speed", type=int, default=1)
-    p_record.add_argument(
-        "--engine",
-        choices=("sparse", "dense", "vectorized"),
-        default="sparse",
-        help="engine backend (vectorized needs the repro[vec] extra)",
-    )
+    _add_run_flags(p_record, delta=4, horizon=256, load=0.35)
     p_record.add_argument(
         "--record", choices=("costs", "full"), default="costs"
     )
@@ -1207,23 +1149,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="global round to stream to (with --resume: the same total "
         "target, not an increment)",
     )
-    p_stream.add_argument(
-        "--scheme", choices=sorted(_SCHEME_CHOICES), default="dlru-edf"
-    )
-    p_stream.add_argument("--colors", type=int, default=8)
-    p_stream.add_argument("--delta", type=int, default=32)
-    p_stream.add_argument("--seed", type=int, default=7)
-    p_stream.add_argument(
-        "--load", type=float, default=0.5, help="offered load (default 0.5)"
-    )
-    p_stream.add_argument("--resources", type=int, default=8)
-    p_stream.add_argument("--speed", type=int, default=1)
-    p_stream.add_argument(
-        "--engine",
-        choices=("sparse", "dense", "vectorized"),
-        default="sparse",
-        help="engine backend (streaming always runs the faithful scalar "
-        "core, even under vectorized)",
+    _add_run_flags(
+        p_stream,
+        delta=32,
+        load=0.5,
+        engine_help="engine backend (streaming always runs the faithful "
+        "scalar core, even under vectorized)",
     )
     p_stream.add_argument(
         "--segment",
@@ -1385,24 +1316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "monitor",
         help="run a seeded workload with all invariant monitors attached",
     )
-    p_mon.add_argument(
-        "--scheme", choices=sorted(_SCHEME_CHOICES), default="dlru-edf"
-    )
-    p_mon.add_argument("--colors", type=int, default=8)
-    p_mon.add_argument("--delta", type=int, default=4)
-    p_mon.add_argument("--horizon", type=int, default=256)
-    p_mon.add_argument("--seed", type=int, default=7)
-    p_mon.add_argument(
-        "--load", type=float, default=0.35, help="offered load (default 0.35)"
-    )
-    p_mon.add_argument("--resources", type=int, default=8)
-    p_mon.add_argument("--speed", type=int, default=1)
-    p_mon.add_argument(
-        "--engine",
-        choices=("sparse", "dense", "vectorized"),
-        default="sparse",
-        help="engine backend (vectorized needs the repro[vec] extra)",
-    )
+    _add_run_flags(p_mon, delta=4, horizon=256, load=0.35)
     p_mon.add_argument(
         "--policy",
         choices=("collect", "raise"),
@@ -1449,9 +1363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rlist = runs_sub.add_parser("list", help="recent runs, one per line")
     p_rlist.add_argument(
-        "--registry-dir", default=DEFAULT_REGISTRY_DIR, metavar="DIR"
-    )
-    p_rlist.add_argument(
         "--limit", type=int, default=20, help="most recent N runs (default 20)"
     )
     p_rlist.add_argument(
@@ -1464,9 +1375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rshow = runs_sub.add_parser("show", help="one run record in full")
     p_rshow.add_argument("run_id", help="run id (abbreviations allowed)")
-    p_rshow.add_argument(
-        "--registry-dir", default=DEFAULT_REGISTRY_DIR, metavar="DIR"
-    )
     p_rshow.set_defaults(func=_cmd_runs_show)
 
     p_rdiff = runs_sub.add_parser(
@@ -1474,10 +1382,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rdiff.add_argument("run_a", help="baseline run id")
     p_rdiff.add_argument("run_b", help="candidate run id")
-    p_rdiff.add_argument(
-        "--registry-dir", default=DEFAULT_REGISTRY_DIR, metavar="DIR"
-    )
     p_rdiff.set_defaults(func=_cmd_runs_diff)
+    for runs_parser in (p_rlist, p_rshow, p_rdiff):
+        runs_parser.add_argument(
+            "--registry-dir", default=DEFAULT_REGISTRY_DIR, metavar="DIR"
+        )
 
     p_serve = sub.add_parser(
         "serve",
@@ -1514,8 +1423,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; returns its exit code (see the module
+    docstring).  The one place bad input is reported."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InputError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("\ninterrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.core.inputs import UnknownIdError
 from repro.experiments import (
     e_ablation,
     e_appendix_a,
@@ -162,12 +163,13 @@ EXPERIMENTS: dict[str, Experiment] = {
 
 
 def get_experiment(experiment_id: str) -> Experiment:
-    """Look up an experiment by id (case-insensitive)."""
+    """Look up an experiment by id (case-insensitive); an unknown id
+    raises :class:`~repro.core.inputs.UnknownIdError`, a ``KeyError``."""
     try:
         return EXPERIMENTS[experiment_id.upper()]
     except KeyError:
         known = ", ".join(sorted(EXPERIMENTS))
-        raise KeyError(
+        raise UnknownIdError(
             f"unknown experiment {experiment_id!r}; known ids: {known}"
         ) from None
 

@@ -60,6 +60,7 @@ from repro.obs.analyze import TraceDiff, diff_traces, render_trace_diff
 from repro.obs.export import (
     chrome_trace_events,
     prometheus_text,
+    snapshot_file_prometheus,
     write_chrome_trace,
 )
 from repro.obs.metrics import (
@@ -173,6 +174,7 @@ __all__ = [
     "instance_digest",
     "load_rules",
     "prometheus_text",
+    "snapshot_file_prometheus",
     "read_jsonl_trace",
     "read_series_jsonl",
     "render_metrics",

@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.core.inputs import InputError, malformed, read_json
+
 ALERTS_SCHEMA = "repro-alerts/v1"
 
 RULE_KINDS = ("threshold", "rate_of_change", "stall")
@@ -429,32 +431,23 @@ def rules_to_json(rules: Sequence[AlertRule]) -> str:
 def load_rules(path: str | Path) -> list[AlertRule]:
     """Load a ``repro-alerts/v1`` JSON rule file.
 
-    Raises :class:`ValueError` naming the file, and for a bad rule its
-    index and field, when the file is unreadable or malformed.
+    Raises :class:`~repro.core.inputs.InputError` naming the file, and
+    for a bad rule its index and field, when the file is unreadable or
+    malformed.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as error:
-        raise ValueError(f"cannot read rule file {path}: {error}") from error
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"rule file {path} is a JSON {type(payload).__name__}, not an object"
-        )
+    payload = read_json(path, "rule file")
     if payload.get("schema") != ALERTS_SCHEMA:
-        raise ValueError(
+        raise InputError(
             f"rule file {path} has schema {payload.get('schema')!r}; "
             f"expected {ALERTS_SCHEMA}"
         )
     rules = payload.get("rules")
     if not isinstance(rules, list) or not rules:
-        raise ValueError(f"rule file {path} declares no rules")
+        raise InputError(f"rule file {path} declares no rules")
     loaded = []
     for index, rule in enumerate(rules):
-        try:
+        with malformed(f"rule file {path}, rule {index}"):
             loaded.append(AlertRule.from_dict(rule))
-        except ValueError as error:
-            raise ValueError(f"rule file {path}, rule {index}: {error}") from error
     return loaded
 
 

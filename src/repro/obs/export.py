@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.core.inputs import malformed, read_json
 from repro.obs.tracing import TraceRecord
 
 #: Exposition-format escapes.  HELP text escapes backslash and newline;
@@ -152,6 +154,14 @@ def prometheus_text(
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def snapshot_file_prometheus(path: str | Path) -> str:
+    """:func:`prometheus_text` of the metrics snapshot JSON file at
+    ``path`` (``repro obs monitor --metrics-out``), or an InputError."""
+    snapshot = read_json(path, "metrics snapshot")
+    with malformed(f"metrics snapshot {path}"):
+        return prometheus_text(snapshot)
+
+
 def chrome_trace_events(
     records: Iterable[TraceRecord], *, pid: int = 1
 ) -> dict[str, Any]:
@@ -209,8 +219,6 @@ def write_chrome_trace(
     records: Sequence[TraceRecord], path, *, pid: int = 1
 ) -> int:
     """Write :func:`chrome_trace_events` JSON to ``path``; returns #events."""
-    from pathlib import Path
-
     payload = chrome_trace_events(records, pid=pid)
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
     return len(payload["traceEvents"])

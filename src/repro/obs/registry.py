@@ -26,14 +26,16 @@ Appends are single ``write()`` calls of one newline-terminated line,
 flushed immediately (``fsync=True`` additionally forces the page cache
 out per append).  A crash — including ``kill -9`` — can therefore tear
 at most the *trailing* line of the crashed writer's segment; readers
-skip such torn tails by default (``strict=False``) and report them via
+skip such torn tails by default (``strict=False``, the torn-tail rule
+of :mod:`repro.core.inputs`) and report them via
 :attr:`RunRegistry.skipped_lines`, so every fully written record
-survives.  Torn or corrupt lines *before* the tail indicate real
-corruption and raise :class:`RegistryError` even in lax mode.
+survives.  Any other line that does not decode, a complete final line
+included, is real corruption and raises :class:`RegistryError` even in
+lax mode.
 
-This module is stdlib-only and imports nothing from the simulation
-layers (records are built by duck-typing), so every layer can depend on
-it without cycles.
+This module needs only the stdlib and :mod:`repro.core.inputs`, and
+imports nothing from the simulation layers (records are built by
+duck-typing), so every layer can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
+
+from repro.core.inputs import InputError, UnknownIdError, malformed, read_jsonl
 
 #: Schema tag stamped into every record line.
 RUN_SCHEMA = "repro-run/v1"
@@ -55,8 +59,13 @@ RUN_SCHEMA = "repro-run/v1"
 RUN_KINDS = ("simulate", "matrix", "search", "offline", "experiment")
 
 
-class RegistryError(RuntimeError):
-    """A registry segment failed a structural integrity check."""
+#: Record fields written even when empty.
+_ALWAYS_WRITTEN = ("kind", "created", "cost", "wall_seconds")
+
+
+class RegistryError(InputError):
+    """A registry segment failed a structural integrity check, or a
+    directory holds no registry to read."""
 
 
 def instance_digest(instance: Any) -> str:
@@ -131,32 +140,9 @@ class RunRecord:
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"schema": RUN_SCHEMA, "run_id": self.run_id}
-        for key in (
-            "kind",
-            "created",
-            "instance_name",
-            "instance_digest",
-            "horizon",
-            "num_jobs",
-            "num_colors",
-            "engine",
-            "scheme",
-            "seed",
-            "num_resources",
-            "speed",
-            "record_mode",
-            "cost",
-            "wall_seconds",
-            "rounds_executed",
-            "monitor_violations",
-            "monitors",
-            "metrics",
-            "extra",
-        ):
+        for key in (f.name for f in fields(self)):
             value = getattr(self, key)
-            if value not in (None, {}, ""):
-                out[key] = value
-            elif key in ("kind", "created", "cost", "wall_seconds"):
+            if value not in (None, {}, "") or key in _ALWAYS_WRITTEN:
                 out[key] = value
         return out
 
@@ -168,35 +154,9 @@ class RunRecord:
                 f"unsupported run-record schema {schema!r} "
                 f"(expected {RUN_SCHEMA!r})"
             )
-        kwargs: dict[str, Any] = {}
-        for key in (
-            "kind",
-            "run_id",
-            "created",
-            "instance_name",
-            "instance_digest",
-            "horizon",
-            "num_jobs",
-            "num_colors",
-            "engine",
-            "scheme",
-            "seed",
-            "num_resources",
-            "speed",
-            "record_mode",
-            "cost",
-            "wall_seconds",
-            "rounds_executed",
-            "monitor_violations",
-            "monitors",
-            "metrics",
-            "extra",
-        ):
-            if key in raw:
-                kwargs[key] = raw[key]
-        if "kind" not in kwargs:
+        if "kind" not in raw:
             raise RegistryError("run record is missing its kind")
-        return cls(**kwargs)
+        return cls(**{f.name: raw[f.name] for f in fields(cls) if f.name in raw})
 
     @property
     def total_cost(self) -> int | None:
@@ -258,6 +218,17 @@ class RunRegistry:
         #: Lines skipped as torn tails by the most recent scan.
         self.skipped_lines = 0
 
+    @classmethod
+    def existing(cls, root: str | Path) -> "RunRegistry":
+        """Open the registry at ``root`` for reading, creating nothing;
+        raises :class:`RegistryError` when ``root`` holds no segments."""
+        if not any(Path(root).glob("seg-*.jsonl")):
+            raise RegistryError(
+                f"no run registry at {root}: record runs into it first "
+                "(--registry-dir)"
+            )
+        return cls(root)
+
     # ------------------------------------------------------------- writing
 
     def _open_segment(self):
@@ -299,32 +270,6 @@ class RunRegistry:
     def segments(self) -> list[Path]:
         return sorted(self.root.glob("seg-*.jsonl"))
 
-    def _iter_segment(self, path: Path, strict: bool) -> Iterator[RunRecord]:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as error:
-            raise RegistryError(f"cannot read segment {path}: {error}") from error
-        lines = text.split("\n")
-        # A complete segment ends with "\n" -> trailing "" sentinel.  A
-        # torn tail is trailing content *without* its newline — the only
-        # shape a crash mid-write() can produce.  A complete final line
-        # that fails to decode is corruption and raises regardless.
-        torn_tail = bool(lines) and lines[-1] != ""
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield RunRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, RegistryError, TypeError) as error:
-                is_tail = torn_tail and index == len(lines) - 1
-                if strict or not is_tail:
-                    raise RegistryError(
-                        f"corrupt run record in {path.name} line {index + 1}: "
-                        f"{error}"
-                    ) from error
-                self.skipped_lines += 1
-
     def records(self, *, strict: bool = False) -> list[RunRecord]:
         """All records across all segments, oldest first.
 
@@ -335,12 +280,20 @@ class RunRegistry:
         self.skipped_lines = 0
         out: list[RunRecord] = []
         for path in self.segments():
-            out.extend(self._iter_segment(path, strict))
+            try:
+                lines = read_jsonl(path, "run-registry segment", torn_tail=not strict)
+            except InputError as error:
+                raise RegistryError(str(error)) from error
+            self.skipped_lines += lines.torn
+            for number, raw in lines.rows:
+                with malformed(f"run-registry segment {path}", number, RegistryError):
+                    out.append(RunRecord.from_dict(raw))
         out.sort(key=lambda r: (r.created, r.run_id))
         return out
 
     def get(self, run_id: str, *, strict: bool = False) -> RunRecord:
-        """Record by (possibly abbreviated, unambiguous) run id."""
+        """Record by (possibly abbreviated, unambiguous) run id; any other
+        id raises :class:`~repro.core.inputs.UnknownIdError` (a KeyError)."""
         matches = [
             record
             for record in self.records(strict=strict)
@@ -348,26 +301,32 @@ class RunRegistry:
         ]
         exact = [r for r in matches if r.run_id == run_id]
         if len(exact) > 1:
-            raise KeyError(
+            raise UnknownIdError(
                 f"run id {run_id!r} matches {len(exact)} records in "
                 f"{self.root}; the registry holds duplicate run ids"
             )
         if exact:
             return exact[0]
         if not matches:
-            raise KeyError(f"no run {run_id!r} in registry {self.root}")
+            raise UnknownIdError(f"no run {run_id!r} in registry {self.root}")
         if len(matches) > 1:
-            raise KeyError(
+            raise UnknownIdError(
                 f"run id {run_id!r} is ambiguous in {self.root}: "
                 + ", ".join(r.run_id for r in matches[:5])
             )
         return matches[0]
 
-    def last(self, n: int = 10, *, kind: str | None = None) -> list[RunRecord]:
+    def last(
+        self, n: int | None = 10, *, kind: str | None = None
+    ) -> list[RunRecord]:
+        """The ``n`` most recent records (of ``kind``), oldest first:
+        none for ``n = 0``, all for ``None``."""
+        if n is not None and n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
         records = self.records()
         if kind is not None:
             records = [r for r in records if r.kind == kind]
-        return records[-n:]
+        return records if n is None else records[len(records) - n :]
 
     def __len__(self) -> int:
         return len(self.records())

@@ -17,7 +17,8 @@ thread:
   no monitor violation or trace-integrity error has been reported *and*
   no critical alert rule is firing, HTTP 503 otherwise (scrape-side
   alerting needs no body parsing).
-* ``GET /runs`` — the run registry as JSON (``?limit=N`` and
+* ``GET /runs`` — the run registry as JSON (``?limit=N``, the N most
+  recent, a negative N refused with 400, and
   ``?kind=simulate|search|offline|experiment|matrix`` filter); ``GET
   /runs/<id>`` one record by (abbreviable) id.
 * ``GET /series`` — the latest published
@@ -231,11 +232,7 @@ class OpsState:
     ) -> dict[str, Any]:
         if self.run_registry is None:
             return {"schema": "repro-runs/v1", "count": 0, "runs": []}
-        records = self.run_registry.records()
-        if kind is not None:
-            records = [r for r in records if r.kind == kind]
-        if limit is not None:
-            records = records[-limit:]
+        records = self.run_registry.last(limit, kind=kind)
         return {
             "schema": "repro-runs/v1",
             "count": len(records),
@@ -309,17 +306,13 @@ class _OpsHandler(BaseHTTPRequestHandler):
             self._send_json(200, self.state.alerts_payload())
             return
         if path == "/runs":
-            limit = None
-            if "limit" in query:
-                try:
-                    limit = max(0, int(query["limit"][0]))
-                except ValueError:
-                    self._send_json(400, {"error": "limit must be an integer"})
-                    return
+            limit = query.get("limit", [None])[0]
+            if limit is not None and not limit.isdecimal():
+                self._send_json(400, {"error": "limit must be a nonnegative integer"})
+                return
+            limit = None if limit is None else int(limit)
             kind = query.get("kind", [None])[0]
-            self._send_json(
-                200, self.state.runs_payload(limit=limit, kind=kind)
-            )
+            self._send_json(200, self.state.runs_payload(limit=limit, kind=kind))
             return
         if path.startswith("/runs/"):
             run_id = path[len("/runs/"):]

@@ -42,6 +42,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
+from repro.core.inputs import InputError, malformed, read_jsonl
 from repro.obs.metrics import Counter, Gauge
 
 SERIES_SCHEMA = "repro-series/v2"
@@ -480,46 +481,23 @@ def read_series_jsonl(path: str | Path) -> dict[str, Any]:
 
     Reads ``repro-series/v2`` and ``repro-series/v1`` files; the
     snapshot carries every series in the current encoding.  Raises
-    ``ValueError`` naming the file and line on a missing, foreign or
-    malformed header, or on a line that is not a valid series.
+    :class:`~repro.core.inputs.InputError` naming the file and line on
+    a missing, foreign or malformed header, or on a line that is not a
+    valid series.
     """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"series file {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as error:
-        raise ValueError(
-            f"series file {path} line 1 is not JSON: {error}"
-        ) from error
-    if not isinstance(header, dict):
-        raise ValueError(
-            f"series file {path} line 1 is a JSON "
-            f"{type(header).__name__}, not a header object"
-        )
+    rows = read_jsonl(path, "series file").rows
+    if not rows:
+        raise InputError(f"series file {path} is empty")
+    (_, header), *lines = rows
     if header.get("schema") not in _READABLE_SCHEMAS:
-        raise ValueError(
+        raise InputError(
             f"series file {path} has schema {header.get('schema')!r}; "
             f"expected one of {', '.join(_READABLE_SCHEMAS)}"
         )
     series: dict[str, Any] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(
-                f"series file {path} line {number} is corrupt: {error}"
-            ) from error
-        try:
+    for number, data in lines:
+        with malformed(f"series file {path}", number):
             one = Series.from_dict(data)
-        except (KeyError, TypeError, ValueError) as error:
-            raise ValueError(
-                f"series file {path} line {number} is not a valid series "
-                f"({type(error).__name__}: {error})"
-            ) from error
         series[one.name] = one.to_dict()
     return {
         "schema": SERIES_SCHEMA,

@@ -34,8 +34,8 @@ observational: no sink ever mutates simulation state, and the property
 suite asserts traced and untraced runs produce bit-identical
 ``CostBreakdown``s.
 
-This module is dependency-free (stdlib only) so every layer can import
-it without cost.
+This module needs only the stdlib and :mod:`repro.core.inputs`, so
+every layer can import it without cost.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ import json
 from collections import deque
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
+
+from repro.core.inputs import malformed, read_jsonl
 
 
 class TraceRecord:
@@ -270,29 +272,15 @@ def read_jsonl_trace(
 ) -> list[TraceRecord]:
     """Load the records of a JSONL trace written by :class:`JsonlSink`.
 
-    ``strict=False`` tolerates exactly one *torn trailing line* — the
-    partial final record a crash (kill -9, full disk) leaves behind an
-    append-only JSONL file — by dropping it.  Corruption anywhere before
-    the final line still raises: a torn tail is the one shape crash
-    semantics can produce, anything else is real damage and silently
-    skipping it would hide records from analysis.
+    ``strict=False`` drops a torn trailing line, the crash debris of
+    :mod:`repro.core.inputs`' torn-tail rule.  Any other damage raises
+    :class:`~repro.core.inputs.InputError` naming the file and line.
     """
-    lines: list[tuple[int, str]] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line:
-                lines.append((number, line))
     records: list[TraceRecord] = []
-    for index, (number, line) in enumerate(lines):
-        try:
-            records.append(TraceRecord.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as error:
-            if not strict and index == len(lines) - 1:
-                break  # torn trailing line: crash debris, drop it
-            raise ValueError(
-                f"{path}: invalid trace record on line {number}: {error}"
-            ) from error
+    lines = read_jsonl(path, "trace file", torn_tail=not strict)
+    for number, raw in lines.rows:
+        with malformed(f"trace file {path}", number):
+            records.append(TraceRecord.from_dict(raw))
     return records
 
 

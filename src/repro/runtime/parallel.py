@@ -52,8 +52,8 @@ class ParallelRunner:
         ``os.cpu_count()``.  A value of 1 (or a 1-core machine with
         ``max_workers=None``) short-circuits to the serial path.
     chunk_size:
-        Tasks per submitted future; ``None`` picks roughly four chunks
-        per worker so stragglers rebalance without per-task IPC.
+        Tasks per submitted future (at least 1); ``None`` picks about four
+        chunks per worker so stragglers rebalance without per-task IPC.
     force_serial:
         Run everything in-process.  Useful for debugging and as the
         configuration-level kill switch (``REPRO_PARALLEL=0``).
@@ -68,10 +68,10 @@ class ParallelRunner:
     force_serial: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError(
-                f"max_workers must be at least 1, got {self.max_workers}"
-            )
+        for name in ("max_workers", "chunk_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     @classmethod
     def from_env(cls, default_workers: int | None = None) -> "ParallelRunner":
@@ -107,7 +107,7 @@ class ParallelRunner:
 
     def _chunked(self, tasks: list[Any], workers: int) -> list[list[Any]]:
         if self.chunk_size is not None:
-            size = max(1, self.chunk_size)
+            size = self.chunk_size
         else:
             size = max(1, len(tasks) // (workers * 4) or 1)
         return [tasks[i : i + size] for i in range(0, len(tasks), size)]

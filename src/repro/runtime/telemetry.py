@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from repro.core.inputs import read_json
+
 #: Schema tag so future emitters can evolve the layout detectably.
 #: v2 added the engine-core dimension ("engine", "active_round_fraction"
 #: on throughput rows) plus offline-search and adversary-cache rows.
@@ -101,7 +103,7 @@ def write_bench_json(
 
 def read_bench_json(path: str | Path) -> dict[str, Any]:
     """Load a previously written benchmark document."""
-    return json.loads(Path(path).read_text())
+    return read_json(path, "benchmark document")
 
 
 def _throughput_index(

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import IO
 
 from repro.core import events as ev
+from repro.core.inputs import InputError, malformed, parse_jsonl, read_text
 
 #: Event classes by serialized name.
 EVENT_TYPES: dict[str, type] = {
@@ -42,27 +43,20 @@ def trace_to_jsonl(trace: ev.Trace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def trace_from_jsonl(text: str) -> ev.Trace:
-    """Rebuild a trace from :func:`trace_to_jsonl` output."""
+def trace_from_jsonl(text: str, source: str = "event trace") -> ev.Trace:
+    """Rebuild a trace from :func:`trace_to_jsonl` output; a bad line
+    raises :class:`~repro.core.inputs.InputError` naming ``source``."""
     trace = ev.Trace()
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        payload = json.loads(line)
-        type_name = payload.pop("type", None)
-        cls = EVENT_TYPES.get(type_name)
-        if cls is None:
-            raise ValueError(
-                f"line {line_number}: unknown event type {type_name!r}"
-            )
-        expected = {f.name for f in fields(cls)}
-        unexpected = set(payload) - expected
-        if unexpected:
-            raise ValueError(
-                f"line {line_number}: unexpected fields {sorted(unexpected)}"
-            )
-        trace.append(cls(**payload))
+    for number, payload in parse_jsonl(text, source).rows:
+        with malformed(source, number):
+            type_name = payload.pop("type", None)
+            cls = EVENT_TYPES.get(type_name)
+            if cls is None:
+                raise ValueError(f"unknown event type {type_name!r}")
+            unexpected = set(payload) - {f.name for f in fields(cls)}
+            if unexpected:
+                raise ValueError(f"unexpected fields {sorted(unexpected)}")
+            trace.append(cls(**payload))
     return trace
 
 
@@ -71,7 +65,7 @@ def save_trace(trace: ev.Trace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> ev.Trace:
-    return trace_from_jsonl(Path(path).read_text())
+    return trace_from_jsonl(read_text(path, "event trace"), f"event trace {path}")
 
 
 # ---------------------------------------------------------------- schedules
@@ -108,26 +102,28 @@ def schedule_to_jsonl(schedule) -> str:
     return "\n".join(lines) + "\n"
 
 
-def schedule_from_jsonl(text: str):
-    """Rebuild a schedule from :func:`schedule_to_jsonl` output."""
+def schedule_from_jsonl(text: str, source: str = "schedule"):
+    """Rebuild a schedule from :func:`schedule_to_jsonl` output; a bad
+    line raises :class:`~repro.core.inputs.InputError` naming ``source``."""
     from repro.core.schedule import Execution, Reconfiguration, Schedule
 
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty schedule serialization")
-    header = json.loads(lines[0])
-    if header.get("type") != "ScheduleHeader":
-        raise ValueError("missing ScheduleHeader line")
-    schedule = Schedule(header["num_resources"], speed=header["speed"])
-    for line in lines[1:]:
-        payload = json.loads(line)
-        kind = payload.pop("type")
-        if kind == "Reconfiguration":
-            schedule.add_reconfiguration(Reconfiguration(**payload))
-        elif kind == "Execution":
-            schedule.add_execution(Execution(**payload))
-        else:
-            raise ValueError(f"unknown schedule event type {kind!r}")
+    rows = parse_jsonl(text, source).rows
+    if not rows:
+        raise InputError(f"{source}: empty schedule serialization")
+    (number, header), *events = rows
+    with malformed(source, number):
+        if header.get("type") != "ScheduleHeader":
+            raise ValueError("missing ScheduleHeader line")
+        schedule = Schedule(header["num_resources"], speed=header["speed"])
+    for number, payload in events:
+        with malformed(source, number):
+            kind = payload.pop("type")
+            if kind == "Reconfiguration":
+                schedule.add_reconfiguration(Reconfiguration(**payload))
+            elif kind == "Execution":
+                schedule.add_execution(Execution(**payload))
+            else:
+                raise ValueError(f"unknown schedule event type {kind!r}")
     return schedule
 
 
@@ -157,9 +153,10 @@ def save_run(result, directory: str | Path) -> dict[str, Path]:
 
 def load_run_schedule(directory: str | Path):
     """Reload the (instance, schedule) pair from :func:`save_run` output."""
-    from repro.workloads.traces import instance_from_json
+    from repro.workloads.traces import load_instance
 
     directory = Path(directory)
-    instance = instance_from_json((directory / "instance.json").read_text())
-    schedule = schedule_from_jsonl((directory / "schedule.jsonl").read_text())
-    return instance, schedule
+    instance = load_instance(directory / "instance.json")
+    path = directory / "schedule.jsonl"
+    text = read_text(path, "schedule")
+    return instance, schedule_from_jsonl(text, f"schedule {path}")

@@ -31,6 +31,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.inputs import InputError
 from repro.core.instance import ProblemSpec, is_count
 
 CHECKPOINT_SCHEMA = "repro-stream-checkpoint/v3"
@@ -63,7 +64,7 @@ def spec_digest(spec: ProblemSpec) -> str:
     return hashlib.sha256(_canonical_json(payload)).hexdigest()[:16]
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     """A checkpoint file is corrupt or does not match the session."""
 
 

@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 from repro.core.cost import CostModel
+from repro.core.inputs import InputError, malformed, parse_json, read_text
 from repro.core.instance import BatchMode, Instance, ProblemSpec, RequestSequence
 from repro.core.job import Job
 
@@ -40,28 +41,30 @@ def instance_to_json(instance: Instance) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def instance_from_json(text: str) -> Instance:
-    """Rebuild an instance from :func:`instance_to_json` output."""
-    payload = json.loads(text)
+def instance_from_json(text: str, source: str = "instance JSON") -> Instance:
+    """Rebuild an instance from :func:`instance_to_json` output; bad
+    text raises :class:`~repro.core.inputs.InputError` naming ``source``."""
+    payload = parse_json(text, source)
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported trace format version: {version}")
-    delay_bounds = {int(c): int(b) for c, b in payload["delay_bounds"].items()}
-    spec = ProblemSpec(
-        delay_bounds,
-        CostModel(int(payload["reconfig_cost"]), int(payload["drop_cost"])),
-        BatchMode(payload["batch_mode"]),
-        bool(payload["require_power_of_two"]),
-    )
-    jobs = []
-    for batch in payload["batches"]:
-        arrival = int(batch["round"])
-        color = int(batch["color"])
-        bound = delay_bounds[color]
-        for jid in batch["jids"]:
-            jobs.append(Job(arrival, color, bound, int(jid)))
-    sequence = RequestSequence(jobs, int(payload["horizon"]))
-    return Instance(spec, sequence, payload.get("name", ""))
+        raise InputError(f"{source}: unsupported trace format version: {version}")
+    with malformed(source):
+        delay_bounds = {int(c): int(b) for c, b in payload["delay_bounds"].items()}
+        spec = ProblemSpec(
+            delay_bounds,
+            CostModel(int(payload["reconfig_cost"]), int(payload["drop_cost"])),
+            BatchMode(payload["batch_mode"]),
+            bool(payload["require_power_of_two"]),
+        )
+        jobs = []
+        for batch in payload["batches"]:
+            arrival = int(batch["round"])
+            color = int(batch["color"])
+            bound = delay_bounds[color]
+            for jid in batch["jids"]:
+                jobs.append(Job(arrival, color, bound, int(jid)))
+        sequence = RequestSequence(jobs, int(payload["horizon"]))
+        return Instance(spec, sequence, payload.get("name", ""))
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:
@@ -71,7 +74,9 @@ def save_instance(instance: Instance, path: str | Path) -> None:
 
 def load_instance(path: str | Path) -> Instance:
     """Read an instance previously written by :func:`save_instance`."""
-    return instance_from_json(Path(path).read_text())
+    return instance_from_json(
+        read_text(path, "instance file"), f"instance file {path}"
+    )
 
 
 # --------------------------------------------------------------------- CSV
@@ -107,13 +112,14 @@ def instance_to_csv(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def instance_from_csv(text: str) -> Instance:
-    """Parse :func:`instance_to_csv` output (job ids regenerated)."""
+def instance_from_csv(text: str, source: str = "CSV trace") -> Instance:
+    """Parse :func:`instance_to_csv` output (job ids regenerated); bad
+    text raises :class:`~repro.core.inputs.InputError` naming ``source``."""
     from repro.core.job import JobFactory
 
     meta: dict[str, str] = {}
     rows: list[tuple[int, int, int]] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line == CSV_HEADER:
             continue
@@ -121,25 +127,27 @@ def instance_from_csv(text: str) -> Instance:
             key, _, value = line[1:].strip().partition("=")
             meta[key.strip()] = value.strip()
             continue
-        round_str, color_str, count_str = line.split(",")
-        rows.append((int(round_str), int(color_str), int(count_str)))
+        with malformed(source, number):
+            round_str, color_str, count_str = line.split(",")
+            rows.append((int(round_str), int(color_str), int(count_str)))
     required = {"reconfig_cost", "delay_bounds", "batch_mode"}
     missing = required - set(meta)
     if missing:
-        raise ValueError(f"CSV trace missing metadata: {sorted(missing)}")
-    delay_bounds = {
-        int(pair.split(":")[0]): int(pair.split(":")[1])
-        for pair in meta["delay_bounds"].split(";")
-        if pair
-    }
-    spec = ProblemSpec(
-        delay_bounds,
-        CostModel(int(meta["reconfig_cost"]), int(meta.get("drop_cost", "1"))),
-        BatchMode(meta["batch_mode"]),
-    )
-    factory = JobFactory()
-    jobs = []
-    for round_index, color, count in rows:
-        jobs += factory.batch(round_index, color, delay_bounds[color], count)
-    horizon = int(meta["horizon"]) if "horizon" in meta else None
-    return Instance(spec, RequestSequence(jobs, horizon), name="csv-trace")
+        raise InputError(f"{source} missing metadata: {sorted(missing)}")
+    with malformed(source):
+        delay_bounds = {
+            int(pair.split(":")[0]): int(pair.split(":")[1])
+            for pair in meta["delay_bounds"].split(";")
+            if pair
+        }
+        spec = ProblemSpec(
+            delay_bounds,
+            CostModel(int(meta["reconfig_cost"]), int(meta.get("drop_cost", "1"))),
+            BatchMode(meta["batch_mode"]),
+        )
+        factory = JobFactory()
+        jobs = []
+        for round_index, color, count in rows:
+            jobs += factory.batch(round_index, color, delay_bounds[color], count)
+        horizon = int(meta["horizon"]) if "horizon" in meta else None
+        return Instance(spec, RequestSequence(jobs, horizon), name="csv-trace")

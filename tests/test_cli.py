@@ -27,9 +27,17 @@ def test_run_writes_output_file(tmp_path, capsys):
     assert "EXP-S" in path.read_text()
 
 
-def test_run_unknown_experiment_raises():
-    with pytest.raises(KeyError):
-        main(["run", "EXP-NOPE"])
+def test_run_unknown_experiment_raises(capsys):
+    from repro.core.inputs import InputError
+    from repro.experiments import get_experiment
+
+    # The lookup raises an InputError that is still a KeyError for
+    # library callers; main() reports it as bad input, not a traceback.
+    with pytest.raises(KeyError) as caught:
+        get_experiment("EXP-NOPE")
+    assert isinstance(caught.value, InputError)
+    assert main(["run", "EXP-NOPE"]) == 2
+    _assert_one_error_line(capsys, "unknown experiment 'EXP-NOPE'")
 
 
 def test_demo_runs(capsys):
@@ -269,10 +277,24 @@ def test_stream_resume_refuses_corrupt_checkpoint(tmp_path, capsys, where):
     data[5 if where == "header" else len(data) // 2] = 0xFF
     path.write_bytes(bytes(data))
     capsys.readouterr()
-    assert main([*args, "--rounds", "512", "--resume"]) == 1
+    assert main([*args, "--rounds", "512", "--resume"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and str(path) in lines[0]
+
+
+def test_runs_list_limit_zero_lists_no_runs(tmp_path, capsys):
+    from repro.obs.registry import RunRecord, RunRegistry
+
+    with RunRegistry(tmp_path) as registry:
+        ids = [registry.append(RunRecord(kind="simulate")).run_id for _ in range(4)]
+    argv = ["runs", "list", "--registry-dir", str(tmp_path), "--limit"]
+    assert main([*argv, "1"]) == 0
+    assert capsys.readouterr().out.count("simulate") == 1
+    # --limit 0 used to list all four runs.
+    assert main([*argv, "0"]) == 0
+    out = capsys.readouterr().out
+    assert not any(run_id in out for run_id in ids)
 
 
 def _rule_file(rules) -> str:
@@ -328,3 +350,173 @@ def test_alerts_check_rejects_malformed_series(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "line 2" in lines[0]
+
+
+# ------------------------------------------------------------- bad input
+
+
+def _flip_middle(path) -> None:
+    """Fault-inject ``path``: XOR its middle byte with 0xFF.  Every file
+    below is ASCII, so the damaged line is never valid UTF-8."""
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A directory of valid and damaged inputs for the bad-input table."""
+    import contextlib
+    import io
+    import shutil
+
+    from repro.obs.registry import RunRecord, RunRegistry
+    from repro.workloads.random_batched import random_rate_limited
+    from repro.workloads.traces import instance_to_csv, save_instance
+
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "blocker").write_text("a file where a directory is needed\n")
+    (root / "dir").mkdir()
+    (root / "list.json").write_text("[]\n")
+    (root / "noversion.json").write_text('{"name": "x"}\n')
+    (root / "corrupt.jsonl").write_text('{"seq": 0, "kind": "event"}\n{broken}\n')
+    instance = random_rate_limited(3, 2, 16, seed=0)
+    save_instance(instance, root / "instance.json")
+    csv = instance_to_csv(instance)
+    (root / "instance.csv").write_text(csv)
+    (root / "short.csv").write_text(csv + "3,1\n")
+    with RunRegistry(root / "registry") as registry:
+        for index in range(2):
+            registry.append(RunRecord(kind="simulate", run_id=f"run{index:09d}"))
+    shutil.copytree(root / "registry", root / "registry-flipped")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (
+            ["record", root / "trace.jsonl", "--horizon", "32"],
+            ["obs", "monitor", "--horizon", "32",
+             "--metrics-out", root / "snapshot.json"],
+            ["alerts", "example", "--out", root / "rules.json"],
+            ["stream", "--rounds", "64", "--segment", "32",
+             "--checkpoint", root / "ckpt.json", "--series", root / "series.jsonl"],
+        ):
+            assert main([str(arg) for arg in argv]) == 0, argv
+    for name in ("instance.json", "instance.csv", "trace.jsonl", "snapshot.json",
+                 "rules.json", "series.jsonl", "ckpt.json"):
+        flipped = root / name.replace(".", "-flipped.")
+        shutil.copy(root / name, flipped)
+        _flip_middle(flipped)
+    (segment,) = (root / "registry-flipped").glob("seg-*.jsonl")
+    _flip_middle(segment)
+    return root
+
+
+# argv, a fragment of the error line, and whether stdout stays empty
+# (the check fails before any work starts).  Paths are relative to the
+# bad_inputs directory; "blocker" is a file, so no path under it can be
+# written.
+_BAD_INPUT = {
+    "run-unknown": (["run", "NOPE"], "unknown experiment 'NOPE'", True),
+    "export-unknown": (["export", "NOPE"], "unknown experiment 'NOPE'", True),
+    "run-output": (["run", "EXP-A", "--quick", "--output", "blocker/r.txt"],
+                   "blocker", False),
+    "run-all-output": (["run-all", "--quick", "--output", "blocker/r.txt"],
+                       "blocker", False),
+    "export-dir": (["export", "EXP-A", "--quick", "--dir", "blocker/out"],
+                   "blocker", False),
+    "search-save": (["search", "dlru-edf", "--iterations", "2", "--restarts", "1",
+                     "--horizon", "8", "--save", "blocker/i.json"], "blocker", False),
+    "record-out": (["record", "blocker/t.jsonl"], "blocker", True),
+    "monitor-out": (["obs", "monitor", "--horizon", "32", "--out", "blocker/t.jsonl"],
+                    "blocker", True),
+    "monitor-metrics-out": (["obs", "monitor", "--horizon", "32", "--metrics-out",
+                             "blocker/m.json"], "blocker", False),
+    "stream-checkpoint": (["stream", "--rounds", "64", "--segment", "32",
+                           "--checkpoint", "blocker/c.json"], "blocker", True),
+    "stream-series": (["stream", "--rounds", "64", "--segment", "32",
+                       "--series", "blocker/s.jsonl"], "blocker", False),
+    "alerts-example-out": (["alerts", "example", "--out", "blocker/r.json"],
+                           "blocker", True),
+    "offline-trace": (["offline", "--trace", "blocker/t.jsonl"], "blocker", True),
+    "describe-missing": (["describe", "missing.json"],
+                         "cannot read instance file missing.json", True),
+    "describe-dir": (["describe", "dir"], "cannot read instance file dir", True),
+    "describe-list": (["describe", "list.json"], "list.json is a JSON list", True),
+    "describe-no-version": (["describe", "noversion.json"],
+                            "unsupported trace format version", True),
+    "describe-short-row": (["describe", "short.csv"], "short.csv line", True),
+    "serve-port-negative": (["serve", "--port", "-1"], "--port", True),
+    "serve-port-too-big": (["serve", "--port", "99999"], "--port", True),
+    "serve-ttl-negative": (["serve", "--demo", "--ttl", "-5"], "--ttl", True),
+    "export-prom-list": (["obs", "export", "list.json", "--prom", "m.prom"],
+                         "metrics snapshot list.json is a JSON list", True),
+    "export-chrome-corrupt": (["obs", "export", "corrupt.jsonl", "--chrome", "t.json"],
+                              "corrupt.jsonl line 2", True),
+    "record-epochs-costs": (["record", "t.jsonl", "--epochs"], "--epochs", True),
+    "record-epochs-sampled": (["record", "t.jsonl", "--record", "full",
+                               "--sample", "0.5", "--epochs"], "--epochs", True),
+    "export-no-format": (["obs", "export", "trace.jsonl"], "--chrome", True),
+    "export-two-formats": (["obs", "export", "trace.jsonl", "--chrome", "a.json",
+                            "--prom", "b.prom"], "--chrome", True),
+    "trace-missing": (["trace", "missing.jsonl"], "missing.jsonl", True),
+    "trace-dir": (["trace", "dir"], "Is a directory", True),
+    "trace-corrupt": (["trace", "corrupt.jsonl"], "corrupt.jsonl line 2", True),
+    "stats-missing": (["stats", "missing.jsonl"], "missing.jsonl", True),
+    "stats-corrupt": (["stats", "corrupt.jsonl"], "corrupt.jsonl line 2", True),
+    "diff-missing": (["obs", "diff", "trace.jsonl", "missing.jsonl"],
+                     "missing.jsonl", True),
+    "diff-corrupt": (["obs", "diff", "corrupt.jsonl", "trace.jsonl"],
+                     "corrupt.jsonl line 2", True),
+    "runs-list-none": (["runs", "list", "--registry-dir", "missing"],
+                       "no run registry at missing", True),
+    "runs-show-none": (["runs", "show", "run", "--registry-dir", "missing"],
+                       "no run registry at missing", True),
+    "runs-diff-none": (["runs", "diff", "a", "b", "--registry-dir", "missing"],
+                       "no run registry at missing", True),
+    "runs-show-unknown": (["runs", "show", "nope", "--registry-dir", "registry"],
+                          "error: \"no run 'nope' in registry registry\"", True),
+    "runs-diff-unknown": (["runs", "diff", "run000000000", "nope",
+                           "--registry-dir", "registry"], "\"no run 'nope'", True),
+    "runs-list-negative": (["runs", "list", "--limit", "-3",
+                            "--registry-dir", "registry"], "--limit", True),
+    "resume-corrupt": (["stream", "--rounds", "128", "--checkpoint",
+                        "ckpt-flipped.json", "--resume"], "ckpt-flipped.json", True),
+    "resume-past-rounds": (["stream", "--rounds", "32", "--checkpoint", "ckpt.json",
+                            "--resume"], "past the --rounds target 32", True),
+    # One fault-injected file per format.
+    "flipped-instance-json": (["describe", "instance-flipped.json"],
+                              "instance-flipped.json", True),
+    "flipped-instance-csv": (["describe", "instance-flipped.csv"],
+                             "instance-flipped.csv", True),
+    "flipped-trace": (["stats", "trace-flipped.jsonl"], "trace-flipped.jsonl", True),
+    "flipped-registry": (["runs", "list", "--registry-dir", "registry-flipped"],
+                         "registry-flipped", True),
+    "flipped-snapshot": (["obs", "export", "snapshot-flipped.json", "--prom", "m.prom"],
+                         "snapshot-flipped.json", True),
+    "flipped-series": (["alerts", "check", "series-flipped.jsonl", "--rules",
+                        "rules.json"], "series-flipped.jsonl", True),
+    "flipped-rules": (["alerts", "check", "series.jsonl", "--rules",
+                       "rules-flipped.json"], "rules-flipped.json", True),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, fragment, quiet", list(_BAD_INPUT.values()), ids=list(_BAD_INPUT)
+)
+def test_bad_input_is_one_error_line(
+    bad_inputs, monkeypatch, capsys, argv, fragment, quiet
+):
+    from repro.experiments import registry
+
+    monkeypatch.chdir(bad_inputs)
+    # run-all needs only its --output; one fast experiment stands in.
+    monkeypatch.setattr(
+        registry, "EXPERIMENTS", {"EXP-A": registry.EXPERIMENTS["EXP-A"]}
+    )
+    before = sorted(p.name for p in bad_inputs.iterdir())
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ") and fragment in lines[0], lines[0]
+    if quiet:
+        assert captured.out == ""
+    assert sorted(p.name for p in bad_inputs.iterdir()) == before

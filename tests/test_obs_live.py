@@ -165,6 +165,17 @@ class TestRunRegistry:
         assert len(registry.last(10, kind="simulate")) == 2
         assert len(registry.last(1, kind="simulate")) == 1
 
+    def test_last_zero_is_none_and_negative_is_refused(self, tmp_path):
+        with RunRegistry(tmp_path) as registry:
+            for seed in range(4):
+                registry.append(RunRecord(kind="simulate", seed=seed))
+        # records[-n:] listed all four runs for n = 0 and dropped the
+        # three oldest for n = -3.
+        assert registry.last(0) == []
+        assert [r.seed for r in registry.last(None)] == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="nonnegative"):
+            registry.last(-3)
+
 
 class TestInstanceDigest:
     def test_name_excluded_content_included(self):
@@ -303,6 +314,23 @@ class TestOpsService:
                 _get(service.url + "/runs/zzzz")
             err.value.close()  # the error holds the response socket
             assert err.value.code == 404
+
+    def test_runs_limit(self, tmp_path):
+        with RunRegistry(tmp_path) as registry:
+            for seed in range(4):
+                registry.append(RunRecord(kind="simulate", seed=seed))
+        with OpsService(OpsState(run_registry=registry)) as service:
+            _, body = _get(service.url + "/runs?limit=2")
+            assert [r["seed"] for r in json.loads(body)["runs"]] == [2, 3]
+            # limit=0 served the whole registry, and a negative limit was
+            # clamped to 0.
+            _, body = _get(service.url + "/runs?limit=0")
+            assert json.loads(body)["count"] == 0
+            for bad in ("-1", "abc"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _get(service.url + f"/runs?limit={bad}")
+                err.value.close()  # the error holds the response socket
+                assert err.value.code == 400
 
     def test_health_degrades_on_violations(self):
         state = OpsState()

@@ -129,6 +129,13 @@ class TestParallelRunner:
         with pytest.raises(ValueError, match="max_workers"):
             ParallelRunner(max_workers=workers)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_chunk_size_below_one_is_refused(self, size):
+        # _chunked used to clamp these to one-task chunks, so
+        # ParallelRunner(chunk_size=-3).map(abs, [1, -2, 3, -4]) ran.
+        with pytest.raises(ValueError, match="chunk_size"):
+            ParallelRunner(max_workers=2, chunk_size=size)
+
 
 # ------------------------------------------------------------- telemetry
 
