@@ -19,7 +19,8 @@ Four acceptance promises:
 4. **Kill/resume is observability-transparent.**  A session killed at a
    mid-stall checkpoint and resumed in a fresh process state reproduces
    the uninterrupted session's series, alert events, and costs bit for
-   bit (recorder + alert state ride inside the checkpoint).
+   bit (the recorder's derivation and alert state ride inside the
+   checkpoint, its series in the append-only sidecar beside it).
 
 Usage::
 

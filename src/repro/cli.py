@@ -548,7 +548,14 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
     if args.limit < 0:
         raise InputError(f"--limit must be nonnegative, got {args.limit}")
     registry = RunRegistry.existing(args.registry_dir)
-    print(render_run_list(registry.last(args.limit, kind=args.kind)))
+    records = registry.last(args.limit, kind=args.kind)
+    if not records and len(registry):
+        filters = [f"--kind {args.kind}"] if args.kind is not None else []
+        if args.limit == 0:
+            filters.append("--limit 0")
+        print(f"(no run matched {' '.join(filters)})")
+    else:
+        print(render_run_list(records))
     if registry.skipped_lines:
         print(
             f"({registry.skipped_lines} torn trailing line(s) skipped "
@@ -876,7 +883,8 @@ def _cmd_alerts_watch(args: argparse.Namespace) -> int:
     from urllib.error import URLError
     from urllib.request import urlopen
 
-    from repro.core.inputs import parse_json
+    from repro.core.inputs import malformed, parse_json
+    from repro.obs.alerts import AlertEvent
 
     url = args.url.rstrip("/")
     if not url.startswith("http"):
@@ -899,18 +907,21 @@ def _cmd_alerts_watch(args: argparse.Namespace) -> int:
             if not payload.get("active"):
                 print(f"{endpoint}: no alert engine published yet")
             else:
-                events = payload.get("events", [])
+                with malformed(f"response of {endpoint}"):
+                    events = [
+                        AlertEvent.from_dict(event)
+                        for event in payload.get("events", [])
+                    ]
+                    firing = payload.get("firing", [])
+                    if not isinstance(firing, list) or not all(
+                        isinstance(name, str) for name in firing
+                    ):
+                        raise ValueError(
+                            f"firing must list rule names, got {firing!r}"
+                        )
                 for event in events[seen_events:]:
-                    glyph = (
-                        "FIRING" if event["kind"] == "fired" else "resolved"
-                    )
-                    print(
-                        f"[{event['severity']}] {event['rule']} {glyph} "
-                        f"at round {event['round']} "
-                        f"(value {event['value']:g})"
-                    )
+                    print(event)
                 seen_events = len(events)
-                firing = list(payload.get("firing", []))
                 if firing != last_firing:
                     print(
                         "firing now: " + (", ".join(firing) or "(none)")

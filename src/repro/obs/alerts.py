@@ -154,6 +154,9 @@ class AlertRule:
         return cls(**data)
 
 
+_EVENT_FIELDS = ("rule", "kind", "round", "value", "severity")
+
+
 @dataclass(frozen=True)
 class AlertEvent:
     """One firing or resolution, anchored to the sample round."""
@@ -165,13 +168,26 @@ class AlertEvent:
     severity: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "kind": self.kind,
-            "round": self.round,
-            "value": self.value,
-            "severity": self.severity,
-        }
+        return {key: getattr(self, key) for key in _EVENT_FIELDS}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "AlertEvent":
+        """Inverse of :meth:`to_dict`.  A missing field raises
+        ``KeyError``; anything else malformed, ``ValueError``."""
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                f"alert event is a JSON {type(data).__name__}, not an object"
+            )
+        event = cls(**{key: data[key] for key in _EVENT_FIELDS})
+        if not (
+            isinstance(event.rule, str)
+            and event.kind in ("fired", "resolved")
+            and type(event.round) is int
+            and type(event.value) in (int, float)
+            and event.severity in SEVERITIES
+        ):
+            raise ValueError(f"malformed alert event {json.dumps(data)}")
+        return event
 
     def __str__(self) -> str:
         glyph = "FIRING" if self.kind == "fired" else "resolved"
@@ -374,7 +390,7 @@ class AlertEngine:
             if name in self._states:
                 self._states[name] = _RuleState.from_dict(data)
         self.events = [
-            AlertEvent(**event) for event in state.get("events", [])
+            AlertEvent.from_dict(event) for event in state.get("events", [])
         ]
 
 

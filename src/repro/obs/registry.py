@@ -47,7 +47,8 @@ import time
 import uuid
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from types import UnionType
+from typing import Any, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 from repro.core.inputs import InputError, UnknownIdError, malformed, read_jsonl
 
@@ -156,7 +157,15 @@ class RunRecord:
             )
         if "kind" not in raw:
             raise RegistryError("run record is missing its kind")
-        return cls(**{f.name: raw[f.name] for f in fields(cls) if f.name in raw})
+        values = {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
+        for name, value in values.items():
+            accepted, described = _FIELD_TYPES[name]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise RegistryError(
+                    f"run record field {name!r} must be {described}, got "
+                    f"{json.dumps(value)}"
+                )
+        return cls(**values)
 
     @property
     def total_cost(self) -> int | None:
@@ -181,6 +190,31 @@ class RunRecord:
         if name:
             bits.append(name)
         return "  ".join(str(b) for b in bits)
+
+
+_JSON_NAMES = {
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def _accepted(hint) -> tuple[tuple[type, ...], str]:
+    """The decoded JSON types a field annotated ``hint`` accepts, and
+    their description."""
+    kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    kinds = tuple(get_origin(kind) or kind for kind in kinds)
+    described = " or ".join(_JSON_NAMES[kind] for kind in kinds)
+    return (kinds + (int,) if float in kinds else kinds), described
+
+
+#: Each record field's accepted types and their description; never
+#: ``bool``, which no field is and ``isinstance`` counts as an int.
+_FIELD_TYPES = {
+    name: _accepted(hint) for name, hint in get_type_hints(RunRecord).items()
+}
 
 
 class RunRegistry:

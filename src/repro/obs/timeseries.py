@@ -34,6 +34,15 @@ check``.  A point is a ``[round, value]`` pair while it is a single
 sample and the seven-field list of :class:`SeriesPoint` once compacted;
 ``repro-series/v1`` files, whose points are all seven-field lists, are
 still read.
+
+A series file may go on after its series lines with *sample lines*,
+``{"round": r, "values": {series: value}}``: each is one
+:meth:`SeriesRecorder.sample` result, appended as it was recorded.  The
+reader replays them onto the series through :func:`append_sample`, the
+path every live sample takes into the rings; compaction is a pure
+function of the appends, so the replay rebuilds the rings exactly.  A
+streaming checkpoint's series sidecar
+(:mod:`repro.streaming.checkpoint`) is such a file.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.core.inputs import InputError, malformed, read_jsonl
+from repro.core.instance import is_count
 from repro.obs.metrics import Counter, Gauge
 
 SERIES_SCHEMA = "repro-series/v2"
@@ -82,7 +92,11 @@ class SeriesPoint(NamedTuple):
 
     @classmethod
     def sample(cls, round_index: int, value: float) -> "SeriesPoint":
-        return cls(round_index, round_index, 1, value, value, value, value)
+        # tuple.__new__ skips the generated __new__'s Python frame: every
+        # live, replayed and decoded single sample is built here.
+        return tuple.__new__(
+            cls, (round_index, round_index, 1, value, value, value, value)
+        )
 
     def merge(self, other: "SeriesPoint") -> "SeriesPoint":
         """Combine with the chronologically *later* point ``other``."""
@@ -208,6 +222,26 @@ class Series:
         return series
 
 
+def append_sample(
+    series: dict[str, Series],
+    capacity: int,
+    round_index: int,
+    values: Mapping[str, float],
+) -> None:
+    """Append one sample's ``{series name: value}`` to the rings in
+    ``series``, starting a ring of ``capacity`` at a name's first value.
+
+    The one path by which points enter a recorder's rings: a live
+    :meth:`SeriesRecorder.sample` and the replay of a series file's
+    sample lines both take it, so a replay rebuilds the rings exactly.
+    """
+    for name, value in values.items():
+        ring = series.get(name)
+        if ring is None:
+            ring = series[name] = Series(name, capacity)
+        ring.append(round_index, value)
+
+
 class SeriesRecorder:
     """Sample a metrics registry into per-metric ring-buffered series.
 
@@ -225,11 +259,12 @@ class SeriesRecorder:
     rules right after recording, so firing/resolving is part of the same
     deterministic clock.
 
-    The recorder is checkpointable: :meth:`state_dict` /
-    :meth:`load_state` round-trip every series, the derivation state
-    (previous counter values, EWMA accumulators), and the alert-engine
-    state, so a resumed streaming session continues the exact series an
-    uninterrupted one would have built.
+    The recorder is checkpointable: :meth:`state_dict` holds the
+    derivation state (previous counter values, EWMA accumulators) and
+    the alert-engine state, and :meth:`load_state` restores it together
+    with the rings, which a streaming checkpoint keeps in a series file
+    beside it — so a resumed streaming session continues the exact
+    series an uninterrupted one would have built.
     """
 
     def __init__(
@@ -275,21 +310,12 @@ class SeriesRecorder:
             return True
         return any(name.startswith(prefix) for prefix in self.prefixes)
 
-    def _series(self, name: str) -> Series:
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = Series(name, self.capacity)
-        return series
-
     def _resolve(self) -> tuple[list, list, list]:
-        """Resolve every wanted instrument's series and names once.
+        """Resolve every wanted instrument and its series names once.
 
         Returns ``(counters, gauges, histograms)``, each sorted by name,
-        the order a registry snapshot lists them in.  Counter and
-        histogram series exist from their first sample, so they are
-        resolved here; a gauge's series only once it holds a value.
-        :meth:`sample` rebuilds the plan when the registry gains an
-        instrument, and :meth:`load_state` drops it.
+        the order a registry snapshot lists them in.  :meth:`sample`
+        rebuilds the plan when the registry gains an instrument.
         """
         counters, gauges, histograms = [], [], []
         derive = self.derive
@@ -299,24 +325,14 @@ class SeriesRecorder:
             if isinstance(instrument, Counter):
                 derived = None
                 if derive:
-                    # (name, series) of the delta, rate and ewma series.
                     derived = tuple(
-                        (f"{name}.{suffix}", self._series(f"{name}.{suffix}"))
-                        for suffix in ("delta", "rate", "ewma")
+                        f"{name}.{suffix}" for suffix in ("delta", "rate", "ewma")
                     )
-                counters.append((name, instrument, self._series(name), derived))
+                counters.append((name, instrument, derived))
             elif isinstance(instrument, Gauge):
                 gauges.append((name, instrument, f"{name}.ewma"))
             else:
-                histograms.append(
-                    (
-                        instrument,
-                        f"{name}.count",
-                        self._series(f"{name}.count"),
-                        f"{name}.mean",
-                        self._series(f"{name}.mean"),
-                    )
-                )
+                histograms.append((instrument, f"{name}.count", f"{name}.mean"))
         self._plan_size = len(self.registry)
         return counters, gauges, histograms
 
@@ -352,38 +368,30 @@ class SeriesRecorder:
         )
         last_counters = self._last_counters
         values: dict[str, float] = {}
-        for name, counter, series, derived in counters:
+        for name, counter, derived in counters:
             value = float(counter.value)
-            series.append(round_index, value)
             values[name] = value
             if derived is None:
                 continue
             delta = value - last_counters.get(name, 0.0)
             last_counters[name] = value
             rate = delta / elapsed if elapsed else 0.0
-            ewma = self._ewma_update(name, rate)
-            for (derived_name, derived_series), derived_value in zip(
-                derived, (delta, rate, ewma)
-            ):
-                derived_series.append(round_index, derived_value)
-                values[derived_name] = derived_value
+            delta_name, rate_name, ewma_name = derived
+            values[delta_name] = delta
+            values[rate_name] = rate
+            values[ewma_name] = self._ewma_update(name, rate)
         for name, gauge, ewma_name in gauges:
             if gauge.value is None:
                 continue
             value = float(gauge.value)
-            self._series(name).append(round_index, value)
             values[name] = value
             if self.derive:
-                ewma = self._ewma_update(name, value)
-                self._series(ewma_name).append(round_index, ewma)
-                values[ewma_name] = ewma
-        for histogram, count_name, count_series, mean_name, mean_series in histograms:
+                values[ewma_name] = self._ewma_update(name, value)
+        for histogram, count_name, mean_name in histograms:
             count = float(histogram.count)
-            mean = float(histogram.mean) if count else 0.0
-            count_series.append(round_index, count)
-            mean_series.append(round_index, mean)
             values[count_name] = count
-            values[mean_name] = mean
+            values[mean_name] = float(histogram.mean) if count else 0.0
+        append_sample(self.series, self.capacity, round_index, values)
         self._last_round = round_index
         self.samples += 1
         if self.alerts is not None:
@@ -410,21 +418,24 @@ class SeriesRecorder:
     # ------------------------------------------- checkpoint/restore
 
     def state_dict(self) -> dict[str, Any]:
+        """Everything but the rings: the sample count, the last sample
+        round, the counter values and EWMAs the next sample derives
+        from, and the alert-engine state."""
         state: dict[str, Any] = {
             "samples": self.samples,
             "last_round": self._last_round,
             "last_counters": dict(self._last_counters),
             "ewma": dict(self._ewma),
-            "series": {
-                name: self.series[name].to_dict()
-                for name in sorted(self.series)
-            },
         }
         if self.alerts is not None:
             state["alerts"] = self.alerts.state_dict()
         return state
 
-    def load_state(self, state: Mapping[str, Any]) -> None:
+    def load_state(
+        self, state: Mapping[str, Any], series: dict[str, Series]
+    ) -> None:
+        """Restore a :meth:`state_dict` and the rings ``series`` (read
+        back from a series file, whose sample lines were replayed)."""
         self.samples = int(state["samples"])
         last_round = state["last_round"]
         self._last_round = None if last_round is None else int(last_round)
@@ -435,11 +446,7 @@ class SeriesRecorder:
         self._ewma = {
             name: float(value) for name, value in state["ewma"].items()
         }
-        self.series = {
-            name: Series.from_dict(data)
-            for name, data in state["series"].items()
-        }
-        self._plan = None
+        self.series = series
         if self.alerts is not None and "alerts" in state:
             self.alerts.load_state(state["alerts"])
 
@@ -447,63 +454,136 @@ class SeriesRecorder:
 # ------------------------------------------------------------ persistence
 
 
-def write_series_jsonl(
-    source: SeriesRecorder | Mapping[str, Any], path: str | Path
-) -> Path:
-    """Write a recorder (or its :meth:`~SeriesRecorder.snapshot`) as
-    schema-tagged JSONL: one header line, then one line per series."""
-    snapshot = (
-        source.snapshot() if isinstance(source, SeriesRecorder) else source
-    )
+def series_file_text(snapshot: Mapping[str, Any]) -> str:
+    """A :meth:`~SeriesRecorder.snapshot` as series-file text: one header
+    line, then one line per series."""
     if snapshot.get("schema") != SERIES_SCHEMA:
         raise ValueError(
             f"expected a {SERIES_SCHEMA} snapshot, got "
             f"{snapshot.get('schema')!r}"
         )
+    header = {
+        "schema": SERIES_SCHEMA,
+        "capacity": snapshot.get("capacity"),
+        "samples": snapshot.get("samples", 0),
+    }
+    series = snapshot.get("series", {})
+    lines = [json.dumps(header, sort_keys=True)]
+    lines.extend(json.dumps(series[name], sort_keys=True) for name in sorted(series))
+    return "\n".join(lines) + "\n"
+
+
+def sample_line(round_index: int, values: Mapping[str, float]) -> str:
+    """The series-file line of one :meth:`SeriesRecorder.sample` result."""
+    line = json.dumps({"round": round_index, "values": values}, separators=(",", ":"))
+    return line + "\n"
+
+
+def write_series_jsonl(
+    source: SeriesRecorder | Mapping[str, Any], path: str | Path
+) -> Path:
+    """Write a recorder (or its :meth:`~SeriesRecorder.snapshot`) as a
+    series file (:func:`series_file_text`)."""
+    snapshot = (
+        source.snapshot() if isinstance(source, SeriesRecorder) else source
+    )
+    text = series_file_text(snapshot)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        header = {
-            "schema": SERIES_SCHEMA,
-            "capacity": snapshot.get("capacity"),
-            "samples": snapshot.get("samples", 0),
-        }
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for name in sorted(snapshot.get("series", {})):
-            handle.write(
-                json.dumps(snapshot["series"][name], sort_keys=True) + "\n"
-            )
+    path.write_text(text, encoding="utf-8")
     return path
 
 
-def read_series_jsonl(path: str | Path) -> dict[str, Any]:
-    """Read a :func:`write_series_jsonl` file back into a snapshot dict.
+class SeriesFile(NamedTuple):
+    """A decoded series file."""
 
-    Reads ``repro-series/v2`` and ``repro-series/v1`` files; the
-    snapshot carries every series in the current encoding.  Raises
-    :class:`~repro.core.inputs.InputError` naming the file and line on
-    a missing, foreign or malformed header, or on a line that is not a
-    valid series.
+    #: The header's ring capacity.
+    capacity: Any
+    #: Samples recorded: the header's count plus the sample lines.
+    samples: int
+    series: dict[str, Series]
+    #: Sample lines after the series lines.
+    appended: int
+
+
+def decode_series_file(rows: list[tuple[int, dict]], source: str) -> SeriesFile:
+    """Decode the ``(line number, object)`` rows of a series file, whose
+    sample lines are replayed onto its series through
+    :func:`append_sample`.
+
+    Raises :class:`~repro.core.inputs.InputError` naming ``source`` and
+    the line on a missing, foreign or malformed header, a line that is
+    not a valid series or sample, or a series line after a sample line.
     """
-    rows = read_jsonl(path, "series file").rows
     if not rows:
-        raise InputError(f"series file {path} is empty")
+        raise InputError(f"{source} is empty")
     (_, header), *lines = rows
     if header.get("schema") not in _READABLE_SCHEMAS:
         raise InputError(
-            f"series file {path} has schema {header.get('schema')!r}; "
+            f"{source} has schema {header.get('schema')!r}; "
             f"expected one of {', '.join(_READABLE_SCHEMAS)}"
         )
-    series: dict[str, Any] = {}
+    capacity = header.get("capacity")
+    samples = header.get("samples", 0)
+    if not is_count(samples):
+        raise InputError(f"{source} line 1: samples must be a count, got {samples!r}")
+    series: dict[str, Series] = {}
+    appended = 0
+    last_round = -1
     for number, data in lines:
-        with malformed(f"series file {path}", number):
-            one = Series.from_dict(data)
-        series[one.name] = one.to_dict()
+        with malformed(source, number):
+            if "values" in data:
+                last_round = _replay(series, capacity, last_round, data)
+                appended += 1
+            elif appended:
+                raise ValueError("series line after the sample lines")
+            else:
+                one = Series.from_dict(data)
+                series[one.name] = one
+    return SeriesFile(capacity, samples + appended, series, appended)
+
+
+def _replay(
+    series: dict[str, Series], capacity, last_round: int, line: Mapping
+) -> int:
+    """Append one sample line after round ``last_round``; returns its
+    round."""
+    round_index, values = line["round"], line["values"]
+    if not is_count(round_index) or round_index <= last_round:
+        raise ValueError(
+            f"sample round {round_index!r} is not a round after the "
+            "previous sample's"
+        )
+    if not isinstance(values, dict) or not {
+        type(value) for value in values.values()
+    } <= {float, int}:
+        raise ValueError("sample values must map series to numbers")
+    if not is_count(capacity):
+        raise ValueError(f"the header's capacity {capacity!r} is not a count")
+    append_sample(series, capacity, round_index, values)
+    return round_index
+
+
+def read_series_jsonl(path: str | Path) -> dict[str, Any]:
+    """Read a series file back into a :meth:`~SeriesRecorder.snapshot`.
+
+    Reads ``repro-series/v2`` and ``repro-series/v1`` files, sample
+    lines included (a streaming checkpoint's sidecar reads back as its
+    recorder's snapshot); the snapshot carries every series in the
+    current encoding.  Raises :class:`~repro.core.inputs.InputError`
+    naming the file and line on anything malformed
+    (:func:`decode_series_file`).
+    """
+    rows = read_jsonl(path, "series file").rows
+    decoded = decode_series_file(rows, f"series file {path}")
     return {
         "schema": SERIES_SCHEMA,
-        "capacity": header.get("capacity"),
-        "samples": header.get("samples", 0),
-        "series": series,
+        "capacity": decoded.capacity,
+        "samples": decoded.samples,
+        "series": {
+            name: decoded.series[name].to_dict()
+            for name in sorted(decoded.series)
+        },
     }
 
 

@@ -22,7 +22,10 @@ Memory is O(colors + segment): the engine, its segment instance, and
 the admitted-count window are dropped after every segment; only the
 exported state survives — one pending count per color (with its
 arrival round), per-color counters, cache slots, cost counters —
-stored in checkpoints as schema ``repro-stream-checkpoint/v3``.
+stored in checkpoints as schema ``repro-stream-checkpoint/v4``.  An
+attached series recorder's history goes to the checkpoint's series
+sidecar instead: each save appends only the samples recorded since the
+previous one (:class:`~repro.streaming.checkpoint.SeriesSidecar`).
 ``record`` is fixed to ``"costs"`` — full-record streaming would
 retain O(total jobs) schedule state, defeating the point.
 """
@@ -45,6 +48,7 @@ from repro.simulation.engine import (
 )
 from repro.streaming.checkpoint import (
     CheckpointError,
+    SeriesSidecar,
     StreamCheckpoint,
     spec_digest,
 )
@@ -100,8 +104,9 @@ class StreamSession:
     :class:`~repro.obs.timeseries.SeriesRecorder`: the session samples
     it at every segment end (a deterministic round clock), so metric
     history — and any alert rules riding on the recorder — accrues as
-    the stream runs.  Recorder and alert state ride inside checkpoints,
-    so a killed-and-resumed session continues the exact series and fires
+    the stream runs.  A saved checkpoint carries the recorder's
+    derivation and alert state, and its series sidecar the history, so
+    a killed-and-resumed session continues the exact series and fires
     the exact alerts an uninterrupted one would.
     """
 
@@ -147,6 +152,7 @@ class StreamSession:
                 "it as SeriesRecorder(registry, ...) with the same object"
             )
         self.recorder = recorder
+        self._sidecar = SeriesSidecar(recorder) if recorder is not None else None
         self.ingest = StreamIngest(policy, registry)
         self.last_checkpoint_round: int | None = None
         self.last_checkpoint_path: str | None = None
@@ -304,7 +310,7 @@ class StreamSession:
         if self._round_gauge is not None:
             self._round_gauge.set(end)
         if self.recorder is not None:
-            self.recorder.sample(end)
+            self._sidecar.note(end, self.recorder.sample(end))
 
     def _build_engine(self, instance: Instance, start: int) -> BatchedEngine:
         # The vectorized compile ingests whole sequences from empty
@@ -338,7 +344,13 @@ class StreamSession:
         }
 
     def checkpoint(self) -> StreamCheckpoint:
-        """Snapshot the session (valid at any between-rounds point)."""
+        """Snapshot the session (valid at any between-rounds point).
+
+        With a recorder attached, the series history reaches disk only
+        through the checkpoint's :meth:`~StreamCheckpoint.save`, which
+        must come before the session runs on; resuming a recorder from
+        a checkpoint never saved raises :class:`CheckpointError`.
+        """
         obs_state = {}
         if self.registry is not None:
             obs_state["registry"] = self.registry.snapshot()
@@ -355,6 +367,7 @@ class StreamSession:
             wall_seconds=self._wall_seconds,
             checkpoints_written=self._checkpoints_written,
             obs_state=obs_state,
+            sidecar=self._sidecar,
         )
 
     def save_checkpoint(self, path) -> StreamCheckpoint:
@@ -370,7 +383,8 @@ class StreamSession:
         return ckpt
 
     def load_checkpoint(self, checkpoint: StreamCheckpoint) -> None:
-        """Restore a checkpoint into this (fresh) session."""
+        """Restore a checkpoint into this (fresh) session; an attached
+        recorder is rebuilt from the series sidecar it names."""
         if self._round != 0:
             raise RuntimeError(
                 "load_checkpoint requires a fresh session (round 0)"
@@ -423,7 +437,7 @@ class StreamSession:
             # matches the uninterrupted session's exposition.
             self._round_gauge.set(self._round)
         if self.recorder is not None and "series" in checkpoint.obs_state:
-            self.recorder.load_state(checkpoint.obs_state["series"])
+            self._sidecar.restore(checkpoint)
 
     @classmethod
     def resume(

@@ -1,6 +1,7 @@
 """CLI tests."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +298,122 @@ def test_runs_list_limit_zero_lists_no_runs(tmp_path, capsys):
     assert not any(run_id in out for run_id in ids)
 
 
+def test_runs_list_names_the_filter_nothing_matched(tmp_path, capsys):
+    from repro.obs.registry import RunRecord, RunRegistry
+
+    with RunRegistry(tmp_path / "runs") as registry:
+        for _ in range(2):
+            registry.append(RunRecord(kind="simulate"))
+    argv = ["runs", "list", "--registry-dir", str(tmp_path / "runs")]
+    assert main([*argv, "--kind", "offline"]) == 0
+    assert capsys.readouterr().out == "(no run matched --kind offline)\n"
+    assert main([*argv, "--kind", "offline", "--limit", "0"]) == 0
+    assert capsys.readouterr().out == "(no run matched --kind offline --limit 0)\n"
+    # A registry holding no record at all (one torn line) is empty.
+    (tmp_path / "torn").mkdir()
+    (tmp_path / "torn" / "seg-a.jsonl").write_text('{"schema": "repro-run/v1"')
+    assert main(["runs", "list", "--registry-dir", str(tmp_path / "torn")]) == 0
+    assert capsys.readouterr().out.startswith("(registry is empty)\n")
+
+
+def test_alerts_watch_reports_a_live_firing_alert(capsys):
+    from repro.obs.alerts import AlertEngine, AlertRule
+    from repro.obs.service import OpsService, OpsState
+
+    state = OpsState()
+    engine = AlertEngine(
+        [AlertRule(name="crit", series="x", value=0.0, severity="critical")]
+    )
+    engine.observe(3, {"x": 1.5})
+    state.publish_alerts(engine.payload())
+    with OpsService(state) as service:
+        assert main(["alerts", "watch", service.url, "--ttl", "0"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "[critical] crit FIRING at round 3 (value 1.5)",
+        "firing now: crit",
+    ]
+
+
+@pytest.mark.parametrize(
+    "payload, problem",
+    [
+        (  # was a KeyError: 'severity' traceback
+            {"active": True, "events": [{"kind": "fired", "rule": "r"}], "firing": ["r"]},
+            "KeyError: 'round'",
+        ),
+        (
+            {"active": True, "events": [{"kind": "fired", "rule": "r", "round": 1,
+                                         "value": "high", "severity": "warning"}]},
+            "malformed alert event",
+        ),
+        ({"active": True, "events": [], "firing": "r"}, "firing must list rule names"),
+    ],
+    ids=["missing-field", "value-not-a-number", "firing-not-a-list"],
+)
+def test_alerts_watch_refuses_a_malformed_payload(capsys, payload, problem):
+    import http.server
+    import json
+    import threading
+
+    body = json.dumps(payload).encode()
+
+    class Stub(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Stub)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{server.server_port}"
+        assert main(["alerts", "watch", url, "--ttl", "0"]) == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"error: response of {url}/alerts") and problem in lines[0]
+    assert captured.out == ""
+
+
+def test_stream_kill_and_resume_writes_the_uninterrupted_series(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["alerts", "example", "--out", "rules.json"]) == 0
+    stream = ["stream", "--segment", "64", "--checkpoint-every", "256",
+              "--load", "0.95", "--queue-cap", "1", "--series-capacity", "8",
+              "--rules", "rules.json"]
+    assert main([*stream, "--rounds", "2048", "--checkpoint", "whole.json",
+                 "--series", "whole.jsonl"]) == 0
+    assert main([*stream, "--rounds", "1024", "--checkpoint", "cut.json",
+                 "--series", "first.jsonl"]) == 0
+    assert main([*stream, "--rounds", "2048", "--checkpoint", "cut.json",
+                 "--series", "resumed.jsonl", "--resume"]) == 0
+    assert Path("resumed.jsonl").read_bytes() == Path("whole.jsonl").read_bytes()
+    capsys.readouterr()
+
+    def check(series):
+        code = main(["alerts", "check", series, "--rules", "rules.json"])
+        head, *events = capsys.readouterr().out.splitlines()
+        return code, head.split(":", 1)[1], events
+
+    (sidecar,) = [p.name for p in tmp_path.glob("cut.json.*.series")]
+    verdict = check(sidecar)
+    assert verdict == check("whole.jsonl")
+    assert verdict[0] == 1 and any("FIRING" in line for line in verdict[2])
+
+
 def _rule_file(rules) -> str:
     import json
 
@@ -406,6 +523,29 @@ def bad_inputs(tmp_path_factory):
         _flip_middle(flipped)
     (segment,) = (root / "registry-flipped").glob("seg-*.jsonl")
     _flip_middle(segment)
+    # Registry segments with a field of the wrong type.
+    for field, value in (("created", '"x"'), ("cost", "[]")):
+        (root / f"registry-{field}").mkdir()
+        (root / f"registry-{field}" / "seg-a.jsonl").write_text(
+            '{"schema": "repro-run/v1", "kind": "simulate", "run_id": "r1", '
+            f'"{field}": {value}}}\n'
+        )
+    # A v3 checkpoint: the schema v4 replaced, the body's digest intact.
+    v3 = (root / "ckpt.json").read_bytes().replace(b"checkpoint/v4", b"checkpoint/v3", 1)
+    (root / "ckpt-v3.json").write_bytes(v3)
+    # Checkpoints whose series sidecar (ckpt.json.0.series, with sample
+    # lines appended after its snapshot) is gone, cut short or edited.
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["stream", "--rounds", "128", "--segment", "32",
+                     "--checkpoint-every", "32", "--checkpoint",
+                     str(root / "stream" / "ckpt.json"), "--series",
+                     str(root / "stream" / "series.jsonl")]) == 0
+    for damage in ("missing", "cut", "edited"):
+        shutil.copytree(root / "stream", root / f"sidecar-{damage}")
+    (root / "sidecar-missing" / "ckpt.json.0.series").unlink()
+    cut = root / "sidecar-cut" / "ckpt.json.0.series"
+    cut.write_bytes(cut.read_bytes()[:-10])
+    _flip_middle(root / "sidecar-edited" / "ckpt.json.0.series")
     return root
 
 
@@ -481,6 +621,29 @@ _BAD_INPUT = {
                         "ckpt-flipped.json", "--resume"], "ckpt-flipped.json", True),
     "resume-past-rounds": (["stream", "--rounds", "32", "--checkpoint", "ckpt.json",
                             "--resume"], "past the --rounds target 32", True),
+    "resume-v3": (["stream", "--rounds", "128", "--checkpoint", "ckpt-v3.json",
+                   "--resume"], "ckpt-v3.json: unsupported schema "
+                  "'repro-stream-checkpoint/v3'; this version reads only "
+                  "repro-stream-checkpoint/v4", True),
+    "resume-sidecar-missing": (["stream", "--rounds", "256", "--checkpoint",
+                                "sidecar-missing/ckpt.json", "--series", "s.jsonl",
+                                "--resume"],
+                               "cannot read series sidecar "
+                               "sidecar-missing/ckpt.json.0.series", True),
+    "resume-sidecar-cut": (["stream", "--rounds", "256", "--checkpoint",
+                            "sidecar-cut/ckpt.json", "--series", "s.jsonl",
+                            "--resume"], "series sidecar "
+                           "sidecar-cut/ckpt.json.0.series is", True),
+    "resume-sidecar-edited": (["stream", "--rounds", "256", "--checkpoint",
+                               "sidecar-edited/ckpt.json", "--rules", "rules.json",
+                               "--resume"], "series sidecar "
+                              "sidecar-edited/ckpt.json.0.series fails", True),
+    "runs-field-created": (["runs", "list", "--registry-dir", "registry-created"],
+                           "registry-created/seg-a.jsonl line 1: run record "
+                           "field 'created' must be a number", True),
+    "runs-field-cost": (["runs", "list", "--registry-dir", "registry-cost"],
+                        "registry-cost/seg-a.jsonl line 1: run record field "
+                        "'cost' must be an object", True),
     # One fault-injected file per format.
     "flipped-instance-json": (["describe", "instance-flipped.json"],
                               "instance-flipped.json", True),

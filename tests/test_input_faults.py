@@ -5,7 +5,9 @@ under a fixed seed.  Every damaged file must either load or raise an
 :class:`~repro.core.inputs.InputError` naming the file: a bare
 ``KeyError``, ``IndexError`` or ``UnicodeDecodeError`` is a bug.  The
 checkpoint and series formats have their own injection tests
-(``tests/test_streaming.py``, ``tests/test_obs_timeseries.py``).
+(``tests/test_streaming.py``, ``tests/test_obs_timeseries.py``); a
+checkpoint's series sidecar is damaged here, against the length and
+digest its checkpoint recorded.
 """
 
 from __future__ import annotations
@@ -24,8 +26,12 @@ from repro.obs import (
     read_jsonl_trace,
     snapshot_file_prometheus,
 )
+from repro.obs.alerts import example_rules
 from repro.obs.registry import RegistrySink, RunRegistry
+from repro.obs.timeseries import SeriesRecorder
 from repro.simulation.engine import simulate
+from repro.streaming import StreamCheckpoint, StreamSession, rate_limited_source
+from repro.streaming.checkpoint import CheckpointError
 from repro.workloads.random_batched import random_batched, random_rate_limited
 from repro.workloads.traces import (
     instance_from_csv,
@@ -131,3 +137,76 @@ def test_damage_loads_or_names_the_file(tmp_path, name):
             refused += 1
     # Most damage is caught; the rest must load cleanly.
     assert refused > (FLIPS + TRUNCATIONS) // 2
+
+
+def _stream(resume_from=None) -> StreamSession:
+    registry = MetricsRegistry()
+    recorder = SeriesRecorder(registry, capacity=8, rules=example_rules(32))
+    source = rate_limited_source(6, 32, seed=3, load=0.8)
+    if resume_from is not None:
+        return StreamSession.resume(
+            source, DeltaLRUEDF(), resume_from, registry=registry,
+            recorder=recorder, segment_rounds=32,
+        )
+    return StreamSession(
+        source, DeltaLRUEDF(), 4, registry=registry, recorder=recorder,
+        segment_rounds=32,
+    )
+
+
+def _observation(session: StreamSession) -> str:
+    return json.dumps(
+        [
+            session.recorder.snapshot(),
+            session.recorder.alerts.payload(),
+            session.registry.snapshot(),
+            session.cost.to_dict(),
+        ],
+        sort_keys=True,
+    )
+
+
+def test_sidecar_damage_inside_its_recorded_length_is_refused(tmp_path):
+    """Damage inside the length the checkpoint recorded raises a
+    CheckpointError naming the sidecar; damage past it, where a crashed
+    save's append lands, is never read."""
+    path = tmp_path / "ckpt.json"
+    session = _stream()
+    session.run(192, checkpoint_every=64, checkpoint_path=path)
+    committed = path.read_bytes()
+    # One more save appends two samples (the eighth fills the rings of
+    # capacity 8 without compacting them); putting the older checkpoint
+    # back leaves them past its recorded length, as a save that died
+    # before its rename does.
+    session.run(64, checkpoint_every=64, checkpoint_path=path)
+    path.write_bytes(committed)
+    reference = StreamCheckpoint.load(path).obs_state["series"]["sidecar"]
+    sidecar, length = path.with_name(reference["name"]), reference["bytes"]
+    data = sidecar.read_bytes()
+    assert len(data) > length
+    expected = _observation(_stream(path))
+    refused = loaded = 0
+    for damaged in _damaged(data, random.Random(25)):
+        sidecar.write_bytes(damaged)
+        if len(damaged) >= length and damaged[:length] == data[:length]:
+            assert _observation(_stream(path)) == expected
+            loaded += 1
+            continue
+        with pytest.raises(CheckpointError) as caught:
+            _stream(path)
+        assert str(sidecar) in str(caught.value)
+        refused += 1
+    assert refused > loaded > 0
+    # A resume past a damaged tail, longer than what the next save
+    # appends, ends where an uninterrupted run does, and that save cuts
+    # the tail off.
+    sidecar.write_bytes(data[:length] + b"\xff" + data[length + 1 :] + b"x" * 4096)
+    resumed = _stream(path)
+    resumed.run(64, checkpoint_every=64, checkpoint_path=path)
+    reference = StreamCheckpoint.load(path).obs_state["series"]["sidecar"]
+    assert path.with_name(reference["name"]).stat().st_size == reference["bytes"]
+    resumed.run(512 - 256, checkpoint_every=64, checkpoint_path=path)
+    uninterrupted = _stream()
+    uninterrupted.run(512, checkpoint_every=64)
+    assert _observation(resumed) == _observation(uninterrupted)
+    assert _observation(_stream(path)) == _observation(uninterrupted)

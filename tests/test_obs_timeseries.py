@@ -23,6 +23,7 @@ from repro.obs.timeseries import (
     SeriesPoint,
     SeriesRecorder,
     read_series_jsonl,
+    sample_line,
     series_from_snapshot,
     write_series_jsonl,
 )
@@ -171,7 +172,7 @@ class TestSeriesRecorder:
             counters_at_cut["stream.offered"]
         )
         resumed = SeriesRecorder(reg_c, capacity=8)
-        resumed.load_state(state)
+        resumed.load_state(state, series_from_snapshot(first.snapshot()))
         drive(resumed, reg_c, rounds[20:])
 
         assert resumed.snapshot() == uninterrupted.snapshot()
@@ -243,8 +244,37 @@ class TestSeriesPersistence:
                 ],
                 "line 2",
             ),
+            (
+                [
+                    '{"schema": "repro-series/v2", "capacity": 4}',
+                    '{"round": 1, "values": {"x": 1.0}}',
+                    '{"name": "y", "capacity": 4, "points": [[1, 2.0]]}',
+                ],
+                "line 3",
+            ),
+            (
+                [
+                    '{"schema": "repro-series/v2", "capacity": 4}',
+                    '{"round": 5, "values": {"x": 1.0}}',
+                    '{"round": 5, "values": {"y": 1.0}}',
+                ],
+                "line 3",
+            ),
+            (
+                [
+                    '{"schema": "repro-series/v2", "capacity": 4}',
+                    '{"round": 1, "values": {"x": "1.0"}}',
+                ],
+                "line 2",
+            ),
+            (
+                ['{"schema": "repro-series/v2"}', '{"round": 1, "values": {"x": 1.0}}'],
+                "line 2",
+            ),
         ],
-        ids=["header-not-object", "no-name", "line-is-list", "three-field-point"],
+        ids=["header-not-object", "no-name", "line-is-list", "three-field-point",
+             "series-after-sample", "stale-sample-round", "value-not-a-number",
+             "sample-without-capacity"],
     )
     def test_malformed_file_names_file_and_line(self, tmp_path, lines, where):
         path = tmp_path / "bad.jsonl"
@@ -335,11 +365,17 @@ class TestSeriesEncodingLossless:
             registry.counter("stream.offered").inc(increment)
             registry.gauge("stream.level").set(value)
             recorder.sample(round_index)
-        state = recorder.state_dict()
+        state, snapshot = recorder.state_dict(), recorder.snapshot()
         restored = SeriesRecorder(MetricsRegistry(), capacity=capacity)
-        restored.load_state(json.loads(json.dumps(state)))
+        restored.load_state(
+            json.loads(json.dumps(state)),
+            series_from_snapshot(json.loads(json.dumps(snapshot))),
+        )
         assert json.dumps(restored.state_dict(), sort_keys=True) == json.dumps(
             state, sort_keys=True
+        )
+        assert json.dumps(restored.snapshot(), sort_keys=True) == json.dumps(
+            snapshot, sort_keys=True
         )
 
     @settings(max_examples=100, deadline=None)
@@ -360,6 +396,52 @@ class TestSeriesEncodingLossless:
             fields[field] = other
         with pytest.raises(ValueError, match="count 1"):
             SeriesPoint.from_list(fields)
+
+
+class TestSampleLines:
+    """A series file's sample lines replay through the append path live
+    samples take, so the file reads back as the recorder's snapshot."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        capacity=st.integers(2, 6),
+        cut=st.integers(0, 12),
+        steps=st.lists(
+            st.tuples(st.integers(1, 5000), st.integers(0, 10**6), _values),
+            min_size=1,
+            max_size=24,
+        ),
+    )
+    def test_snapshot_plus_sample_lines_reads_as_the_recorder(
+        self, tmp_path, capacity, cut, steps
+    ):
+        registry = MetricsRegistry()
+        recorder = SeriesRecorder(registry, capacity=capacity)
+        path = tmp_path / "series.jsonl"
+        round_index = 0
+        for index, (gap, increment, value) in enumerate(steps):
+            if index == cut:
+                write_series_jsonl(recorder, path)
+            round_index += gap
+            registry.counter("stream.offered").inc(increment)
+            registry.gauge("stream.level").set(value)
+            values = recorder.sample(round_index)
+            if index >= cut:
+                with path.open("a", encoding="utf-8") as handle:
+                    handle.write(sample_line(round_index, values))
+        if cut >= len(steps):
+            write_series_jsonl(recorder, path)
+        snapshot = read_series_jsonl(path)
+        assert snapshot["samples"] == recorder.samples
+        restored = series_from_snapshot(snapshot)
+        assert set(restored) == set(recorder.series)
+        for name, series in restored.items():
+            assert series.compactions == recorder.series[name].compactions
+            assert _exact(series.points) == _exact(recorder.series[name].points)
 
 
 class TestSparkline:

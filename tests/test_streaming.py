@@ -13,8 +13,12 @@ import hashlib
 import json
 import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.dlru import DeltaLRU
 from repro.algorithms.dlru_edf import DeltaLRUEDF
@@ -23,10 +27,11 @@ from repro.analysis.credits import CreditScheme
 from repro.core.cost import CostBreakdown, CostModel
 from repro.core.instance import BatchMode, Instance, ProblemSpec, RequestSequence
 from repro.core.job import Job
+from repro.obs.alerts import example_rules
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.registry import RunRecord, RunRegistry
 from repro.obs.service import OpsState
-from repro.obs.timeseries import SeriesRecorder
+from repro.obs.timeseries import SeriesRecorder, read_series_jsonl
 from repro.runtime.parallel import ParallelRunner
 from repro.simulation.engine import BatchedEngine, RunResult, simulate
 from repro.streaming import (
@@ -37,7 +42,12 @@ from repro.streaming import (
     StreamSession,
     rate_limited_source,
 )
-from repro.streaming.checkpoint import CHECKPOINT_SCHEMA, CheckpointError
+from repro.streaming import checkpoint as checkpoint_module
+from repro.streaming.checkpoint import (
+    CHECKPOINT_SCHEMA,
+    CheckpointError,
+    SeriesSidecar,
+)
 from repro.streaming.ingest import StreamIngest
 from repro.workloads.random_batched import random_rate_limited
 from repro.workloads.streaming import rate_limited_stream
@@ -272,9 +282,13 @@ class TestCheckpointFaultInjection:
         )
         path = tmp_path / "ckpt.json"
         session.run(640, checkpoint_every=320, checkpoint_path=path)
-        # Recorder history dominates a real checkpoint, and 20 samples
-        # at capacity 8 put compacted and single-sample points in it.
-        series = StreamCheckpoint.load(path).obs_state["series"]["series"]
+        # The body carries the recorder's derivation state, not its
+        # rings: those are in the series sidecar it names, where 20
+        # samples at capacity 8 put compacted and single-sample points.
+        state = StreamCheckpoint.load(path).obs_state["series"]
+        assert "series" not in state and state["samples"] == 20
+        sidecar = path.with_name(state["sidecar"]["name"])
+        series = read_series_jsonl(sidecar)["series"]
         lengths = {len(p) for s in series.values() for p in s["points"]}
         assert lengths == {2, 7}
         return path
@@ -342,6 +356,14 @@ class TestCheckpointFaultInjection:
         assert v2 in message
         assert CHECKPOINT_SCHEMA in message
 
+    def test_v3_checkpoint_refused_naming_both_schemas(self, saved):
+        # The v3 writer: the same body, with the series history inside.
+        body = self._payload_file(saved, lambda colors: None)
+        v3 = "repro-stream-checkpoint/v3"
+        message = self._refused(saved, _v2_file(body, schema=v3))
+        assert v3 in message
+        assert CHECKPOINT_SCHEMA in message
+
     @pytest.mark.parametrize(
         "entry",
         [[3], [0, 2, 1], [0, -1], [-8, 1], [0, 1.5], [0, True], [[0, 5]], "x", None],
@@ -372,6 +394,392 @@ class TestCheckpointFaultInjection:
         for path in (tmp_path / "missing.json", tmp_path):
             with pytest.raises(CheckpointError, match="cannot load"):
                 StreamCheckpoint.load(path)
+
+
+def _observed(resume_from=None, *, capacity=8, segment_rounds=32):
+    """A session with a registry and a recorder carrying the example
+    alert rules, fresh or resumed from ``resume_from``."""
+    registry = MetricsRegistry()
+    recorder = SeriesRecorder(
+        registry, capacity=capacity, rules=example_rules(32)
+    )
+    source = rate_limited_source(8, 32, seed=2, load=0.9)
+    if resume_from is not None:
+        return StreamSession.resume(
+            source,
+            DeltaLRUEDF(),
+            resume_from,
+            registry=registry,
+            recorder=recorder,
+            segment_rounds=segment_rounds,
+        )
+    return StreamSession(
+        source,
+        DeltaLRUEDF(),
+        6,
+        policy=AdmissionPolicy(queue_cap=2),
+        registry=registry,
+        recorder=recorder,
+        segment_rounds=segment_rounds,
+    )
+
+
+def _observation(session) -> str:
+    """Series, alerts, registry and costs: what a kill/resume keeps."""
+    recorder = session.recorder
+    return json.dumps(
+        [
+            recorder.snapshot(),
+            recorder.alerts.payload(),
+            session.registry.snapshot(),
+            session.cost.to_dict(),
+        ],
+        sort_keys=True,
+    )
+
+
+def _sidecar_of(path):
+    state = StreamCheckpoint.load(path).obs_state["series"]
+    return path.with_name(state["sidecar"]["name"])
+
+
+def _sample_lines(sidecar) -> int:
+    return sidecar.read_bytes().count(b'\n{"round":')
+
+
+def _sidecar_points(sidecar) -> dict[str, int]:
+    """Per series, the snapshot's points plus the sample lines' values."""
+    points: dict[str, int] = {}
+    for line in sidecar.read_bytes().splitlines()[1:]:
+        row = json.loads(line)
+        if "values" in row:
+            for name in row["values"]:
+                points[name] = points.get(name, 0) + 1
+        else:
+            points[row["name"]] = points.get(row["name"], 0) + len(row["points"])
+    return points
+
+
+class TestSeriesSidecar:
+    """The recorder's history lives in an append-only sidecar beside the
+    checkpoint; the v4 body carries only the recorder's derivation state."""
+
+    def test_body_holds_no_points_and_stops_growing(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        session = _observed()
+        session.run(320, checkpoint_every=320, checkpoint_path=path)
+        early = path.read_bytes()
+        session.run(2880, checkpoint_every=320, checkpoint_path=path)
+        late = path.read_bytes()
+        assert session.recorder.samples == 100
+        assert b'"points"' not in late
+        # Ten times the samples; the body grows only by wider counters
+        # and alert events.
+        assert len(late) - len(early) < len(early) // 10
+
+    def test_sidecar_reads_as_the_recorder_snapshot(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        session = _observed(capacity=4)
+        generations = set()
+
+        def check(checkpoint):
+            sidecar = path.with_name(checkpoint.obs_state["series"]["sidecar"]["name"])
+            assert read_series_jsonl(sidecar) == session.recorder.snapshot()
+            # The old generation is gone once the new one is in place, and
+            # a generation never holds more sample lines than the capacity.
+            assert sorted(tmp_path.iterdir()) == sorted([path, sidecar])
+            assert _sample_lines(sidecar) <= 4
+            generations.add(sidecar.name)
+
+        session.run(1024, checkpoint_every=64, checkpoint_path=path, on_checkpoint=check)
+        assert len(generations) >= 4
+
+    def test_generation_never_spans_a_compaction(self, tmp_path):
+        """At every save the sidecar holds exactly the current rings'
+        points, a replayed value standing for one point, so a resume
+        decodes no more than the rings hold."""
+        path = tmp_path / "ckpt.json"
+        session = _observed(capacity=8)
+        generations = set()
+
+        def check(checkpoint):
+            sidecar = _sidecar_of(path)
+            rings = session.recorder.series
+            assert _sidecar_points(sidecar) == {
+                name: len(ring.points) for name, ring in rings.items()
+            }
+            generations.add(sidecar.name)
+
+        session.run(32 * 60, checkpoint_every=32, checkpoint_path=path, on_checkpoint=check)
+        assert max(ring.compactions for ring in session.recorder.series.values()) >= 10
+        assert len(generations) >= 10
+
+    def test_unnoted_sample_begins_a_generation(self, tmp_path):
+        """An interrupt inside a sample's alert evaluation leaves the
+        sample recorded but not noted for the sidecar; the save that
+        follows (as ``repro stream`` makes on Ctrl-C) still resumes."""
+        path = tmp_path / "ckpt.json"
+        session = _observed()
+        session.run(96, checkpoint_every=32, checkpoint_path=path)
+        alerts = session.recorder.alerts
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        alerts.observe = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            session.run(32)
+        del alerts.observe
+        session.save_checkpoint(path)
+        resumed = _observed(path)
+        assert resumed.recorder.samples == 4
+        assert resumed.recorder.snapshot() == session.recorder.snapshot()
+        assert read_series_jsonl(_sidecar_of(path)) == session.recorder.snapshot()
+
+    def test_files_reach_the_disk_before_the_rename(self, tmp_path, monkeypatch):
+        """The sidecar bytes and the body a rename installs are flushed
+        before it, and a new generation's name before it and the rename
+        before the old generation goes."""
+        events = []
+        sync, replace = checkpoint_module._sync, checkpoint_module.os.replace
+        sync_directory = checkpoint_module._sync_directory
+        unlink = Path.unlink
+
+        def logged_sync(handle):
+            events.append(("sync", Path(handle.name).name))
+            sync(handle)
+
+        def logged_sync_directory(directory):
+            events.append(("sync", "."))
+            sync_directory(directory)
+
+        def logged_replace(src, dst):
+            events.append(("rename", Path(src).name))
+            replace(src, dst)
+
+        def logged_unlink(self, missing_ok=False):
+            events.append(("unlink", self.name))
+            unlink(self, missing_ok=missing_ok)
+
+        monkeypatch.setattr(checkpoint_module, "_sync", logged_sync)
+        monkeypatch.setattr(checkpoint_module, "_sync_directory", logged_sync_directory)
+        monkeypatch.setattr(checkpoint_module.os, "replace", logged_replace)
+        monkeypatch.setattr(Path, "unlink", logged_unlink)
+        path = tmp_path / "ckpt.json"
+        # At capacity 4 the fifth sample compacts the rings.
+        _observed(capacity=4).run(32 * 5, checkpoint_every=32, checkpoint_path=path)
+        begin = [
+            ("sync", "ckpt.json.0.series"),
+            ("sync", "ckpt.json.tmp"),
+            ("sync", "."),
+            ("rename", "ckpt.json.tmp"),
+            ("sync", "."),
+        ]
+        append = [
+            ("sync", "ckpt.json.0.series"),
+            ("sync", "ckpt.json.tmp"),
+            ("rename", "ckpt.json.tmp"),
+        ]
+        assert events == begin + append * 3 + [
+            ("sync", "ckpt.json.1.series"),
+            *begin[1:],
+            ("unlink", "ckpt.json.0.series"),
+        ]
+
+    def test_unsaved_checkpoint_cannot_resume_a_recorder(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        session = _observed()
+        session.run(320, checkpoint_every=320, checkpoint_path=path)
+        session.run(64)
+        # The file on disk holds 10 samples; this in-memory one 12.
+        with pytest.raises(CheckpointError, match="never saved"):
+            _observed(session.checkpoint())
+        stale = session.checkpoint()
+        session.run(32)
+        with pytest.raises(ValueError, match="before the session runs on"):
+            stale.save(path)
+        assert _observed(path).round == 320
+
+    def test_sidecar_holding_other_sample_count_is_refused(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        _observed().run(320, checkpoint_every=320, checkpoint_path=path)
+        checkpoint = StreamCheckpoint.load(path)
+        checkpoint.obs_state["series"]["samples"] += 1
+        with pytest.raises(CheckpointError, match="holds 10 samples") as caught:
+            _observed(checkpoint)
+        assert str(_sidecar_of(path)) in str(caught.value)
+
+    def test_missing_sidecar_is_refused_naming_it(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        _observed().run(320, checkpoint_every=320, checkpoint_path=path)
+        sidecar = _sidecar_of(path)
+        sidecar.unlink()
+        with pytest.raises(CheckpointError, match="cannot read series sidecar") as caught:
+            _observed(path)
+        assert str(sidecar) in str(caught.value)
+        # Without a recorder the history is not needed.
+        StreamSession.resume(rate_limited_source(8, 32, seed=2, load=0.9), DeltaLRUEDF(), path)
+
+    def test_other_capacity_is_refused(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        _observed().run(320, checkpoint_every=320, checkpoint_path=path)
+        with pytest.raises(CheckpointError, match="capacity 8, not this recorder's 16"):
+            _observed(path, capacity=16)
+
+    @settings(max_examples=30, deadline=None)
+    @example(segment=16, capacity=2, cadence=1, saves=5, past=20)
+    @given(
+        segment=st.sampled_from([16, 32, 48, 96]),
+        capacity=st.integers(2, 12),
+        cadence=st.integers(1, 3),
+        saves=st.integers(1, 12),
+        past=st.integers(0, 95),
+    )
+    def test_kill_and_resume_is_bit_identical(
+        self, segment, capacity, cadence, saves, past
+    ):
+        """Segment width, ring capacity and kill point vary; small
+        capacities compact the rings and start sidecar generations."""
+        every = segment * cadence
+        # Killed `past` rounds after the save-th checkpoint; the run goes
+        # three checkpoints past the last one the kill left on disk.
+        kill = every * saves + past
+        total = (kill // every + 3) * every
+        uninterrupted = _observed(capacity=capacity, segment_rounds=segment)
+        uninterrupted.run(total, checkpoint_every=every)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ckpt.json"
+            first = _observed(capacity=capacity, segment_rounds=segment)
+            first.run(kill, checkpoint_every=every, checkpoint_path=path)
+            del first
+            resumed = _observed(path, capacity=capacity, segment_rounds=segment)
+            assert resumed.round == kill // every * every
+            resumed.run(total - resumed.round, checkpoint_every=every, checkpoint_path=path)
+            assert _observation(resumed) == _observation(uninterrupted)
+            assert read_series_jsonl(_sidecar_of(path)) == uninterrupted.recorder.snapshot()
+            assert _sample_lines(_sidecar_of(path)) <= capacity
+            assert _sidecar_points(_sidecar_of(path)) == {
+                name: len(ring.points) for name, ring in resumed.recorder.series.items()
+            }
+
+
+class _Crash(Exception):
+    """An injected failure in the middle of a save."""
+
+
+class TestSaveCrashConsistency:
+    """A save that dies at any step leaves a checkpoint on disk that
+    resumes to the previous or the new state, bit-identical to an
+    uninterrupted run at that round; the resumed run then ends where
+    the uninterrupted one does."""
+
+    EVERY = 32  # a checkpoint per segment: one sample line per append
+    TOTAL = 32 * 20
+
+    def _inject(self, monkeypatch, step):
+        """Arm ``step`` to crash on its first call that has a previous
+        checkpoint to fall back on; returns the save that crashes."""
+        calls = {"n": 0}
+        # (the call that crashes, and the save it falls in)
+        # At capacity 4 the fifth sample compacts the rings, so the fifth
+        # save begins the second generation.
+        nth, save = {
+            "append": (3, 4),
+            "new-generation": (2, 5),
+            "temp-write": (3, 3),
+            "rename": (3, 3),
+            "remove-old": (1, 5),
+        }[step]
+
+        def armed():
+            calls["n"] += 1
+            return calls["n"] == nth
+
+        if step == "append":
+            original = SeriesSidecar._append
+
+            def torn_append(self):
+                start = self._committed.length
+                generation = original(self)
+                if armed():
+                    os.truncate(generation.path, (start + generation.length) // 2)
+                    raise _Crash(step)
+                return generation
+
+            monkeypatch.setattr(SeriesSidecar, "_append", torn_append)
+        elif step == "new-generation":
+            original = SeriesSidecar._begin
+
+            def torn_begin(self, checkpoint):
+                generation = original(self, checkpoint)
+                if armed():
+                    os.truncate(generation.path, generation.length // 2)
+                    raise _Crash(step)
+                return generation
+
+            monkeypatch.setattr(SeriesSidecar, "_begin", torn_begin)
+        elif step == "temp-write":
+            original = checkpoint_module._sync
+
+            def torn_write(handle):
+                if handle.name.endswith(".tmp") and armed():
+                    handle.truncate(handle.tell() // 2)
+                    raise _Crash(step)
+                return original(handle)
+
+            monkeypatch.setattr(checkpoint_module, "_sync", torn_write)
+        elif step == "rename":
+            original = os.replace
+
+            def failed_rename(src, dst):
+                if armed():
+                    raise _Crash(step)
+                return original(src, dst)
+
+            monkeypatch.setattr(checkpoint_module.os, "replace", failed_rename)
+        else:
+            original = Path.unlink
+
+            def failed_unlink(self, missing_ok=False):
+                if self.name.endswith(".series") and armed():
+                    raise _Crash(step)
+                return original(self, missing_ok=missing_ok)
+
+            monkeypatch.setattr(Path, "unlink", failed_unlink)
+        return save
+
+    @pytest.mark.parametrize(
+        "step", ["append", "new-generation", "temp-write", "rename", "remove-old"]
+    )
+    def test_crash_at_each_save_step(self, tmp_path, monkeypatch, step):
+        states = {}
+        uninterrupted = _observed(capacity=4)
+        uninterrupted.run(
+            self.TOTAL,
+            checkpoint_every=self.EVERY,
+            on_checkpoint=lambda c: states.setdefault(c.round, _observation(uninterrupted)),
+        )
+        path = tmp_path / "ckpt.json"
+        save = self._inject(monkeypatch, step)
+        first = _observed(capacity=4)
+        with pytest.raises(_Crash):
+            first.run(self.TOTAL, checkpoint_every=self.EVERY, checkpoint_path=path)
+        del first
+        monkeypatch.undo()
+        # Before the rename the old checkpoint stands; after it, the new.
+        landed = save if step == "remove-old" else save - 1
+        resumed = _observed(path, capacity=4)
+        assert resumed.round == landed * self.EVERY
+        assert _observation(resumed) == states[resumed.round]
+        resumed.run(
+            self.TOTAL - resumed.round,
+            checkpoint_every=self.EVERY,
+            checkpoint_path=path,
+        )
+        assert _observation(resumed) == _observation(uninterrupted)
+        assert _observation(_observed(path, capacity=4)) == states[self.TOTAL]
+        # Torn bytes were cut off and stray generations retired.
+        assert sorted(tmp_path.iterdir()) == sorted([path, _sidecar_of(path)])
 
 
 class TestIngestion:
