@@ -22,7 +22,6 @@ from repro.analysis.epochs import (
     analyze_epochs,
     super_epoch_threshold,
 )
-from repro.core.events import CacheInEvent, DropEvent
 from repro.simulation.engine import (
     BatchedEngine,
     ReconfigurationScheme,
@@ -130,8 +129,9 @@ def audit_epoch_credits(
     ledger = EpochCreditLedger(
         delta=delta, copies=scheme_copies(result.algorithm)
     )
-    for event in result.trace.of_type(CacheInEvent):
-        ledger.on_cache_in(event.color)
+    for record in result.trace:
+        if record.name == "cache_in":
+            ledger.on_cache_in(record.data["color"])
     return ledger.epoch_credit_audit(analysis.num_epochs)
 
 
@@ -151,8 +151,10 @@ def audit_ineligible_drops(
             result.trace, threshold=super_epoch_threshold(result.num_resources)
         )
     ledger = EpochCreditLedger(delta=delta, copies=1)
-    for event in result.trace.of_type(DropEvent):
-        ledger.on_drop(event.color, event.count, eligible=event.eligible)
+    for record in result.trace:
+        if record.name == "drop":
+            data = record.data
+            ledger.on_drop(data["color"], data["count"], eligible=data["eligible"])
     return ledger.ineligible_drop_audit(analysis.num_epochs)
 
 
@@ -320,8 +322,6 @@ def audit_super_epoch_credits(
     throughout super-epoch *i* or its first update event in *i* carries
     at least ``6Δ`` of credit.
     """
-    from repro.core.events import CacheInEvent, CacheOutEvent, TimestampEvent
-
     delta = result.instance.reconfig_cost
     analysis = analyze_epochs(
         result.trace, threshold=super_epoch_threshold(result.num_resources)
@@ -330,18 +330,17 @@ def audit_super_epoch_credits(
     off_reconfigs, off_drops = off_side_events(off_schedule, result.instance)
 
     updates_by_color: dict[int, list[int]] = {}
-    for event in result.trace.of_type(TimestampEvent):
-        updates_by_color.setdefault(event.color, []).append(event.round_index)
-
     cache_timeline: dict[int, list[tuple[int, int, bool]]] = {}
-    for event in result.trace.of_type(CacheInEvent):
-        cache_timeline.setdefault(event.color, []).append(
-            (event.round_index, event.mini_round, True)
-        )
-    for event in result.trace.of_type(CacheOutEvent):
-        cache_timeline.setdefault(event.color, []).append(
-            (event.round_index, event.mini_round, False)
-        )
+    for record in result.trace:
+        name, data = record.name, record.data
+        if name == "timestamp":
+            updates_by_color.setdefault(data["color"], []).append(
+                record.round_index
+            )
+        elif name == "cache_in" or name == "cache_out":
+            cache_timeline.setdefault(data["color"], []).append(
+                (record.round_index, data["mini"], name == "cache_in")
+            )
 
     credit, uncovered = super_epoch_credit_core(
         delta=delta,
@@ -375,22 +374,20 @@ def per_epoch_ineligible_drops(result: RunResult) -> dict[tuple[int, int], int]:
         result.trace, threshold=super_epoch_threshold(result.num_resources)
     )
     attributed: dict[tuple[int, int], int] = {}
-    for event in result.trace.of_type(DropEvent):
-        if event.eligible:
+    for record in result.trace:
+        if record.name != "drop" or record.data["eligible"]:
             continue
-        for epoch in analysis.epochs_of(event.color):
+        color, count = record.data["color"], record.data["count"]
+        for epoch in analysis.epochs_of(color):
             end = epoch.end if epoch.end is not None else float("inf")
-            if epoch.start < event.round_index <= end:
-                attributed[(event.color, epoch.index)] = (
-                    attributed.get((event.color, epoch.index), 0) + event.count
-                )
+            if epoch.start < record.round_index <= end:
+                key = (color, epoch.index)
                 break
         else:
             # Drops in round 0 or exactly at an epoch boundary belong to
             # the epoch that starts there.
-            attributed[(event.color, 0)] = (
-                attributed.get((event.color, 0), 0) + event.count
-            )
+            key = (color, 0)
+        attributed[key] = attributed.get(key, 0) + count
     return attributed
 
 

@@ -10,20 +10,17 @@
   an *i*-active epoch.  Epochs that are not *i*-active for any *complete*
   super-epoch are **special**; Lemma 3.16 bounds those by 3 per color.
 
-Everything here is a pure function of a run's event trace.
+Everything here is a pure function of a run's event records (its
+``record="full"`` :class:`~repro.core.events.Trace`, or the same records
+off the trace bus), read by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.core.events import (
-    ArrivalEvent,
-    EligibleEvent,
-    IneligibleEvent,
-    TimestampEvent,
-    Trace,
-)
+from repro.core.events import TraceRecord
 
 
 @dataclass(frozen=True)
@@ -202,7 +199,9 @@ class EpochStreamBuilder:
         return analysis
 
 
-def analyze_epochs(trace: Trace, *, threshold: int) -> EpochAnalysis:
+def analyze_epochs(
+    trace: Iterable[TraceRecord], *, threshold: int
+) -> EpochAnalysis:
     """Extract epochs and super-epochs from a batched-engine trace.
 
     ``threshold`` is the super-epoch closing count (``2m = n/4`` for the
@@ -212,13 +211,14 @@ def analyze_epochs(trace: Trace, *, threshold: int) -> EpochAnalysis:
     construction.
     """
     builder = EpochStreamBuilder(threshold=threshold)
-    for event in trace:
-        if isinstance(event, (ArrivalEvent, EligibleEvent)):
-            builder.on_activity(event.color)
-        elif isinstance(event, IneligibleEvent):
-            builder.on_ineligible(event.color, event.round_index)
-        elif isinstance(event, TimestampEvent):
-            builder.on_timestamp(event.color, event.round_index)
+    for record in trace:
+        name = record.name
+        if name == "arrival" or name == "eligible":
+            builder.on_activity(record.data["color"])
+        elif name == "ineligible":
+            builder.on_ineligible(record.data["color"], record.round_index)
+        elif name == "timestamp":
+            builder.on_timestamp(record.data["color"], record.round_index)
     return builder.finish()
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from repro.algorithms.par_edf import run_par_edf
 from repro.algorithms.seq_edf import run_ds_seq_edf
 from repro.analysis.epochs import analyze_epochs
-from repro.core.events import CacheInEvent, DropEvent
 from repro.core.instance import Instance, RequestSequence
 from repro.simulation.engine import RunResult
 
@@ -60,17 +59,22 @@ def classify_jobs(result: RunResult) -> dict[int, str]:
     for job in result.instance.sequence:
         outcome[job.jid] = "executed" if job.jid in executed else "unresolved"
         by_color_deadline.setdefault((job.color, job.deadline), []).append(job.jid)
-    for event in result.trace.of_type(DropEvent):
-        label = "dropped_eligible" if event.eligible else "dropped_ineligible"
+    for record in result.trace:
+        if record.name != "drop":
+            continue
+        color, count = record.data["color"], record.data["count"]
+        label = (
+            "dropped_eligible" if record.data["eligible"] else "dropped_ineligible"
+        )
         dropped = [
             jid
-            for jid in by_color_deadline.get((event.color, event.round_index), [])
+            for jid in by_color_deadline.get((color, record.round_index), [])
             if jid not in executed
         ]
-        if len(dropped) != event.count:
+        if len(dropped) != count:
             raise AssertionError(
-                f"trace drop count {event.count} for color {event.color} at "
-                f"round {event.round_index} does not match reconstruction "
+                f"trace drop count {count} for color {color} at "
+                f"round {record.round_index} does not match reconstruction "
                 f"({len(dropped)})"
             )
         for jid in dropped:
@@ -106,7 +110,8 @@ def check_lemma_3_3(result: RunResult) -> InvariantReport:
     """
     delta = result.instance.reconfig_cost
     copies = result.num_resources // _capacity(result)
-    logical = len(result.trace.of_type(CacheInEvent)) * copies * delta
+    insertions = sum(1 for record in result.trace if record.name == "cache_in")
+    logical = insertions * copies * delta
     analysis = analyze_epochs(result.trace, threshold=max(1, _capacity(result) // 2))
     bound = 4 * analysis.num_epochs * delta
     return InvariantReport("Lemma 3.3 (reconfig <= 4*numEpochs*Δ)", logical, bound)

@@ -332,10 +332,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
     scheme_factory = _scheme_factory(args.scheme)
     if args.epochs and args.record != "full":
         raise InputError("--epochs needs the full event trace; pass --record full")
-    if args.sample is not None and args.epochs:
-        raise InputError(
-            "--epochs reads the full trace; it cannot ride a sampled one"
-        )
     probability = None
     if args.sample not in (None, "adaptive"):
         try:

@@ -31,14 +31,7 @@ from repro.core.instance import (
     RequestSequence,
 )
 from repro.core.schedule import Execution, Reconfiguration, Schedule
-from repro.core.events import (
-    ArrivalEvent,
-    DropEvent,
-    ExecuteEvent,
-    ReconfigEvent,
-    Trace,
-    WrapEvent,
-)
+from repro.core.events import Trace
 from repro.core.validation import ScheduleError, ValidationReport, verify_schedule
 
 __all__ = [
@@ -64,11 +57,6 @@ __all__ = [
     "Execution",
     "Reconfiguration",
     "Schedule",
-    "ArrivalEvent",
-    "DropEvent",
-    "ExecuteEvent",
-    "ReconfigEvent",
-    "WrapEvent",
     "Trace",
     "ScheduleError",
     "ValidationReport",

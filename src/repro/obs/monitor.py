@@ -1,8 +1,9 @@
 """Live invariant monitors: the paper's correctness machinery, online.
 
-Before this module the Lemma 3.3–3.17 budgets were only checkable *after*
-a run, from a full-mode ``Trace`` (`repro.analysis.credits` /
-`repro.analysis.invariants`).  A :class:`TraceMonitor` is a
+The offline auditors (`repro.analysis.credits` /
+`repro.analysis.invariants`) check the Lemma 3.3–3.17 budgets *after* a
+run, from its full-mode ``Trace``; the monitors check them while the
+same records stream by.  A :class:`TraceMonitor` is a
 :class:`~repro.obs.tracing.Sink`, so it attaches to any engine through
 the existing ``tracer=`` keyword — typically teed next to a durable sink::
 
@@ -368,9 +369,7 @@ class DropContainmentMonitor(TraceMonitor):
         return self._ledger
 
     def on_event_drop(self, record: TraceRecord) -> None:
-        # The general engine's drop events carry no eligibility flag; its
-        # accounting treats every drop as eligible, and so does this.
-        eligible = bool(record.data.get("eligible", True))
+        eligible = record.data["eligible"]
         color = record.data["color"]
         count = int(record.data.get("count", 1))
         self._require_ledger().on_drop(color, count, eligible=eligible)

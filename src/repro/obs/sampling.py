@@ -53,25 +53,14 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable
 
+from repro.core.events import SECTION2_EVENTS
 from repro.obs.tracing import Sink, TraceRecord, Tracer
 
 #: Event names the live monitors (repro.obs.monitor) register handlers
-#: for, plus ``violation``: these are never sampled away, so monitor
-#: verdicts on a sampled stream equal verdicts on the full stream.
-MONITOR_EVENT_NAMES = frozenset(
-    {
-        "arrival",
-        "eligible",
-        "ineligible",
-        "timestamp",
-        "wrap",
-        "cache_in",
-        "cache_out",
-        "drop",
-        "reconfig",
-        "violation",
-    }
-)
+#: for — every Section 2 event but ``execute`` — plus ``violation``:
+#: these are never sampled away, so monitor verdicts on a sampled stream
+#: equal verdicts on the full stream.
+MONITOR_EVENT_NAMES = frozenset(SECTION2_EVENTS) - {"execute"} | {"violation"}
 
 #: Measured sink-emit seconds underestimate the true per-record cost:
 #: the tracer also pays record construction and the engine pays the

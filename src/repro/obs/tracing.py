@@ -7,9 +7,9 @@ final :class:`~repro.core.cost.CostBreakdown`.  The trace bus gives the
 engines (and the layers above them: adversary search, offline solver,
 parallel runtime) a uniform way to narrate what they are doing:
 
-* a :class:`TraceRecord` is one typed record — a span boundary
-  (``span_start`` / ``span_end``), a leaf ``event``, or an
-  ``annotation`` written after the fact by an analysis pass;
+* a :class:`~repro.core.events.TraceRecord` is one typed record — a
+  span boundary (``span_start`` / ``span_end``), a leaf ``event``, or
+  an ``annotation`` written after the fact by an analysis pass;
 * a :class:`Tracer` stamps records with a monotone sequence number and
   an optional worker tag and hands them to a :class:`Sink`;
 * sinks are pluggable: :class:`MemorySink` (bounded ring buffer),
@@ -18,10 +18,12 @@ parallel runtime) a uniform way to narrate what they are doing:
 
 The record hierarchy is ``run → round → phase``: engines open a ``run``
 span, a ``round`` span per simulated round, emit ``phase`` markers for
-the drop/arrival/reconfigure/execute phases, and leaf events
-(``drop``, ``arrival``, ``reconfig``, ``execute``, ``wrap``,
-``eligible``/``ineligible``, ``fast_forward``, ``cache_hit``) inside
-them.  See ``docs/observability.md`` for the full record schema.
+the drop/arrival/reconfigure/execute phases, and leaf events inside
+them: the ten Section 2 events of
+:data:`~repro.core.events.SECTION2_EVENTS` (the same records a
+``record="full"`` run keeps as its :class:`~repro.core.events.Trace`),
+plus ``fast_forward`` and ``cache_hit``.  See
+``docs/observability.md`` for the full record schema.
 
 Zero-overhead contract
 ----------------------
@@ -34,8 +36,8 @@ observational: no sink ever mutates simulation state, and the property
 suite asserts traced and untraced runs produce bit-identical
 ``CostBreakdown``s.
 
-This module needs only the stdlib and :mod:`repro.core.inputs`, so
-every layer can import it without cost.
+This module needs only the stdlib, :mod:`repro.core.events` and
+:mod:`repro.core.inputs`, so every layer can import it without cost.
 """
 
 from __future__ import annotations
@@ -43,71 +45,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
+from repro.core.events import TraceRecord
 from repro.core.inputs import malformed, read_jsonl
-
-
-class TraceRecord:
-    """One typed record on the trace bus.
-
-    ``kind`` is one of ``"span_start"``, ``"span_end"``, ``"event"``, or
-    ``"annotation"``; ``name`` identifies the record type (``"run"``,
-    ``"round"``, ``"phase"``, ``"drop"``, ...); ``round_index`` is the
-    simulation round the record belongs to (``None`` for run-level
-    records); ``data`` carries the record's typed payload; ``worker``
-    tags records that flowed back from a parallel worker; ``seq`` is the
-    emitting tracer's monotone sequence number.
-    """
-
-    __slots__ = ("seq", "kind", "name", "round_index", "data", "worker")
-
-    def __init__(
-        self,
-        seq: int,
-        kind: str,
-        name: str,
-        round_index: int | None = None,
-        data: Mapping[str, Any] | None = None,
-        worker: str | None = None,
-    ) -> None:
-        self.seq = seq
-        self.kind = kind
-        self.name = name
-        self.round_index = round_index
-        self.data = dict(data) if data else {}
-        self.worker = worker
-
-    def to_dict(self) -> dict[str, Any]:
-        """Flat JSON-ready representation (used by the JSONL sink)."""
-        out: dict[str, Any] = {"seq": self.seq, "kind": self.kind, "name": self.name}
-        if self.round_index is not None:
-            out["round"] = self.round_index
-        if self.worker is not None:
-            out["worker"] = self.worker
-        out.update(self.data)
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "TraceRecord":
-        """Inverse of :meth:`to_dict` (used by the trace readers)."""
-        data = {
-            key: value
-            for key, value in raw.items()
-            if key not in ("seq", "kind", "name", "round", "worker")
-        }
-        return cls(
-            seq=int(raw.get("seq", 0)),
-            kind=str(raw.get("kind", "event")),
-            name=str(raw.get("name", "")),
-            round_index=raw.get("round"),
-            data=data,
-            worker=raw.get("worker"),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = f" round={self.round_index}" if self.round_index is not None else ""
-        return f"<TraceRecord #{self.seq} {self.kind}:{self.name}{where} {self.data}>"
 
 
 class Sink:
@@ -273,8 +214,10 @@ def read_jsonl_trace(
     """Load the records of a JSONL trace written by :class:`JsonlSink`.
 
     ``strict=False`` drops a torn trailing line, the crash debris of
-    :mod:`repro.core.inputs`' torn-tail rule.  Any other damage raises
-    :class:`~repro.core.inputs.InputError` naming the file and line.
+    :mod:`repro.core.inputs`' torn-tail rule.  Any other damage, a line
+    that is not a record (see :meth:`TraceRecord.from_dict`) included,
+    raises :class:`~repro.core.inputs.InputError` naming the file and
+    line.
     """
     records: list[TraceRecord] = []
     lines = read_jsonl(path, "trace file", torn_tail=not strict)

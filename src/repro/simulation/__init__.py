@@ -12,9 +12,10 @@ Two engines live here, both run by one round driver
   (non-batched) instances for baselines and end-to-end pipelines, with
   per-job deadlines.
 
-Both emit a :class:`~repro.core.events.Trace` and an explicit
-:class:`~repro.core.schedule.Schedule` that is checked by the shared
-feasibility verifier.
+Under ``record="full"`` both keep their Section 2 event records as a
+:class:`~repro.core.events.Trace` (the records an attached tracer
+receives) and an explicit :class:`~repro.core.schedule.Schedule` that is
+checked by the shared feasibility verifier.
 """
 
 from repro.simulation.resources import CachePool, Slot

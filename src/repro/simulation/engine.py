@@ -28,8 +28,8 @@ Record modes (the engine fast path)
 -----------------------------------
 ``record="full"`` (default) emits the explicit :class:`Schedule` and
 :class:`Trace` the verifier and proof auditors consume.  ``record="costs"``
-skips both — no per-job ``Execution``/event objects, no trace appends —
-and produces only the :class:`CostBreakdown`.  The scheme-visible state
+skips both — no per-job ``Execution`` objects, no event records — and
+produces only the :class:`CostBreakdown`.  The scheme-visible state
 (counters, deadlines, eligibility, pending counts, wrapping history) is
 maintained identically in both modes, so costs agree exactly; sweeps,
 adversary searches, and sensitivity grids that only read costs run
@@ -82,17 +82,24 @@ parity tests thereby check the stored keys).  The two
 modes are cost- and trace-exact against each other (property-tested),
 and dense remains the before/after benchmark baseline.
 
+One event stream
+----------------
+Each Section 2 event (:data:`~repro.core.events.SECTION2_EVENTS`) has
+one emission call per site, ``self._emit(name, round, **payload)``.  It
+feeds the attached tracer, the ``record="full"`` :class:`Trace`, or both
+(:func:`_event_emitter`), and is ``None`` when neither listens, so an
+untraced ``record="costs"`` run pays one ``is None`` test per site.
+
 Observability hooks
 -------------------
 Three optional, strictly observational attachments (``repro.obs``):
 
 * ``tracer`` — a :class:`repro.obs.tracing.Tracer`; the engine opens a
   ``run`` span, a ``round`` span per simulated round, emits ``phase``
-  markers (drop/arrival/reconfigure/execute) and leaf events (``drop``,
-  ``arrival``, ``reconfig``, ``execute``, ``wrap``, ``eligible``,
-  ``ineligible``, ``cache_in``/``cache_out``, ``fast_forward``,
-  ``cache_hit``).  Disabled tracers (null sink) are normalized to
-  ``None`` so the hot loop pays only ``is not None`` checks.
+  markers (drop/arrival/reconfigure/execute), the Section 2 events, and
+  ``fast_forward`` and ``cache_hit`` events.  Disabled tracers (null
+  sink) are normalized to ``None`` so the hot loop pays only ``is not
+  None`` checks.
 * ``registry`` — a :class:`repro.obs.metrics.MetricsRegistry`;
   ``engine.*`` counters and histograms (queue depth, backlog age,
   reconfig interarrival, order-cache hits) accumulate without retaining
@@ -114,19 +121,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.cost import CostBreakdown
-from repro.core.events import (
-    ArrivalEvent,
-    CacheInEvent,
-    CacheOutEvent,
-    DropEvent,
-    EligibleEvent,
-    ExecuteEvent,
-    IneligibleEvent,
-    ReconfigEvent,
-    TimestampEvent,
-    Trace,
-    WrapEvent,
-)
+from repro.core.events import Trace
 from repro.core.instance import CountSequence, Instance
 from repro.core.schedule import Execution, Reconfiguration, Schedule
 from repro.core.validation import ValidationReport, verify_schedule
@@ -286,6 +281,23 @@ def _active_tracer(tracer):
     return None
 
 
+def _event_emitter(*listeners):
+    """The emission call of the Section 2 events, ``(name, round,
+    **payload)``: the ``event`` method of the one listener (a
+    :class:`Trace` or a tracer) that is not ``None``, a call feeding
+    both, or ``None`` when neither listens."""
+    calls = [listener.event for listener in listeners if listener is not None]
+    if len(calls) < 2:
+        return calls[0] if calls else None
+    first, second = calls
+
+    def emit(name: str, round_index: int, **data) -> None:
+        first(name, round_index, **data)
+        second(name, round_index, **data)
+
+    return emit
+
+
 class ReconfigurationScheme(ABC):
     """Strategy invoked in the reconfiguration phase of every mini-round."""
 
@@ -369,8 +381,10 @@ class RunResult:
     """Everything produced by one engine run.
 
     ``schedule`` and ``trace`` are ``None`` for ``record="costs"`` runs —
-    the fast path never builds them.  ``wall_seconds`` is the wall-clock
-    time of the round loop (instance construction excluded).
+    the fast path never builds them.  ``trace`` holds the run's Section
+    2 event records, the same records an attached tracer receives.
+    ``wall_seconds`` is the wall-clock time of the round loop (instance
+    construction excluded).
     ``rounds_executed`` counts the rounds the loop actually simulated;
     the sparse core may fast-forward the rest (``None`` when the engine
     predates the sparse core or did not track it).  ``rounds_total`` is
@@ -436,13 +450,18 @@ class RunResult:
             return 1.0
         return self.rounds_executed / covered
 
-    def verify(self, *, strict: bool = False) -> ValidationReport:
-        """Re-check the emitted schedule against the instance."""
+    def require_full(self) -> None:
+        """Refuse a ``record="costs"`` run where its schedule or trace
+        is needed."""
         if self.schedule is None:
             raise RuntimeError(
-                "this run used record='costs' and has no schedule to "
-                "verify; rerun with record='full'"
+                "this run used record='costs' and has no schedule or "
+                "trace; rerun with record='full'"
             )
+
+    def verify(self, *, strict: bool = False) -> ValidationReport:
+        """Re-check the emitted schedule against the instance."""
+        self.require_full()
         return verify_schedule(self.instance, self.schedule, strict=strict)
 
 
@@ -538,6 +557,7 @@ class RoundDriver:
         self.cost = CostBreakdown(instance.cost_model)
         self.trace: Trace | None = Trace() if full else None
         self.tracer = _active_tracer(tracer)
+        self._emit = _event_emitter(self.trace, self.tracer)
         self.profiler = profiler
         #: Optional ``(color, resources)`` callback fired on every cache
         #: insert that physically reconfigured resources, in event order.
@@ -805,23 +825,23 @@ class RoundDriver:
 
     def cache_insert(self, color: int, *, section: str = "main") -> None:
         """Bring ``color`` into the cache, recording costs and events."""
-        slot, reconfigured, old_physical = self.cache.insert(color)
+        _, reconfigured, _ = self.cache.insert(color)
         if self._reconfig_observer is not None and reconfigured:
             self._reconfig_observer(color, reconfigured)
         st = self.states.get(color)
         if st is not None and st.eligible:
             self._num_eligible_uncached -= 1
-        tracer = self.tracer
-        if tracer is not None:
+        emit = self._emit
+        if emit is not None:
             if reconfigured:
-                tracer.event(
+                emit(
                     "reconfig",
                     self.round_index,
                     color=color,
                     resources=len(reconfigured),
                     mini=self.mini_round,
                 )
-            tracer.event(
+            emit(
                 "cache_in",
                 self.round_index,
                 color=color,
@@ -830,22 +850,15 @@ class RoundDriver:
             )
         if self.obs is not None and reconfigured:
             self.obs.record_reconfig(self.round_index, len(reconfigured))
-        if self.trace is None:
+        schedule = self.schedule
+        if schedule is None:
             self.cost.record_reconfig(color, len(reconfigured))
             return
         for resource in reconfigured:
-            self.schedule.add_reconfiguration(
+            schedule.add_reconfiguration(
                 Reconfiguration(self.round_index, self.mini_round, resource, color)
             )
-            self.trace.append(
-                ReconfigEvent(
-                    self.round_index, self.mini_round, resource, old_physical, color
-                )
-            )
             self.cost.record_reconfig(color)
-        self.trace.append(
-            CacheInEvent(self.round_index, self.mini_round, color, section)
-        )
 
     def cache_evict(self, color: int) -> None:
         """Drop ``color`` from the cache (free of charge; slots persist)."""
@@ -853,10 +866,8 @@ class RoundDriver:
         st = self.states.get(color)
         if st is not None and st.eligible:
             self._num_eligible_uncached += 1
-        if self.trace is not None:
-            self.trace.append(CacheOutEvent(self.round_index, self.mini_round, color))
-        if self.tracer is not None:
-            self.tracer.event(
+        if self._emit is not None:
+            self._emit(
                 "cache_out", self.round_index, color=color, mini=self.mini_round
             )
 
@@ -1084,22 +1095,19 @@ class BatchedEngine(RoundDriver):
             # Round 0 is a multiple of every bound but nothing can be
             # pending yet and eligibility is vacuously false.
             return
-        trace, states = self.trace, self.states
+        states = self.states
         for color in colors:
-            self._drop_one(k, color, states[color], trace)
+            self._drop_one(k, color, states[color])
 
-    def _drop_one(self, k: int, color: int, st: ColorState, trace) -> None:
+    def _drop_one(self, k: int, color: int, st: ColorState) -> None:
         dropped = st.pending
+        emit = self._emit
         if dropped:
             st.pending = 0
             self._total_pending -= dropped
-            if trace is not None:
-                trace.append(DropEvent(k, color, dropped, eligible=st.eligible))
             self.cost.record_drop(color, dropped, eligible=st.eligible)
-            if self.tracer is not None:
-                self.tracer.event(
-                    "drop", k, color=color, count=dropped, eligible=st.eligible
-                )
+            if emit is not None:
+                emit("drop", k, color=color, count=dropped, eligible=st.eligible)
             if self.obs is not None:
                 # Dropped jobs arrived at the previous boundary of this
                 # color, so every one ages out at exactly its bound.
@@ -1108,18 +1116,16 @@ class BatchedEngine(RoundDriver):
             st.eligible = False
             st.cnt = 0
             self._eligible_remove(color)
-            if trace is not None:
-                trace.append(IneligibleEvent(k, color))
-            if self.tracer is not None:
-                self.tracer.event("ineligible", k, color=color)
+            if emit is not None:
+                emit("ineligible", k, color=color)
 
     def _arrival_phase(self, k: int) -> None:
         colors = self._calendar.get(k)
         if colors is None:
             return
-        trace, states = self.trace, self.states
+        states = self.states
         counts = self._arrival_counts.get(k)
-        if trace is not None and counts:
+        if self.schedule is not None and counts:
             # Full record: keep each batch's jobs so executions name jids.
             jobs: dict[int, list] = {}
             for job in self.instance.sequence.arrivals(k):
@@ -1128,11 +1134,9 @@ class BatchedEngine(RoundDriver):
                 states[color].jobs = batch
         for color in colors:
             count = counts.get(color, 0) if counts else 0
-            self._arrive_one(k, color, states[color], count, trace)
+            self._arrive_one(k, color, states[color], count)
 
-    def _arrive_one(
-        self, k: int, color: int, st: ColorState, count: int, trace
-    ) -> None:
+    def _arrive_one(self, k: int, color: int, st: ColorState, count: int) -> None:
         # timestamp(k) is the latest wrap before k, and wraps fall only
         # on this color's boundaries: it moved since the previous one
         # only if the color wrapped there.
@@ -1140,31 +1144,24 @@ class BatchedEngine(RoundDriver):
         was_eligible = st.eligible
         st.dd = k + st.delay_bound
         st.cnt += count
-        tracer = self.tracer
-        if count:
-            if trace is not None:
-                trace.append(ArrivalEvent(k, color, count))
-            if tracer is not None:
-                tracer.event("arrival", k, color=color, count=count)
+        emit = self._emit
+        if count and emit is not None:
+            emit("arrival", k, color=color, count=count)
         if st.cnt >= self.delta:
             # One batch can advance the counter past several multiples
             # of Δ (a rate-limited batch of size D_ℓ ≥ 2Δ already
             # does); each crossed multiple is its own wrapping event —
-            # the credit auditors count wraps, not arrival rounds.
+            # the credit auditors count wraps, not arrival rounds — and
+            # the one ``wrap`` record carries their ``count``.
             wraps, st.cnt = divmod(st.cnt, self.delta)
             st.record_wrap(k)
-            if trace is not None:
-                for _ in range(wraps):
-                    trace.append(WrapEvent(k, color))
-            if tracer is not None:
-                tracer.event("wrap", k, color=color, count=wraps)
+            if emit is not None:
+                emit("wrap", k, color=color, count=wraps)
             if not st.eligible:
                 st.eligible = True
                 self._eligible_add(color)
-                if trace is not None:
-                    trace.append(EligibleEvent(k, color))
-                if tracer is not None:
-                    tracer.event("eligible", k, color=color)
+                if emit is not None:
+                    emit("eligible", k, color=color)
         if count:
             st.add_batch(k, count)
             self._total_pending += count
@@ -1176,23 +1173,17 @@ class BatchedEngine(RoundDriver):
             self._edf_keys[color] = (not st.pending, st.dd, st.delay_bound, color)
             if moved or not was_eligible:
                 self._lru_keys[color] = (-st.timestamp(k), color)
-        if trace is not None or tracer is not None:
-            # Timestamp updates drive the super-epoch machinery (§3.4);
-            # mirror them onto the bus so live monitors can close
-            # super-epochs without a full-mode Trace.
+        if emit is not None:
+            # Timestamp updates drive the super-epoch machinery (§3.4).
             ts = st.timestamp(k)
             if ts != st.last_timestamp:
                 st.last_timestamp = ts
-                if trace is not None:
-                    trace.append(TimestampEvent(k, color, ts))
-                if tracer is not None:
-                    tracer.event("timestamp", k, color=color, timestamp=ts)
+                emit("timestamp", k, color=color, timestamp=ts)
 
     def _execution_phase(self, k: int, mini: int) -> None:
         if self._total_pending == 0:
             return
-        schedule, trace = self.schedule, self.trace
-        tracer, obs = self.tracer, self.obs
+        schedule, emit, obs = self.schedule, self._emit, self.obs
         copies, states = self.copies, self.states
         for slot in self.cache.occupied_slots():
             color = slot.occupant
@@ -1221,9 +1212,8 @@ class BatchedEngine(RoundDriver):
                     schedule.add_execution(
                         Execution(k, mini, resource, job.jid, color)
                     )
-                    trace.append(ExecuteEvent(k, mini, resource, color, job.jid))
-            if tracer is not None:
-                tracer.event("execute", k, color=color, count=taken, mini=mini)
+            if emit is not None:
+                emit("execute", k, color=color, count=taken, mini=mini)
 
     # ------------------------------------------ incremental eligible tracking
 

@@ -18,7 +18,10 @@ here (each carries its own deadline), so the engine refuses a
 
 The round loop is the batched engine's
 (:class:`~repro.simulation.engine.RoundDriver`): ``record="costs"``
-skips ``Trace`` and ``Schedule`` construction, the ``tracer`` /
+skips ``Trace`` and ``Schedule`` construction, the Section 2 events
+have one emission call per site (a ``drop`` carries ``eligible=True``:
+the general engine keeps no eligibility, and its cost accounting
+treats every drop as eligible), the ``tracer`` /
 ``registry`` / ``profiler`` attachments (see :mod:`repro.obs`) work the
 same way, and the engine supplies only its own phases:
 
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.core.events import ArrivalEvent, DropEvent, ExecuteEvent
 from repro.core.instance import CountSequence, Instance
 from repro.core.job import Job
 from repro.core.schedule import Execution
@@ -141,14 +143,13 @@ class GeneralEngine(RoundDriver):
             if dropped:
                 self._total_pending -= dropped
                 self.order_epoch += 1
-                if self.trace is not None:
-                    self.trace.append(DropEvent(k, color, dropped, eligible=True))
-                if self.tracer is not None:
-                    self.tracer.event("drop", k, color=color, count=dropped)
+                if self._emit is not None:
+                    self._emit(
+                        "drop", k, color=color, count=dropped, eligible=True
+                    )
                 self.cost.record_drop(color, dropped)
 
     def _arrival_phase(self, k: int) -> None:
-        trace, tracer = self.trace, self.tracer
         counts: dict[int, int] = {}
         for job in self.instance.sequence.arrivals(k):
             self.pending[job.color].append(job)
@@ -156,68 +157,47 @@ class GeneralEngine(RoundDriver):
             counts[job.color] = counts.get(job.color, 0) + 1
         if counts:
             self.order_epoch += 1
-        if trace is not None:
+        emit = self._emit
+        if emit is not None:
             for color, count in counts.items():
-                trace.append(ArrivalEvent(k, color, count))
-        if tracer is not None:
-            for color, count in counts.items():
-                tracer.event("arrival", k, color=color, count=count)
+                emit("arrival", k, color=color, count=count)
 
     def _execution_phase(self, k: int, mini: int) -> None:
-        schedule, trace = self.schedule, self.trace
-        if self._total_pending == 0 and schedule is None:
+        if self._total_pending == 0:
             return
-        tracer, obs = self.tracer, self.obs
-        if schedule is None:
-            if tracer is None and obs is None:
-                # Fast path: only the execution count per color matters.
-                for slot in self.cache.occupied_slots():
-                    queue = self.pending[slot.occupant]
-                    taken = min(self.copies, len(queue))
-                    if taken:
-                        for _ in range(taken):
-                            queue.popleft()
-                        self._total_pending -= taken
-                        self.order_epoch += 1
-                        self.cost.record_execution(slot.occupant, taken)
-                return
+        schedule, emit, obs = self.schedule, self._emit, self.obs
+        if schedule is None and emit is None and obs is None:
+            # Fast path: only the execution count per color matters.
             for slot in self.cache.occupied_slots():
                 queue = self.pending[slot.occupant]
                 taken = min(self.copies, len(queue))
                 if taken:
                     for _ in range(taken):
-                        job = queue.popleft()
-                        if obs is not None:
-                            obs.record_execution(job.color, k - job.arrival, 1)
+                        queue.popleft()
                     self._total_pending -= taken
                     self.order_epoch += 1
                     self.cost.record_execution(slot.occupant, taken)
-                    if tracer is not None:
-                        tracer.event(
-                            "execute", k, color=slot.occupant, count=taken, mini=mini
-                        )
             return
         for slot in self.cache.occupied_slots():
-            queue = self.pending[slot.occupant]
-            executed = 0
-            for resource in slot.resources():
-                if not queue:
-                    break
+            color = slot.occupant
+            queue = self.pending[color]
+            taken = min(self.copies, len(queue))
+            if not taken:
+                continue
+            # The slot's first ``taken`` resources run the queue's head.
+            for resource in slot.resources()[:taken]:
                 job = queue.popleft()
-                self._total_pending -= 1
-                self.order_epoch += 1
-                executed += 1
-                schedule.add_execution(
-                    Execution(k, mini, resource, job.jid, job.color)
-                )
-                trace.append(ExecuteEvent(k, mini, resource, job.color, job.jid))
-                self.cost.record_execution(job.color)
                 if obs is not None:
-                    obs.record_execution(job.color, k - job.arrival, 1)
-            if executed and tracer is not None:
-                tracer.event(
-                    "execute", k, color=slot.occupant, count=executed, mini=mini
-                )
+                    obs.record_execution(color, k - job.arrival, 1)
+                if schedule is not None:
+                    schedule.add_execution(
+                        Execution(k, mini, resource, job.jid, color)
+                    )
+            self._total_pending -= taken
+            self.order_epoch += 1
+            self.cost.record_execution(color, taken)
+            if emit is not None:
+                emit("execute", k, color=color, count=taken, mini=mini)
 
     # ------------------------------------------------- policy-facing helpers
 

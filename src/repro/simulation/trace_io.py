@@ -1,71 +1,20 @@
-"""Event-trace persistence: JSONL dump and reload.
+"""Run persistence: a run's schedule and its event trace on disk.
 
-Run traces power the analysis layer (epochs, credits, lemma checks);
-persisting them lets long experiments be analyzed post-hoc without
-re-simulating.  One JSON object per line, ``type`` field dispatching on
-the event class — append-friendly and greppable.
+A saved run (:func:`save_run`) holds everything needed to re-verify or
+re-analyze it without re-simulating: the instance, the schedule (one
+JSON object per line, ``type`` dispatching on the record), the cost
+summary, and the run's Section 2 event records, written in the trace
+bus's JSONL format (:class:`~repro.obs.tracing.JsonlSink`), so
+``repro trace``, ``repro stats`` and ``repro obs diff`` read them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
-from typing import IO
 
-from repro.core import events as ev
 from repro.core.inputs import InputError, malformed, parse_jsonl, read_text
-
-#: Event classes by serialized name.
-EVENT_TYPES: dict[str, type] = {
-    cls.__name__: cls
-    for cls in (
-        ev.ArrivalEvent,
-        ev.DropEvent,
-        ev.WrapEvent,
-        ev.EligibleEvent,
-        ev.IneligibleEvent,
-        ev.ReconfigEvent,
-        ev.ExecuteEvent,
-        ev.CacheInEvent,
-        ev.CacheOutEvent,
-        ev.TimestampEvent,
-    )
-}
-
-
-def trace_to_jsonl(trace: ev.Trace) -> str:
-    """Serialize a trace, one event per line."""
-    lines = []
-    for event in trace:
-        payload = {"type": type(event).__name__, **asdict(event)}
-        lines.append(json.dumps(payload, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def trace_from_jsonl(text: str, source: str = "event trace") -> ev.Trace:
-    """Rebuild a trace from :func:`trace_to_jsonl` output; a bad line
-    raises :class:`~repro.core.inputs.InputError` naming ``source``."""
-    trace = ev.Trace()
-    for number, payload in parse_jsonl(text, source).rows:
-        with malformed(source, number):
-            type_name = payload.pop("type", None)
-            cls = EVENT_TYPES.get(type_name)
-            if cls is None:
-                raise ValueError(f"unknown event type {type_name!r}")
-            unexpected = set(payload) - {f.name for f in fields(cls)}
-            if unexpected:
-                raise ValueError(f"unexpected fields {sorted(unexpected)}")
-            trace.append(cls(**payload))
-    return trace
-
-
-def save_trace(trace: ev.Trace, path: str | Path) -> None:
-    Path(path).write_text(trace_to_jsonl(trace))
-
-
-def load_trace(path: str | Path) -> ev.Trace:
-    return trace_from_jsonl(read_text(path, "event trace"), f"event trace {path}")
 
 
 # ---------------------------------------------------------------- schedules
@@ -131,11 +80,15 @@ def save_run(result, directory: str | Path) -> dict[str, Path]:
     """Persist a full run: instance, schedule, trace, and cost summary.
 
     Everything needed to re-verify or re-analyze the run later without
-    re-simulating.  Returns the written paths.
+    re-simulating.  Returns the written paths.  A ``record="costs"``
+    result has no schedule or trace to save: it is refused before
+    anything is written.
     """
     from repro.analysis.export import run_result_to_json
+    from repro.obs.tracing import JsonlSink
     from repro.workloads.traces import instance_to_json
 
+    result.require_full()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -147,7 +100,9 @@ def save_run(result, directory: str | Path) -> dict[str, Path]:
     paths["summary"].write_text(run_result_to_json(result, indent=2) + "\n")
     paths["instance"].write_text(instance_to_json(result.instance))
     paths["schedule"].write_text(schedule_to_jsonl(result.schedule))
-    paths["trace"].write_text(trace_to_jsonl(result.trace))
+    with JsonlSink(paths["trace"]) as sink:
+        for record in result.trace:
+            sink.emit(record)
     return paths
 
 

@@ -5,11 +5,15 @@ import pytest
 from repro.algorithms.dlru import DeltaLRU
 from repro.algorithms.dlru_edf import DeltaLRUEDF
 from repro.algorithms.edf import EDF
-from repro.core.events import CacheInEvent, CacheOutEvent
 from repro.core.instance import BatchMode, make_instance
 from repro.core.job import JobFactory
 from repro.simulation.engine import simulate
 from repro.workloads.adversarial import appendix_a_instance, appendix_b_instance
+
+
+def named(result, name):
+    """The run's trace records called ``name``, in emission order."""
+    return [record for record in result.trace if record.name == name]
 
 
 def contention_instance(num_colors=6, delta=2, horizon=32):
@@ -55,8 +59,8 @@ class TestEDFBehavior:
             jobs, {0: 4, 1: 8}, 2, batch_mode=BatchMode.RATE_LIMITED
         )
         result = simulate(inst, EDF(), 2)  # one distinct slot
-        first_in = result.trace.of_type(CacheInEvent)[0]
-        assert first_in.color == 0
+        first_in = named(result, "cache_in")[0]
+        assert first_in.data["color"] == 0
 
     def test_thrashing_on_appendix_b(self):
         from repro.workloads.adversarial import AppendixBConstruction
@@ -65,7 +69,7 @@ class TestEDFBehavior:
         result = simulate(construction.instance(), EDF(), 4)
         # EDF keeps swapping the long colors in and out: many evictions,
         # growing with the gap (4 already at gap 3 vs 1 at gap 1).
-        evictions = len(result.trace.of_type(CacheOutEvent))
+        evictions = len(named(result, "cache_out"))
         assert evictions >= 4
 
     def test_executes_everything_with_ample_capacity(self):
@@ -84,7 +88,7 @@ class TestDeltaLRUEDFBehavior:
     def test_sections_recorded_in_trace(self):
         inst = contention_instance()
         result = simulate(inst, DeltaLRUEDF(), 8)
-        sections = {e.section for e in result.trace.of_type(CacheInEvent)}
+        sections = {e.data["section"] for e in named(result, "cache_in")}
         assert "lru" in sections or "edf" in sections
 
     def test_bounded_on_both_adversaries(self):
@@ -139,6 +143,6 @@ class TestDeltaLRUEDFBehavior:
             jobs, {0: 4, 1: 32}, 2, batch_mode=BatchMode.RATE_LIMITED
         )
         result = simulate(inst, DeltaLRUEDF(), 8)
-        outs = [e for e in result.trace.of_type(CacheOutEvent) if e.color == 0]
+        outs = [e for e in named(result, "cache_out") if e.data["color"] == 0]
         # Once color 0's timestamp is established it never leaves the cache.
         assert all(e.round_index <= 8 for e in outs)

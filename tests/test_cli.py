@@ -244,6 +244,27 @@ def test_record_rejects_out_of_range_config(tmp_path, monkeypatch, capsys, args,
         assert list(tmp_path.iterdir()) == []
 
 
+def test_record_epochs_ride_a_sampled_trace(tmp_path, capsys):
+    # The epochs come from the run's own trace, which no sampler thins,
+    # and the sampler keeps every annotation.
+    from repro.obs.tracing import read_jsonl_trace
+
+    def annotations(name, *extra):
+        path = tmp_path / name
+        argv = ["record", str(path), "--record", "full", "--epochs", *extra]
+        assert main([*argv, "--horizon", "128", "--resources", "8"]) == 0
+        return [
+            (r.name, r.round_index, r.data)
+            for r in read_jsonl_trace(path)
+            if r.kind == "annotation"
+        ]
+
+    full = annotations("full.jsonl")
+    assert {name for name, _, _ in full} == {"epoch", "super_epoch"}
+    assert annotations("sampled.jsonl", "--sample", "0.3") == full
+    assert "sampling: kept" in capsys.readouterr().out
+
+
 def test_describe_command_json(tmp_path, capsys):
     from repro.workloads.random_batched import random_rate_limited
     from repro.workloads.traces import save_instance
@@ -496,7 +517,13 @@ def bad_inputs(tmp_path_factory):
     (root / "dir").mkdir()
     (root / "list.json").write_text("[]\n")
     (root / "noversion.json").write_text('{"name": "x"}\n')
-    (root / "corrupt.jsonl").write_text('{"seq": 0, "kind": "event"}\n{broken}\n')
+    (root / "corrupt.jsonl").write_text(
+        '{"seq": 0, "kind": "event", "name": "drop"}\n{broken}\n'
+    )
+    # A trace in the per-event format that trace.jsonl files used to have.
+    (root / "old-events.jsonl").write_text(
+        '{"type":"WrapEvent","round_index":0,"color":1}\n'
+    )
     instance = random_rate_limited(3, 2, 16, seed=0)
     save_instance(instance, root / "instance.json")
     csv = instance_to_csv(instance)
@@ -591,8 +618,6 @@ _BAD_INPUT = {
     "export-chrome-corrupt": (["obs", "export", "corrupt.jsonl", "--chrome", "t.json"],
                               "corrupt.jsonl line 2", True),
     "record-epochs-costs": (["record", "t.jsonl", "--epochs"], "--epochs", True),
-    "record-epochs-sampled": (["record", "t.jsonl", "--record", "full",
-                               "--sample", "0.5", "--epochs"], "--epochs", True),
     "export-no-format": (["obs", "export", "trace.jsonl"], "--chrome", True),
     "export-two-formats": (["obs", "export", "trace.jsonl", "--chrome", "a.json",
                             "--prom", "b.prom"], "--chrome", True),
@@ -605,6 +630,12 @@ _BAD_INPUT = {
                      "missing.jsonl", True),
     "diff-corrupt": (["obs", "diff", "corrupt.jsonl", "trace.jsonl"],
                      "corrupt.jsonl line 2", True),
+    "trace-old-events": (["trace", "old-events.jsonl"],
+                         "trace file old-events.jsonl line 1: record seq", True),
+    "stats-old-events": (["stats", "old-events.jsonl"],
+                         "trace file old-events.jsonl line 1: record seq", True),
+    "diff-old-events": (["obs", "diff", "trace.jsonl", "old-events.jsonl"],
+                        "trace file old-events.jsonl line 1: record seq", True),
     "runs-list-none": (["runs", "list", "--registry-dir", "missing"],
                        "no run registry at missing", True),
     "runs-show-none": (["runs", "show", "run", "--registry-dir", "missing"],

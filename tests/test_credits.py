@@ -29,9 +29,7 @@ def test_epoch_credit_scheme_within_budget(run_result):
 
 def test_epoch_credit_charges_match_cache_ins(run_result):
     audit = audit_epoch_credits(run_result)
-    from repro.core.events import CacheInEvent
-
-    ins = run_result.trace.of_type(CacheInEvent)
+    ins = [r for r in run_result.trace if r.name == "cache_in"]
     delta = run_result.instance.reconfig_cost
     assert audit.charged == len(ins) * 2 * delta
 

@@ -139,9 +139,7 @@ class TestBatchExactlyDelta:
         )
         result = simulate(inst, DeltaLRUEDF(), 4)
         # cnt hits exactly Δ: wraps to 0, color eligible, jobs servable.
-        from repro.core.events import WrapEvent
-
-        assert result.trace.of_type(WrapEvent)
+        assert any(r.name == "wrap" for r in result.trace)
         assert result.cost.num_ineligible_drops == 0
 
 
@@ -185,10 +183,9 @@ class TestLongQuietPeriods:
             jobs, {0: 4}, 2, batch_mode=BatchMode.RATE_LIMITED, horizon=80
         )
         result = simulate(inst, DeltaLRUEDF(), 4)
-        from repro.core.events import EligibleEvent, IneligibleEvent
-
-        assert len(result.trace.of_type(EligibleEvent)) == 1
-        assert len(result.trace.of_type(IneligibleEvent)) == 0
+        names = [r.name for r in result.trace]
+        assert names.count("eligible") == 1
+        assert names.count("ineligible") == 0
         assert result.cost.num_drops == 0
 
     def test_contested_color_goes_ineligible_across_gap(self):
@@ -206,13 +203,13 @@ class TestLongQuietPeriods:
             jobs, bounds, 2, batch_mode=BatchMode.RATE_LIMITED, horizon=80
         )
         result = simulate(inst, DeltaLRUEDF(), 4)  # capacity 2 slots
-        from repro.core.events import EligibleEvent, IneligibleEvent
-
         color0_eligible = [
-            e for e in result.trace.of_type(EligibleEvent) if e.color == 0
+            e for e in result.trace
+            if e.name == "eligible" and e.data["color"] == 0
         ]
         color0_ineligible = [
-            e for e in result.trace.of_type(IneligibleEvent) if e.color == 0
+            e for e in result.trace
+            if e.name == "ineligible" and e.data["color"] == 0
         ]
         assert len(color0_eligible) == 2  # once per burst
         assert len(color0_ineligible) >= 1

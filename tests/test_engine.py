@@ -2,13 +2,6 @@
 
 import pytest
 
-from repro.core.events import (
-    DropEvent,
-    EligibleEvent,
-    IneligibleEvent,
-    TimestampEvent,
-    WrapEvent,
-)
 from repro.core.instance import BatchMode, make_instance
 from repro.core.job import JobFactory
 from repro.simulation.engine import BatchedEngine, ReconfigurationScheme, simulate
@@ -32,6 +25,11 @@ class CacheNothing(ReconfigurationScheme):
         return None
 
 
+def named(result, name):
+    """The run's trace records called ``name``, in emission order."""
+    return [record for record in result.trace if record.name == name]
+
+
 def single_color_instance(batch_size=3, delta=2, batches=4, bound=4):
     factory = JobFactory()
     jobs = []
@@ -46,8 +44,8 @@ class TestEligibilityProtocol:
     def test_color_becomes_eligible_on_wrap(self):
         inst = single_color_instance(batch_size=3, delta=2)
         result = simulate(inst, CacheNothing(), 4)
-        wraps = result.trace.of_type(WrapEvent)
-        eligibles = result.trace.of_type(EligibleEvent)
+        wraps = named(result, "wrap")
+        eligibles = named(result, "eligible")
         assert wraps and wraps[0].round_index == 0
         assert eligibles and eligibles[0].round_index == 0
 
@@ -55,20 +53,20 @@ class TestEligibilityProtocol:
         # Δ = 5, batches of 2: counter reaches 5 only at the third batch.
         inst = single_color_instance(batch_size=2, delta=5, batches=5)
         result = simulate(inst, CacheNothing(), 4)
-        wraps = result.trace.of_type(WrapEvent)
+        wraps = named(result, "wrap")
         assert wraps[0].round_index == 8  # third batch arrives at round 8
 
     def test_uncached_eligible_color_reset_at_deadline(self):
         inst = single_color_instance(batch_size=3, delta=2)
         result = simulate(inst, CacheNothing(), 4)
-        ineligibles = result.trace.of_type(IneligibleEvent)
+        ineligibles = named(result, "ineligible")
         # Never cached: goes ineligible at the next multiple (round 4).
         assert ineligibles and ineligibles[0].round_index == 4
 
     def test_cached_color_stays_eligible(self):
         inst = single_color_instance(batch_size=3, delta=2)
         result = simulate(inst, CacheEverything(), 4)
-        assert not result.trace.of_type(IneligibleEvent)
+        assert not named(result, "ineligible")
 
 
 class TestWrapMultiplicity:
@@ -79,11 +77,12 @@ class TestWrapMultiplicity:
         # Δ = 2, a single batch of 8: the counter crosses 2, 4, 6, 8.
         inst = single_color_instance(batch_size=8, delta=2, batches=1, bound=8)
         result = simulate(inst, CacheNothing(), 4)
-        wraps = result.trace.of_type(WrapEvent)
-        assert len(wraps) == 4
+        # One record per round carries the wraps' count.
+        wraps = named(result, "wrap")
+        assert sum(w.data["count"] for w in wraps) == 4
         assert all(w.round_index == 0 for w in wraps)
         # Eligibility still flips exactly once.
-        assert len(result.trace.of_type(EligibleEvent)) == 1
+        assert len(named(result, "eligible")) == 1
 
     def test_counter_remainder_carries_across_batches(self):
         # Δ = 3, batches of 4 on a cached color (no ineligibility reset):
@@ -91,7 +90,9 @@ class TestWrapMultiplicity:
         # wraps (rem 0).
         inst = single_color_instance(batch_size=4, delta=3, batches=3, bound=4)
         result = simulate(inst, CacheEverything(), 4)
-        rounds = [w.round_index for w in result.trace.of_type(WrapEvent)]
+        rounds = [
+            w.round_index for w in named(result, "wrap") for _ in range(w.data["count"])
+        ]
         assert rounds == [0, 4, 8, 8]
 
     def test_multi_wrap_keeps_cost_parity_with_fast_path(self):
@@ -105,9 +106,9 @@ class TestDropPhase:
     def test_uncached_jobs_drop_at_deadline(self):
         inst = single_color_instance(batch_size=3, delta=2, batches=2)
         result = simulate(inst, CacheNothing(), 4)
-        drops = result.trace.of_type(DropEvent)
+        drops = named(result, "drop")
         assert [d.round_index for d in drops] == [4, 8]
-        assert all(d.count == 3 for d in drops)
+        assert all(d.data["count"] == 3 for d in drops)
         assert result.cost.num_drops == 6
 
     def test_drop_eligibility_labels(self):
@@ -122,8 +123,8 @@ class TestDropPhase:
         # still eligible (reset happens after the drop in the same phase).
         inst = single_color_instance(batch_size=3, delta=2, batches=1)
         result = simulate(inst, CacheNothing(), 4)
-        drops = result.trace.of_type(DropEvent)
-        assert drops[0].eligible
+        drops = named(result, "drop")
+        assert drops[0].data["eligible"]
 
 
 class TestExecutionPhase:
@@ -154,18 +155,18 @@ class TestTimestampsInEngine:
     def test_timestamp_events_emitted_on_change(self):
         inst = single_color_instance(batch_size=3, delta=2, batches=3)
         result = simulate(inst, CacheEverything(), 4)
-        ts_events = result.trace.of_type(TimestampEvent)
+        ts_events = named(result, "timestamp")
         assert ts_events
         # The round-0 wrap yields timestamp 0, indistinguishable from the
         # initial value (the paper's "0 if no such round exists"), so the
         # first *value change* is the round-4 wrap becoming visible at 8.
         assert ts_events[0].round_index == 8
-        assert ts_events[0].timestamp == 4
+        assert ts_events[0].data["timestamp"] == 4
 
     def test_timestamps_nondecreasing(self):
         inst = single_color_instance(batch_size=3, delta=2, batches=5)
         result = simulate(inst, CacheEverything(), 4)
-        stamps = [e.timestamp for e in result.trace.of_type(TimestampEvent)]
+        stamps = [e.data["timestamp"] for e in named(result, "timestamp")]
         assert stamps == sorted(stamps)
 
 

@@ -4,20 +4,27 @@ import pytest
 
 from repro.algorithms.dlru_edf import DeltaLRUEDF
 from repro.analysis.epochs import Epoch, analyze_epochs
-from repro.core.events import (
-    ArrivalEvent,
-    IneligibleEvent,
-    TimestampEvent,
-    Trace,
-)
+from repro.core.events import Trace
 from repro.simulation.engine import simulate
 from repro.workloads.random_batched import random_rate_limited
 
 
+def ArrivalEvent(round_index, color, count):
+    return "arrival", round_index, {"color": color, "count": count}
+
+
+def IneligibleEvent(round_index, color):
+    return "ineligible", round_index, {"color": color}
+
+
+def TimestampEvent(round_index, color, timestamp):
+    return "timestamp", round_index, {"color": color, "timestamp": timestamp}
+
+
 def make_trace(events):
     trace = Trace()
-    for event in events:
-        trace.append(event)
+    for name, round_index, data in events:
+        trace.event(name, round_index, **data)
     return trace
 
 

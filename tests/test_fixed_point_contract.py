@@ -35,7 +35,6 @@ from repro.algorithms.never import AlwaysReconfigurePolicy, NeverReconfigurePoli
 from repro.algorithms.randomized import RandomEvict, RandomizedMarking
 from repro.algorithms.static import StaticPartitionPolicy
 from repro.analysis.credits import CreditScheme
-from repro.core.events import DropEvent
 from repro.core.instance import BatchMode, make_instance
 from repro.core.job import JobFactory
 from repro.algorithms.dlru import DeltaLRU
@@ -476,9 +475,9 @@ class TestGeneralEngineParity:
             assert list(result.cost.drops_by_color) == sorted(bounds)
             if record == "full":
                 assert [
-                    (e.round_index, e.color)
+                    (e.round_index, e.data["color"])
                     for e in result.trace
-                    if isinstance(e, DropEvent)
+                    if e.name == "drop"
                 ] == expected
 
     def test_general_sparse_actually_skips(self):

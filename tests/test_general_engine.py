@@ -36,9 +36,9 @@ class TestGeneralEngineSemantics:
         # Nothing executes; each job drops exactly at its own deadline.
         drops = {}
         for event in result.trace:
-            if type(event).__name__ == "DropEvent":
+            if event.name == "drop":
                 drops[event.round_index] = (
-                    drops.get(event.round_index, 0) + event.count
+                    drops.get(event.round_index, 0) + event.data["count"]
                 )
         assert drops == {3: 1, 4: 1, 5: 1, 6: 2, 8: 1, 9: 1}
 

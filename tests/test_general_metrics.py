@@ -38,6 +38,6 @@ def test_general_engine_respects_batched_deadlines():
     result = simulate_general(inst, Idle(), 2)
     drops_by_round = {}
     for event in result.trace:
-        if type(event).__name__ == "DropEvent":
-            drops_by_round[event.round_index] = event.count
+        if event.name == "drop":
+            drops_by_round[event.round_index] = event.data["count"]
     assert drops_by_round == {4: 3, 8: 3}

@@ -9,7 +9,6 @@ import pytest
 from repro.algorithms.dlru import DeltaLRU
 from repro.algorithms.dlru_edf import DeltaLRUEDF
 from repro.algorithms.edf import EDF
-from repro.core.events import CacheInEvent, CacheOutEvent
 from repro.core.instance import BatchMode, make_instance
 from repro.core.job import JobFactory
 from repro.simulation.engine import simulate
@@ -19,10 +18,10 @@ def cache_timeline(result):
     """[(round, mini, color, 'in'/'out')] in trace order."""
     out = []
     for event in result.trace:
-        if isinstance(event, CacheInEvent):
-            out.append((event.round_index, event.color, "in"))
-        elif isinstance(event, CacheOutEvent):
-            out.append((event.round_index, event.color, "out"))
+        if event.name == "cache_in":
+            out.append((event.round_index, event.data["color"], "in"))
+        elif event.name == "cache_out":
+            out.append((event.round_index, event.data["color"], "out"))
     return out
 
 
@@ -149,7 +148,9 @@ class TestDeltaLRUEDFMicro:
         )
         result = simulate(inst, DeltaLRUEDF(), 8)
         sections = {
-            (e.color, e.section) for e in result.trace.of_type(CacheInEvent)
+            (e.data["color"], e.data["section"])
+            for e in result.trace
+            if e.name == "cache_in"
         }
         assert any(section == "edf" for _, section in sections)
         # The backlog still gets service despite losing the LRU race.

@@ -1,16 +1,16 @@
-"""Event-trace JSONL round-trip tests."""
+"""Run persistence: schedules, and traces in the trace bus's JSONL format."""
+
+import re
 
 import pytest
 
 from repro.algorithms.dlru_edf import DeltaLRUEDF
 from repro.analysis.epochs import analyze_epochs
+from repro.core.events import Trace
+from repro.core.inputs import InputError
+from repro.obs.tracing import read_jsonl_trace
 from repro.simulation.engine import simulate
-from repro.simulation.trace_io import (
-    load_trace,
-    save_trace,
-    trace_from_jsonl,
-    trace_to_jsonl,
-)
+from repro.simulation.trace_io import save_run
 from repro.workloads.random_batched import random_rate_limited
 
 
@@ -20,48 +20,70 @@ def run():
     return simulate(inst, DeltaLRUEDF(), 8)
 
 
-def test_round_trip_preserves_every_event(run):
-    text = trace_to_jsonl(run.trace)
-    back = trace_from_jsonl(text)
+def _reload(run, directory):
+    return read_jsonl_trace(save_run(run, directory)["trace"])
+
+
+def test_round_trip_preserves_every_event(tmp_path, run):
+    back = _reload(run, tmp_path / "run")
     assert len(back) == len(run.trace)
-    assert list(back) == list(run.trace)  # events are frozen dataclasses
+    assert back == list(run.trace)
 
 
-def test_analysis_identical_on_reloaded_trace(run):
-    back = trace_from_jsonl(trace_to_jsonl(run.trace))
+def test_analysis_identical_on_reloaded_trace(tmp_path, run):
+    back = _reload(run, tmp_path / "run")
     original = analyze_epochs(run.trace, threshold=2)
     reloaded = analyze_epochs(back, threshold=2)
-    assert original.num_epochs == reloaded.num_epochs
-    assert len(original.super_epochs) == len(reloaded.super_epochs)
+    assert original == reloaded
 
 
-def test_file_round_trip(tmp_path, run):
-    path = tmp_path / "trace.jsonl"
-    save_trace(run.trace, path)
-    back = load_trace(path)
-    assert list(back) == list(run.trace)
+def test_file_round_trip(tmp_path, run, capsys):
+    # `repro trace` and `repro stats` read a saved run's trace: a
+    # timeline of its rounds, and every event counted under its name.
+    from collections import Counter
+
+    from repro.cli import main
+
+    path = save_run(run, tmp_path / "run")["trace"]
+    assert main(["trace", str(path)]) == 0
+    assert re.match(r"round +0  arr c", capsys.readouterr().out)
+    assert main(["stats", str(path)]) == 0
+    out = capsys.readouterr().out
+    counts = Counter(record.name for record in run.trace)
+    pad = max(len(name) for name in counts)
+    for name, count in counts.items():
+        assert f"\n  {name.ljust(pad)}  {count}\n" in out
 
 
-def test_empty_trace():
-    from repro.core.events import Trace
-
-    assert trace_to_jsonl(Trace()) == ""
-    assert len(trace_from_jsonl("")) == 0
+def test_empty_trace(tmp_path, run):
+    run.trace = Trace()
+    assert _reload(run, tmp_path / "run") == []
 
 
-def test_unknown_type_rejected():
-    with pytest.raises(ValueError, match="unknown event type"):
-        trace_from_jsonl('{"type":"MysteryEvent","round_index":0}')
+def test_unknown_type_rejected(tmp_path):
+    path = tmp_path / "old.jsonl"
+    path.write_text('{"type":"MysteryEvent","round_index":0}\n')
+    with pytest.raises(InputError, match=r"old\.jsonl line 1: record seq"):
+        read_jsonl_trace(path)
 
 
-def test_unexpected_field_rejected():
-    with pytest.raises(ValueError, match="unexpected fields"):
-        trace_from_jsonl('{"type":"WrapEvent","round_index":0,"color":1,"bogus":2}')
+def test_unexpected_field_rejected(tmp_path):
+    # A line of the retired per-event codec is not a trace record.
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        '{"seq":0,"kind":"event","name":"wrap","round":0,"color":1}\n'
+        '{"type":"WrapEvent","round_index":0,"color":1,"bogus":2}\n'
+    )
+    with pytest.raises(InputError, match="line 2: record seq"):
+        read_jsonl_trace(path)
 
 
-def test_lines_are_greppable(run):
-    text = trace_to_jsonl(run.trace)
-    assert all(line.startswith('{"type":"') for line in text.splitlines())
+def test_lines_are_greppable(tmp_path, run):
+    text = save_run(run, tmp_path / "run")["trace"].read_text()
+    lines = text.splitlines()
+    assert len(lines) == len(run.trace)
+    assert all(line.startswith('{"seq": ') for line in lines)
+    assert all('"kind": "event", "name": "' in line for line in lines)
 
 
 class TestScheduleSerialization:
@@ -96,6 +118,15 @@ class TestScheduleSerialization:
 
 
 class TestSaveRun:
+    def test_costs_run_refused_before_writing(self, tmp_path, run):
+        costs = simulate(run.instance, DeltaLRUEDF(), 8, record="costs")
+        with pytest.raises(RuntimeError) as refusal:
+            save_run(costs, tmp_path / "run1")
+        with pytest.raises(RuntimeError) as verify:
+            costs.verify()
+        assert str(refusal.value) == str(verify.value)
+        assert not (tmp_path / "run1").exists()
+
     def test_full_run_round_trip(self, tmp_path, run):
         from repro.core.validation import verify_schedule
         from repro.simulation.trace_io import load_run_schedule, save_run
