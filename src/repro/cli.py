@@ -43,6 +43,8 @@ Exit codes::
          out-of-range flag, an unwritable output path), reported as one
          ``error:`` line on stderr
     130  interrupted
+    141  standard output closed early (a pipe's reader exited), as
+         for a process killed by SIGPIPE; nothing is printed
 
 :func:`main` alone reports bad input: the commands raise
 :class:`~repro.core.inputs.InputError` (or let an ``OSError`` through).
@@ -51,6 +53,7 @@ Exit codes::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -1434,7 +1437,18 @@ def main(argv: list[str] | None = None) -> int:
     docstring).  The one place bad input is reported."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flushed here, so a closed pipe is met inside the handlers.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (`repro stats t.jsonl | head -1`): not bad
+        # input.  Stdout goes to devnull so the interpreter's final flush
+        # stays quiet, and the status is the one a SIGPIPE death reports.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (InputError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

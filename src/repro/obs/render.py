@@ -133,11 +133,17 @@ def render_trace_timeline(
 
 
 def summarize_trace(records: Iterable[TraceRecord]) -> dict:
-    """Aggregate counts from one run's records (``repro stats``)."""
+    """Aggregate counts from one run's records (``repro stats``).
+
+    Round counts come from round spans: without any (a full run's saved
+    §2 event records) ``rounds_simulated`` and ``rounds_fast_forwarded``
+    are ``None``, not 0.
+    """
     totals: dict[str, int] = {}
     drops_by_color: dict[int, int] = {}
     execs_by_color: dict[int, int] = {}
     workers: set[str] = set()
+    round_spans = False
     rounds_simulated = 0
     rounds_fast_forwarded = 0
     run_info: dict = {}
@@ -152,6 +158,7 @@ def summarize_trace(records: Iterable[TraceRecord]) -> dict:
             offline_info.update(record.data)
             continue
         if record.name == "round":
+            round_spans = True
             if record.kind == "span_start":
                 rounds_simulated += 1
             continue
@@ -175,8 +182,8 @@ def summarize_trace(records: Iterable[TraceRecord]) -> dict:
                 )
     return {
         "run": run_info,
-        "rounds_simulated": rounds_simulated,
-        "rounds_fast_forwarded": rounds_fast_forwarded,
+        "rounds_simulated": rounds_simulated if round_spans else None,
+        "rounds_fast_forwarded": rounds_fast_forwarded if round_spans else None,
         "events": totals,
         "drops_by_color": drops_by_color,
         "executions_by_color": execs_by_color,
@@ -300,10 +307,13 @@ def render_trace_stats(records: Sequence[TraceRecord]) -> str:
                 f"cost {run['total_cost']} (reconfig {run.get('reconfig_cost')}, "
                 f"drops {run.get('drop_cost')})"
             )
-    lines.append(
-        f"rounds: {summary['rounds_simulated']} simulated, "
-        f"{summary['rounds_fast_forwarded']} fast-forwarded"
-    )
+    if summary["rounds_simulated"] is None:
+        lines.append("rounds: not traced (the trace has no round spans)")
+    else:
+        lines.append(
+            f"rounds: {summary['rounds_simulated']} simulated, "
+            f"{summary['rounds_fast_forwarded']} fast-forwarded"
+        )
     events = summary["events"]
     if events:
         lines.append("events")

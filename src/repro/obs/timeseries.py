@@ -93,7 +93,7 @@ class SeriesPoint(NamedTuple):
     @classmethod
     def sample(cls, round_index: int, value: float) -> "SeriesPoint":
         # tuple.__new__ skips the generated __new__'s Python frame: every
-        # live, replayed and decoded single sample is built here.
+        # decoded single sample is built here (Series.append inlines it).
         return tuple.__new__(
             cls, (round_index, round_index, 1, value, value, value, value)
         )
@@ -168,14 +168,25 @@ class Series:
         return len(self.points)
 
     def append(self, round_index: int, value: float) -> None:
-        if self.points and round_index <= self.points[-1].end:
+        # Every live and replayed sample passes here, once per series, so
+        # this reads the last point's ``end`` by index and builds the new
+        # point as SeriesPoint.sample does, without the call.
+        points = self.points
+        if points and round_index <= points[-1][1]:
             raise ValueError(
                 f"series {self.name!r}: sample round {round_index} is not "
-                f"after the last recorded round {self.points[-1].end}"
+                f"after the last recorded round {points[-1][1]}"
             )
-        if len(self.points) >= self.capacity:
+        if len(points) >= self.capacity:
             self._compact()
-        self.points.append(SeriesPoint.sample(round_index, float(value)))
+            points = self.points
+        value = float(value)
+        points.append(
+            tuple.__new__(
+                SeriesPoint,
+                (round_index, round_index, 1, value, value, value, value),
+            )
+        )
 
     def _compact(self) -> None:
         """Merge adjacent points pairwise (oldest first, deterministic)."""

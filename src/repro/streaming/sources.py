@@ -174,7 +174,9 @@ def rate_limited_source(
     The streaming analog of :func:`repro.workloads.random_batched.
     random_rate_limited`: at every multiple of ``D_ℓ``, color ℓ receives
     ``Binomial(D_ℓ, load)`` jobs, computed as a pure function of
-    ``(seed, round, color)`` — no numpy, no cursor, O(1) memory.
+    ``(seed, round, color)`` — no cursor, and O(block) memory: the law
+    draws a 1,024-round block in one numpy pass and keeps it as a memo
+    that no checkpoint carries (:mod:`repro.workloads.streaming`).
     """
     from repro.workloads.streaming import rate_limited_stream
 

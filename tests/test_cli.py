@@ -714,3 +714,37 @@ def test_bad_input_is_one_error_line(
     if quiet:
         assert captured.out == ""
     assert sorted(p.name for p in bad_inputs.iterdir()) == before
+
+
+def test_closed_pipe_is_not_bad_input(tmp_path):
+    # `repro trace t.jsonl | head -1`: the reader leaves after one line.
+    # The timeline is larger than a pipe's buffer, so the writer meets
+    # the closed pipe; it exits 141, as a SIGPIPE death would, silently.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    from repro.algorithms.dlru_edf import DeltaLRUEDF
+    from repro.simulation.engine import simulate
+    from repro.simulation.trace_io import save_run
+    from repro.workloads.random_batched import random_batched
+
+    run = simulate(
+        random_batched(8, 4, 2048, seed=7, load=0.35), DeltaLRUEDF(), 8,
+        record="full",
+    )
+    trace = save_run(run, tmp_path / "run")["trace"]
+    source = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro", "trace", str(trace)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    ) as child:
+        assert child.stdout.readline().startswith(b"round ")
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    assert child.returncode == 141
+    assert err == b""

@@ -724,6 +724,23 @@ class TestRendering:
         assert "rounds:" in text
         assert "fast-forwarded" in text
 
+    def test_stats_without_round_spans(self, tmp_path):
+        # A saved full run's trace holds its §2 events and no round
+        # spans, so it cannot say how many rounds ran: not "0 simulated".
+        from repro.obs.tracing import read_jsonl_trace
+        from repro.simulation.trace_io import save_run
+
+        instance = random_batched(8, 4, 64, seed=7, load=0.35)
+        run = simulate(instance, DeltaLRUEDF(), 8, record="full")
+        records = read_jsonl_trace(save_run(run, tmp_path / "run")["trace"])
+        summary = summarize_trace(records)
+        assert summary["rounds_simulated"] is None
+        assert summary["rounds_fast_forwarded"] is None
+        assert summary["events"]["execute"] > 0
+        text = render_trace_stats(records)
+        assert "rounds: not traced" in text
+        assert "0 simulated" not in text
+
     def test_empty_trace(self):
         assert render_trace_timeline([]) == "(empty trace)"
         assert render_trace_stats([]) == "(empty trace)"
