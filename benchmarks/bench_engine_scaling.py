@@ -1,13 +1,12 @@
 """EXP-S bench plus micro-benchmarks of the hot paths.
 
 The experiment-level bench regenerates the throughput table — both
-record modes and both engine cores, dispatched through the session
-:class:`ParallelRunner` — plus an offline branch-and-bound pruning row
-and an adversary score-cache row, and persists everything as
-``benchmarks/reports/BENCH_engine.json`` (schema
-:data:`repro.runtime.telemetry.BENCH_SCHEMA`) so throughput, fast-path
-speedup, sparse-core speedup, states-explored reduction, and cache hit
-rate are tracked as machine-readable history, not just prose.  The micro
+record modes and all engine cores, dispatched through the session
+:class:`ParallelRunner` — into ``benchmarks/reports/EXP-S.txt`` and
+asserts its speedup floors on the full grid.  The smoke runs the quick
+grid end to end; its exact costs and rounds executed are pinned in
+``tests/test_golden.py``, and wall-clock regressions are the
+performance ledger's to catch (``benchmarks/ledger``).  The micro
 benches time the individual hot paths (engine round loop full and fast,
 Par-EDF, exact offline search, capacity lower bound) under
 pytest-benchmark's statistical clock so regressions show up in
@@ -18,69 +17,13 @@ import pytest
 
 from repro.algorithms.dlru_edf import DeltaLRUEDF
 from repro.algorithms.par_edf import run_par_edf
-from repro.analysis.adversary_search import SearchConfig, search_adversary
 from repro.offline.lower_bounds import capacity_lower_bound
-from repro.offline.optimal import optimal_offline, optimal_offline_exhaustive
-from repro.runtime.telemetry import read_bench_json, write_bench_json
+from repro.offline.optimal import optimal_offline
 from repro.simulation.engine import simulate
 from repro.workloads.random_batched import random_rate_limited
 
 
-def _offline_search_row():
-    """Branch-and-bound vs exhaustive states on a fixed pruning-friendly cell."""
-    instance = random_rate_limited(
-        3, 2, 32, seed=0, load=0.7, bound_choices=(2, 4)
-    )
-    bnb = optimal_offline(instance, 2)
-    ref = optimal_offline_exhaustive(instance, 2)
-    assert bnb.cost == ref.cost
-    return {
-        "kind": "offline_search",
-        "colors": 3,
-        "horizon": 32,
-        "resources": 2,
-        "optimal_cost": bnb.cost,
-        "states_explored_bnb": bnb.states_explored,
-        "states_explored_exhaustive": ref.states_explored,
-        "states_reduction": ref.states_explored / max(1, bnb.states_explored),
-    }
-
-
-def _adversary_cache_row():
-    """Score-cache hit rate of a small deterministic adversary search."""
-    config = SearchConfig(
-        num_colors=3, horizon=32, iterations=40, restarts=2, seed=0
-    )
-    result = search_adversary(DeltaLRUEDF, config)
-    return {
-        "kind": "adversary_cache",
-        "evaluations": result.evaluations,
-        "score_cache_hits": result.score_cache_hits,
-        "score_cache_misses": result.score_cache_misses,
-        "score_cache_hit_rate": result.score_cache_hit_rate,
-    }
-
-
-def _instrumented_metrics_snapshot():
-    """Engine metrics from one instrumented mid-size cell (schema v3).
-
-    A single EXP-S-representative run with a
-    :class:`~repro.obs.metrics.MetricsRegistry` attached — the snapshot
-    rides along in ``BENCH_engine.json`` so counter/histogram drift
-    (drops, cache hits, backlog-age shape) is reviewable next to the
-    throughput numbers it may explain.
-    """
-    from repro.obs import MetricsRegistry
-
-    registry = MetricsRegistry()
-    instance = random_rate_limited(
-        8, 4, 512, seed=0, load=0.6, bound_choices=(2, 4, 8, 16)
-    )
-    simulate(instance, DeltaLRUEDF(), 16, record="costs", registry=registry)
-    return registry.snapshot()
-
-
-def bench_scaling_table(run_and_report, parallel_runner, report_dir):
+def bench_scaling_table(run_and_report, parallel_runner):
     report = run_and_report("EXP-S", runner=parallel_runner)
     assert report.summary["min_rounds_per_second"] > 100
     assert report.summary["fast_path_speedup_geomean"] > 1.0
@@ -91,31 +34,6 @@ def bench_scaling_table(run_and_report, parallel_runner, report_dir):
     # The vectorized core must clear 10x over the dense core on the dense
     # EXP-S cells (the ISSUE-6 acceptance floor).
     assert report.summary["vectorized_speedup_geomean"] >= 10.0
-    rows = list(report.rows)
-    summary = dict(report.summary)
-
-    offline_row = _offline_search_row()
-    assert offline_row["states_reduction"] > 1.0
-    rows.append(offline_row)
-    summary["offline_states_reduction"] = round(
-        offline_row["states_reduction"], 3
-    )
-
-    cache_row = _adversary_cache_row()
-    assert cache_row["score_cache_hit_rate"] > 0.0
-    rows.append(cache_row)
-    summary["adversary_cache_hit_rate"] = round(
-        cache_row["score_cache_hit_rate"], 3
-    )
-
-    metrics = _instrumented_metrics_snapshot()
-    assert metrics["counters"]["engine.rounds_executed"] > 0
-
-    path = report_dir / "BENCH_engine.json"
-    write_bench_json(path, rows, summary=summary, metrics=metrics)
-    payload = read_bench_json(path)
-    assert len(payload["rows"]) == len(rows)
-    assert "metrics" in payload
 
 
 def bench_scaling_smoke(parallel_runner):
@@ -126,8 +44,6 @@ def bench_scaling_smoke(parallel_runner):
     assert report.summary["min_rounds_per_second"] > 100
     assert report.summary["sparse_core_speedup_geomean"] > 1.0
     assert report.summary["general_sparse_speedup_geomean"] > 1.0
-    # ISSUE-6 floor: ≥10x over the dense core even on the tiny CI cells.
-    assert report.summary["vectorized_speedup_geomean"] >= 10.0
     records = {row["record"] for row in report.rows}
     assert records == {"full", "costs"}
     engines = {row["engine"] for row in report.rows}

@@ -11,27 +11,18 @@ of reach/base is >= 2x (the bound stack must double the solvable
 horizon, not just shave nodes), with costs cross-checked against
 ``optimal_offline_exhaustive`` on every small cell.
 
-The branch-and-bound's budgets are frozen: its ``method: "legacy"`` rows
-in the committed ``benchmarks/reports/BENCH_offline.json`` (schema
-:data:`repro.runtime.telemetry.OFFLINE_BENCH_SCHEMA`) are read back, never
-re-measured.  ``bench_offline_table`` regenerates the file's solver rows
-and carries the legacy rows over verbatim; the CI smoke re-measures a
-quick subset and diffs it against that baseline via
-``check_bench_regression.py --suite offline``.
+The branch-and-bound's node counts are history: that solver no longer
+exists, so :data:`LEGACY_NODES` keeps them as a literal table and they
+are never re-measured.  The smoke cells' exact costs and node counts
+are pinned in ``tests/test_golden.py``; the solver's wall clock is the
+performance ledger's ``offline-exact`` workload.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from pathlib import Path
 
 from repro.offline.optimal import optimal_offline, optimal_offline_exhaustive
-from repro.runtime.telemetry import (
-    OFFLINE_BENCH_SCHEMA,
-    read_bench_json,
-    write_bench_json,
-)
 from repro.workloads.random_batched import random_general
 
 #: The EXP-P mini-grid cell family (colors, Δ, resources, rate, bounds).
@@ -50,14 +41,24 @@ BASES = (48, 64, 96)
 #: Horizons small enough for the exhaustive cross-check to be cheap.
 CROSSCHECK_HORIZON = 64
 
-#: Quick subset for the CI smoke / regression guard.
+#: Quick subset for the CI smoke.
 SMOKE_SEEDS = (0, 1)
 SMOKE_HORIZONS = (48, 64, 96)
 
 MAX_STATES = 4_000_000
 
-#: The committed report holding the frozen legacy rows.
-BASELINE = Path(__file__).parent / "reports" / "BENCH_offline.json"
+#: Nodes the retired branch-and-bound expanded per (seed, horizon) cell
+#: of the full grid: the frozen budgets of the reach metric.
+LEGACY_NODES = {
+    (0, 48): 3611, (0, 64): 4970, (0, 96): 7441,
+    (0, 128): 7356, (0, 160): 9811, (0, 192): 11743,
+    (1, 48): 1423, (1, 64): 1708, (1, 96): 2607,
+    (1, 128): 3684, (1, 160): 4870, (1, 192): 6623,
+    (2, 48): 989, (2, 64): 1218, (2, 96): 2108,
+    (2, 128): 2897, (2, 160): 3744, (2, 192): 4242,
+    (3, 48): 959, (3, 64): 1266, (3, 96): 2035,
+    (3, 128): 2677, (3, 160): 3289, (3, 192): 3988,
+}
 
 
 def make_cell(seed: int, horizon: int):
@@ -70,22 +71,6 @@ def make_cell(seed: int, horizon: int):
         rate=RATE,
         bound_choices=BOUND_CHOICES,
     )
-
-
-def legacy_rows(path=BASELINE) -> list[dict]:
-    """The frozen ``method: "legacy"`` rows of a committed report."""
-    rows = [
-        row
-        for row in read_bench_json(path)["rows"]
-        if row.get("method") == "legacy"
-    ]
-    assert rows, f"{path} holds no frozen legacy rows"
-    return rows
-
-
-def legacy_budgets(rows: list[dict]) -> dict[tuple[int, int], int]:
-    """Legacy nodes expanded per (seed, horizon) cell."""
-    return {(row["seed"], row["horizon"]): row["nodes"] for row in rows}
 
 
 def measure_cells(
@@ -105,16 +90,12 @@ def measure_cells(
     for seed in seeds:
         for horizon in horizons:
             instance = make_cell(seed, horizon)
-            started = time.perf_counter()
             result = optimal_offline(instance, RESOURCES, max_states=max_states)
             row = {
-                "kind": "offline_cell",
                 "seed": seed,
                 "horizon": horizon,
-                "method": result.method,
                 "cost": result.cost,
                 "nodes": result.nodes_expanded,
-                "seconds": round(time.perf_counter() - started, 4),
                 "exhaustive_checked": False,
             }
             if crosscheck and horizon <= CROSSCHECK_HORIZON:
@@ -160,13 +141,10 @@ def horizon_reach(
     return summary
 
 
-def bench_offline_table(report_dir):
-    """Full grid -> BENCH_offline.json, asserting the >=2x reach floor."""
-    path = report_dir / "BENCH_offline.json"
-    legacy = legacy_rows(path)
-    budgets = legacy_budgets(legacy)
+def bench_offline_table():
+    """Full grid, asserting the >=2x reach floor against the frozen budgets."""
     rows = measure_cells()
-    reach = horizon_reach(rows, budgets)
+    reach = horizon_reach(rows, LEGACY_NODES)
     for base, cell in reach.items():
         # Within the node budget the legacy branch-and-bound spent at
         # each base horizon, the solver must reach horizons >= 2x longer
@@ -175,48 +153,23 @@ def bench_offline_table(report_dir):
             f"base {base}: reach geomean {cell['geomean_reach']} < 2.0"
         )
     node_ratios = [
-        budgets[(row["seed"], row["horizon"])] / row["nodes"] for row in rows
+        LEGACY_NODES[(row["seed"], row["horizon"])] / row["nodes"] for row in rows
     ]
-    summary = {
-        "horizon_reach": reach,
-        "equal_horizon_node_ratio_geomean": round(
-            math.exp(sum(map(math.log, node_ratios)) / len(node_ratios)), 3
-        ),
-        "grid": {
-            "colors": COLORS,
-            "resources": RESOURCES,
-            "rate": RATE,
-            "bound_choices": list(BOUND_CHOICES),
-            "seeds": list(SEEDS),
-            "horizons": list(HORIZONS),
-            "bases": list(BASES),
-            "max_states": MAX_STATES,
-        },
-    }
-    # Each fresh row is followed by its cell's frozen legacy row, as read.
-    legacy_by_cell = {(row["seed"], row["horizon"]): row for row in legacy}
-    merged = []
-    for row in rows:
-        merged.append(row)
-        merged.append(legacy_by_cell[(row["seed"], row["horizon"])])
-    payload = write_bench_json(
-        path, merged, summary=summary, schema=OFFLINE_BENCH_SCHEMA
-    )
-    assert payload["schema"] == OFFLINE_BENCH_SCHEMA
     print(
         "\nhorizon reach geomeans: "
         + "  ".join(
             f"base {b}: {c['geomean_reach']}x" for b, c in reach.items()
         )
+        + "\nequal-horizon node ratio geomean: "
+        + f"{math.exp(sum(map(math.log, node_ratios)) / len(node_ratios)):.3f}x"
     )
 
 
 def bench_offline_smoke():
-    """CI-size subset: exactness plus the node win, no baseline rewrite."""
-    budgets = legacy_budgets(legacy_rows())
+    """CI-size subset: exactness plus the node win over the frozen budgets."""
     rows = measure_cells(SMOKE_SEEDS, SMOKE_HORIZONS)
     for row in rows:
-        legacy = budgets[(row["seed"], row["horizon"])]
+        legacy = LEGACY_NODES[(row["seed"], row["horizon"])]
         assert row["nodes"] < legacy, (
             f"seed {row['seed']} horizon {row['horizon']}: expanded "
             f"{row['nodes']} >= frozen legacy {legacy}"

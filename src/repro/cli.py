@@ -335,23 +335,15 @@ def _cmd_record(args: argparse.Namespace) -> int:
     scheme_factory = _scheme_factory(args.scheme)
     if args.epochs and args.record != "full":
         raise InputError("--epochs needs the full event trace; pass --record full")
-    probability = None
-    if args.sample not in (None, "adaptive"):
+    controller = None
+    if args.sample is not None:
         try:
             probability = float(args.sample)
         except ValueError:
-            raise InputError(
-                "--sample takes a keep probability in [0, 1] or 'adaptive'"
-            ) from None
-    instance = _seeded_batched(args, "record")
-    controller = None
-    with _configuring():
-        if args.sample == "adaptive":
-            controller = SamplingController(
-                target_overhead=args.sample_target, seed=args.seed
-            )
-        elif args.sample is not None:
+            raise InputError("--sample takes a keep probability in [0, 1]") from None
+        with _configuring():
             controller = SamplingController(probability=probability, seed=args.seed)
+    instance = _seeded_batched(args, "record")
     registry = MetricsRegistry()
     profiler = PhaseProfiler() if args.profile else None
     with JsonlSink(args.out) as sink:
@@ -985,7 +977,7 @@ def _add_run_flags(
     delta: int,
     load: float,
     horizon: int | None = None,
-    engine_help: str = "engine backend (vectorized needs the repro[vec] extra)",
+    engine_help: str = "engine backend",
 ) -> None:
     """The scheme, seeded-workload and engine flags of ``record``, ``obs
     monitor`` and ``stream`` (``--horizon`` only where it is given)."""
@@ -1132,17 +1124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_record.add_argument(
         "--sample",
         default=None,
-        metavar="P|adaptive",
-        help="downsample round-level trace detail: a fixed keep "
-        "probability in [0, 1], or 'adaptive' to hold tracing overhead "
-        "under --sample-target (monitor events are never sampled away)",
-    )
-    p_record.add_argument(
-        "--sample-target",
-        type=float,
-        default=0.05,
-        help="adaptive sampling overhead target as a fraction of wall "
-        "clock (default 0.05)",
+        metavar="P",
+        help="downsample round-level trace detail: keep each round's "
+        "detail with probability P in [0, 1], seeded by --seed "
+        "(monitor events are never sampled away)",
     )
     _add_registry_dir(p_record)
     p_record.set_defaults(func=_cmd_record)

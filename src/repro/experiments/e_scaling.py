@@ -17,14 +17,15 @@ are tracked too.  A third grid does the same head-to-head for the
 fixed-point fast-forward of the sparse core; its speedup geomean is the
 tracked evidence that reduction pipelines run sparse end to end.  The
 dense grid additionally runs a ``dense`` vs ``vectorized`` head-to-head
-in costs mode (skipped when the ``repro[vec]`` numpy extra is missing);
-the vectorized core's ≥10x speedup over the dense core on these cells is
-a bench acceptance floor.  Cells
-are independent and dispatch through an optional
+in costs mode; the vectorized core's ≥10x speedup over the dense core
+on the full grid is a nightly bench floor
+(``benchmarks/bench_engine_scaling.py``).  Cells are independent and
+dispatch through an optional
 :class:`~repro.runtime.parallel.ParallelRunner`; per-cell workload seeds
 are derived with :func:`~repro.runtime.seeding.derive_seed` so the grid
-is reproducible regardless of execution order.  The measured rows feed
-``BENCH_engine.json`` (see ``benchmarks/bench_engine_scaling.py``).
+is reproducible regardless of execution order.  Each row also carries
+the cell's ``total_cost`` and ``rounds_executed``, which are exact:
+``tests/test_golden.py`` pins them for the quick grid.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ def _scaling_cell(task: tuple) -> dict:
         "jobs_per_second": len(instance.sequence) / elapsed if elapsed > 0 else 0.0,
         "active_round_fraction": result.active_round_fraction,
         "total_cost": result.total_cost,
+        "rounds_executed": result.rounds_executed,
     }
 
 
@@ -146,27 +148,22 @@ def run(
         for record in record_modes
     ]
     # Dense cells compare the vectorized core against the dense core head
-    # to head on the fast path; the ≥10x floor on this speedup is a bench
-    # acceptance gate.  Skipped cleanly when the repro[vec] extra (numpy)
-    # is unavailable.
-    from repro.simulation.vectorized import numpy_available
-
-    if numpy_available():
-        tasks += [
-            (
-                resources,
-                colors,
-                horizon,
-                delta,
-                seed,
-                "costs",
-                DENSE_WORKLOAD["load"],
-                DENSE_WORKLOAD["bound_choices"],
-                engine,
-            )
-            for resources, colors, horizon in grid
-            for engine in ("dense", "vectorized")
-        ]
+    # to head on the fast path.
+    tasks += [
+        (
+            resources,
+            colors,
+            horizon,
+            delta,
+            seed,
+            "costs",
+            DENSE_WORKLOAD["load"],
+            DENSE_WORKLOAD["bound_choices"],
+            engine,
+        )
+        for resources, colors, horizon in grid
+        for engine in ("dense", "vectorized")
+    ]
     # Sparse-friendly cells compare the two engine cores head to head on
     # the fast path the sweeps and searches actually use.
     tasks += [

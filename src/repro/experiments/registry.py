@@ -104,9 +104,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             "EXP-S",
             "Simulator throughput scaling",
             e_scaling.run,
-            # Quick cells are a subset of the full grids so the CI
-            # regression guard can compare them against the committed
-            # BENCH_engine.json baseline row for row.
+            # Quick cells are a subset of the full grids; their costs
+            # and rounds executed are pinned in tests/test_golden.py.
             quick_params={
                 "grid": ((8, 4, 256), (16, 8, 256)),
                 "general_grid": ((16, 16, 512),),

@@ -126,10 +126,9 @@ def run_matrix(
 
     ``record="costs"`` runs the engine fast path (implies ``verify=False``
     since no schedule exists to check).  ``engine`` selects the backend
-    per :func:`repro.simulation.engine.simulate` (``"vectorized"``
-    requires the ``repro[vec]`` extra).  Pass a ``runner`` to fan the
-    cells out over worker processes; results are identical to a serial
-    run — cells are pure and ordered.
+    per :func:`repro.simulation.engine.simulate`.  Pass a ``runner`` to
+    fan the cells out over worker processes; results are identical to a
+    serial run — cells are pure and ordered.
 
     Observability hooks (both optional, both off by default):
 

@@ -7,8 +7,8 @@ of them never changes a computed cost — property-tested):
   (run → round → phase, plus reconfigure/drop/execute/fast-forward/
   cache-hit events) over pluggable sinks (ring buffer, JSONL, null).
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms
-  in a named registry; snapshots feed the telemetry payloads
-  (``BENCH_engine.json`` schema v3).
+  in a named registry; snapshots merge across workers and feed the run
+  registry and the exporters.
 * :mod:`repro.obs.profiling` — per-phase wall-clock attribution for the
   engine cores and the ``--profile`` flame table.
 * :mod:`repro.obs.monitor` — live invariant monitors: sinks that
@@ -26,8 +26,8 @@ of them never changes a computed cost — property-tested):
   ``/metrics`` (Prometheus), ``/health``, ``/stream``, ``/series``,
   ``/alerts``, and ``/runs``.
 * :mod:`repro.obs.sampling` — seeded deterministic round-level trace
-  sampling with an adaptive overhead-bounding controller; monitor
-  events and run/phase spans are always kept.
+  sampling at a fixed keep probability; monitor events and run spans
+  are always kept.
 * :mod:`repro.obs.timeseries` — ring-buffered, compacting metric
   time-series sampled from a registry on a deterministic round clock,
   with schema-tagged JSONL persistence and sparkline rendering

@@ -20,9 +20,10 @@ Metric names are dotted ``<subsystem>.<quantity>`` paths:
 Histograms use *fixed* bucket boundaries chosen at registration time
 (power-of-two ladders by default), so snapshots from different runs and
 different workers merge by element-wise addition — no rebinning, no
-quantile sketches.  Snapshots are plain dicts and feed the telemetry
-payloads (``BENCH_engine.json`` schema v3) via
-:func:`repro.runtime.telemetry.bench_payload`.
+quantile sketches.  Snapshots are plain dicts: they cross process
+boundaries, fold into a parent registry via
+:meth:`MetricsRegistry.merge_snapshot`, and feed the run registry and
+the Prometheus exporter.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ class MetricsRegistry:
         ingestion metrics of a long-lived session) — the filtered result
         keeps the same shape and still merges cleanly.
 
-        The shape is stable (schema v3 of the telemetry payloads)::
+        The shape is stable::
 
             {"counters": {name: int},
              "gauges": {name: float},

@@ -30,11 +30,11 @@ Zero-overhead contract
 A tracer built over a :class:`NullSink` reports ``enabled = False`` and
 the engines normalize disabled tracers to ``None`` at construction, so
 the hot round loop pays exactly one ``is not None`` check per emission
-site — measured under 3% on the EXP-S quick cells and gated in CI by
-``benchmarks/check_tracing_overhead.py``.  Tracing is strictly
-observational: no sink ever mutates simulation state, and the property
-suite asserts traced and untraced runs produce bit-identical
-``CostBreakdown``s.
+site.  ``tests/test_obs.py`` checks that structurally: every engine
+keeps ``tracer = None`` for a null, all-null-tee or null sampling
+tracer.  Tracing is strictly observational: no sink ever mutates
+simulation state, and the property suite asserts traced and untraced
+runs produce bit-identical ``CostBreakdown``s.
 
 This module needs only the stdlib, :mod:`repro.core.events` and
 :mod:`repro.core.inputs`, so every layer can import it without cost.

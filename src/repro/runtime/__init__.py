@@ -1,4 +1,4 @@
-"""Runtime layer: parallel execution, seed derivation, perf telemetry.
+"""Runtime layer: parallel execution and seed derivation.
 
 Everything above the simulation engines — sweeps, adversary searches,
 benchmark grids — is a list of independent deterministic tasks.  This
@@ -10,8 +10,6 @@ compute:
   are identical to serial ones by construction.
 * :func:`~repro.runtime.seeding.derive_seed` — hash-based per-task seed
   derivation so workers never share random state.
-* :mod:`~repro.runtime.telemetry` — machine-readable benchmark records
-  (``BENCH_engine.json``) so the perf trajectory accumulates across PRs.
 
 Future scaling work (sharding, async backends, distributed sweeps)
 plugs in here rather than into the engines.
@@ -19,23 +17,9 @@ plugs in here rather than into the engines.
 
 from repro.runtime.parallel import ParallelRunner
 from repro.runtime.seeding import derive_seed, spawn_seeds
-from repro.runtime.telemetry import (
-    BENCH_SCHEMA,
-    bench_payload,
-    machine_context,
-    read_bench_json,
-    throughput_regressions,
-    write_bench_json,
-)
 
 __all__ = [
     "ParallelRunner",
     "derive_seed",
     "spawn_seeds",
-    "BENCH_SCHEMA",
-    "bench_payload",
-    "machine_context",
-    "read_bench_json",
-    "throughput_regressions",
-    "write_bench_json",
 ]

@@ -1418,8 +1418,8 @@ def simulate(
 
     ``engine`` selects the backend by name: ``"sparse"`` (the default,
     also for ``None``), ``"dense"`` (the reference mode), or
-    ``"vectorized"``, which requires the optional numpy extra
-    (``repro[vec]``) and raises a clear error without it.
+    ``"vectorized"`` (the columnar core of
+    :mod:`repro.simulation.vectorized`).
     """
     kwargs = dict(
         copies=copies,

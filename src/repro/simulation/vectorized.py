@@ -54,15 +54,13 @@ sparse core, which honors the ``stationary``/``reset(seed)`` contract
 for every scheme and emits the identical obs stream.  A
 ``reconfig_observer`` *is* supported on the fast path (reduction
 pipelines stream outer costs through it in ``record="costs"`` mode).
-
-numpy is an optional extra (``pip install repro[vec]``); constructing
-the engine without numpy installed raises a clear ``RuntimeError`` and
-no other part of the package is affected.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+
+import numpy as np
 
 from repro.algorithms.dlru import DeltaLRU
 from repro.algorithms.dlru_edf import DeltaLRUEDF
@@ -70,33 +68,12 @@ from repro.algorithms.edf import EDF
 from repro.algorithms.seq_edf import SeqEDF
 from repro.simulation.engine import BatchedEngine
 
-__all__ = ["VectorizedEngine", "numpy_available"]
+__all__ = ["VectorizedEngine"]
 
 #: Scheme types with a hand-vectorized kernel.  Matched by *exact* type:
 #: a subclass may override ``reconfigure`` and must fall back to the
 #: faithful core.
 _KERNEL_SCHEMES = (DeltaLRU, EDF, DeltaLRUEDF, SeqEDF)
-
-
-def numpy_available() -> bool:
-    """Whether the optional ``repro[vec]`` dependency is importable."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def _require_numpy():
-    try:
-        import numpy as np
-    except ImportError as exc:  # pragma: no cover - exercised via stub
-        raise RuntimeError(
-            "VectorizedEngine requires numpy, which is an optional "
-            "dependency; install it with `pip install repro[vec]` or "
-            "select engine='sparse'/'dense' instead"
-        ) from exc
-    return np
 
 
 class VectorizedEngine(BatchedEngine):
@@ -124,7 +101,6 @@ class VectorizedEngine(BatchedEngine):
         profiler=None,
         reconfig_observer=None,
     ) -> None:
-        self._np = _require_numpy()
         super().__init__(
             instance,
             scheme,
@@ -173,7 +149,6 @@ class VectorizedEngine(BatchedEngine):
     def _compile(self) -> None:
         """Ingest the instance as columns; build the arrival events and
         per-color state."""
-        np = self._np
         instance = self.instance
         colors = sorted(instance.spec.delay_bounds)
         C = len(colors)
@@ -235,7 +210,6 @@ class VectorizedEngine(BatchedEngine):
             super()._run_rounds()
 
     def _run_vector(self) -> None:
-        np = self._np
         instance = self.instance
         horizon = instance.horizon
         delta = self.delta

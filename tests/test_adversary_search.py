@@ -86,6 +86,8 @@ class TestSharedCache:
             DeltaLRUEDF, replace(QUICK, shared_cache=True)
         )
         assert shared.shared_cache and not base.shared_cache
+        # Mutations revisit inputs, so even per-restart caching hits.
+        assert base.score_cache_hits > 0
         assert shared.score_cache_hits >= base.score_cache_hits
         assert shared.score_cache_hit_rate >= base.score_cache_hit_rate
         # Both runs report the wall-clock telemetry the delta comparison

@@ -618,6 +618,10 @@ _BAD_INPUT = {
     "export-chrome-corrupt": (["obs", "export", "corrupt.jsonl", "--chrome", "t.json"],
                               "corrupt.jsonl line 2", True),
     "record-epochs-costs": (["record", "t.jsonl", "--epochs"], "--epochs", True),
+    "record-sample-adaptive": (["record", "t.jsonl", "--sample", "adaptive"],
+                               "--sample takes a keep probability", True),
+    "record-sample-above-one": (["record", "t.jsonl", "--sample", "1.5"],
+                                "probability must be in [0, 1]", True),
     "export-no-format": (["obs", "export", "trace.jsonl"], "--chrome", True),
     "export-two-formats": (["obs", "export", "trace.jsonl", "--chrome", "a.json",
                             "--prom", "b.prom"], "--chrome", True),

@@ -39,7 +39,6 @@ from repro.obs import MemorySink, Tracer
 from repro.obs.sampling import SamplingTracer
 from repro.simulation.engine import simulate
 from repro.simulation.general import simulate_general
-from repro.simulation.vectorized import numpy_available
 from repro.workloads.random_batched import (
     random_batched,
     random_general,
@@ -59,9 +58,7 @@ GENERAL_POLICIES = [
     pytest.param(AlwaysReconfigurePolicy, id="always"),
     pytest.param(StaticPartitionPolicy, id="static"),
 ]
-BATCHED_BACKENDS = ("sparse", "dense") + (
-    ("vectorized",) if numpy_available() else ()
-)
+BATCHED_BACKENDS = ("sparse", "dense", "vectorized")
 
 
 def _unnumbered(records):

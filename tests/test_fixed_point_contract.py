@@ -49,7 +49,6 @@ from repro.simulation.engine import (
     simulate,
 )
 from repro.simulation.general import simulate_general
-from repro.simulation.vectorized import numpy_available
 from repro.streaming import InstanceSource, StreamSession
 from repro.workloads.random_batched import (
     random_batched,
@@ -166,9 +165,6 @@ class TestTokenSchemeParity:
         )
 
 
-@pytest.mark.skipif(
-    not numpy_available(), reason="numpy not installed (repro[vec] extra)"
-)
 class TestVectorizedBackendContract:
     """The vectorized backend under the same scheme contract.
 

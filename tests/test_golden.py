@@ -1,15 +1,21 @@
-"""Golden regression pins: exact cost summaries for fixed seeds.
+"""Golden regression pins: exact costs and work counts for fixed seeds.
 
 These values were produced by the verified implementation; any diff in
 protocol semantics, tie-breaking, or generator behavior shows up here
-immediately.  If an *intentional* semantic change moves them, regenerate
-and update with a note in the commit.
+immediately.  The work counts (rounds each engine core executes on the
+EXP-S quick grid, nodes the exact offline solver expands on the offline
+bench's smoke cells) are the deterministic half of what the benchmarks
+measure; their wall clock is the performance ledger's.  If an
+*intentional* change moves a pin, update it in the same change and say
+why in CHANGES.md.
 """
 
 import pytest
 
 from repro import DeltaLRU, DeltaLRUEDF, EDF, simulate
+from repro.experiments.registry import run_experiment
 from repro.offline.heuristic import best_offline_heuristic
+from repro.offline.optimal import optimal_offline
 from repro.reductions.pipeline import run_pipeline
 from repro.workloads.adversarial import appendix_a_instance, appendix_b_instance
 from repro.workloads.random_batched import random_general, random_rate_limited
@@ -97,3 +103,61 @@ def test_hindsight_portfolio_pinned(instance, m, costs):
     outcome = best_offline_heuristic(instance, m)
     assert [cost for _, cost in outcome.candidates] == costs
     assert outcome.best.algorithm == "offline-lookahead"
+
+
+#: EXP-S quick grid, (total_cost, rounds_executed) per cell, keyed
+#: (resources, colors, horizon, record, engine).  The costs hold every
+#: backend to the same answer; the round counts pin how much of the
+#: horizon each core simulates (sparse and vectorized skip, dense
+#: does not; full-record sparse runs every round).
+EXP_S_QUICK = {
+    (8, 4, 256, "full", "sparse"): (32, 272),
+    (8, 4, 256, "costs", "sparse"): (32, 68),
+    (16, 8, 256, "full", "sparse"): (73, 272),
+    (16, 8, 256, "costs", "sparse"): (73, 136),
+    (8, 4, 256, "costs", "dense"): (32, 272),
+    (8, 4, 256, "costs", "vectorized"): (32, 68),
+    (16, 8, 256, "costs", "dense"): (73, 272),
+    (16, 8, 256, "costs", "vectorized"): (73, 136),
+    (64, 128, 4096, "costs", "dense"): (36608, 4352),
+    (64, 128, 4096, "costs", "sparse"): (36608, 2224),
+    (16, 16, 512, "costs", "general-dense"): (64, 768),
+    (16, 16, 512, "costs", "general-sparse"): (64, 130),
+}
+
+
+def test_exp_s_quick_costs_and_rounds_pinned():
+    report = run_experiment("EXP-S", quick=True)
+    measured = {
+        (row["resources"], row["colors"], row["horizon"], row["record"],
+         row["engine"]): (row["total_cost"], row["rounds_executed"])
+        for row in report.rows
+    }
+    assert measured == EXP_S_QUICK
+    costs_by_cell = {}
+    for (resources, colors, horizon, _, _), (cost, _) in measured.items():
+        costs_by_cell.setdefault((resources, colors, horizon), set()).add(cost)
+    for cell, costs in costs_by_cell.items():
+        assert len(costs) == 1, (cell, costs)
+
+
+#: The offline bench's smoke cells, ``random_general(3, 2, horizon,
+#: seed=seed, rate=0.4, bound_choices=(2, 4))`` solved exactly with two
+#: resources: (seed, horizon) -> (cost, nodes expanded).
+OFFLINE_SMOKE = {
+    (0, 48): (23, 1374),
+    (0, 64): (29, 1650),
+    (0, 96): (42, 2256),
+    (1, 48): (17, 503),
+    (1, 64): (21, 627),
+    (1, 96): (27, 800),
+}
+
+
+@pytest.mark.parametrize("seed, horizon", sorted(OFFLINE_SMOKE))
+def test_offline_smoke_cell_pinned(seed, horizon):
+    instance = random_general(
+        3, 2, horizon, seed=seed, rate=0.4, bound_choices=(2, 4)
+    )
+    result = optimal_offline(instance, 2)
+    assert (result.cost, result.nodes_expanded) == OFFLINE_SMOKE[seed, horizon]

@@ -35,6 +35,7 @@ from repro.obs import (
     MetricsRegistry,
     NullSink,
     PhaseProfiler,
+    SamplingTracer,
     TeeSink,
     TraceIntegrityError,
     TraceRecord,
@@ -50,8 +51,9 @@ from repro.obs.render import (
     summarize_trace,
 )
 from repro.runtime import ParallelRunner
-from repro.simulation.engine import simulate
-from repro.simulation.general import simulate_general
+from repro.simulation.engine import BatchedEngine, simulate
+from repro.simulation.general import GeneralEngine, simulate_general
+from repro.simulation.vectorized import VectorizedEngine
 from repro.workloads.random_batched import (
     random_batched,
     random_general,
@@ -79,6 +81,31 @@ class TestTraceBus:
         tracer.event("drop", 0, color=1)  # must be a silent no-op
         tracer.begin("run")
         tracer.end("run")
+
+    @pytest.mark.parametrize("engine", ["batched", "vectorized", "general"])
+    def test_engines_detach_disabled_tracers(self, engine):
+        # A disabled tracer is free by construction: the engine keeps
+        # ``tracer = None``, so each emission site in the round loop pays
+        # one ``is not None`` check and nothing else.
+        batched = random_rate_limited(4, 2, 32, seed=0, load=0.5)
+        general = random_general(4, 2, 32, seed=0)
+        build = {
+            "batched": lambda t: BatchedEngine(batched, DeltaLRUEDF(), 4, tracer=t),
+            "vectorized": lambda t: VectorizedEngine(
+                batched, DeltaLRUEDF(), 4, tracer=t
+            ),
+            "general": lambda t: GeneralEngine(
+                general, GreedyPendingPolicy(), 4, tracer=t
+            ),
+        }[engine]
+        for tracer in (
+            Tracer(NullSink()),
+            Tracer(TeeSink(NullSink(), NullSink())),
+            SamplingTracer(NullSink(), probability=0.5),
+        ):
+            assert build(tracer).tracer is None
+        live = Tracer(MemorySink())
+        assert build(live).tracer is live
 
     def test_memory_sink_is_a_ring(self):
         sink = MemorySink(capacity=3)

@@ -397,14 +397,14 @@ class TestSamplingController:
         assert controller.admits("span_start", "run", None)
         assert controller.admits("annotation", "epoch", 5)
 
-    def test_adaptive_starts_at_floor_and_validates(self):
-        controller = SamplingController()
-        assert controller.adaptive
-        assert controller.probability == controller.min_probability
-        with pytest.raises(ValueError):
-            SamplingController(probability=1.5)
-        with pytest.raises(ValueError):
-            SamplingController(target_overhead=0.0)
+    def test_probability_is_required_and_validated(self):
+        # The kept set depends on (seed, probability) alone, so there is
+        # no default probability to fall back on.
+        with pytest.raises(TypeError):
+            SamplingController()
+        for probability in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                SamplingController(probability=probability)
 
 
 class TestSamplingTracer:
@@ -523,20 +523,6 @@ class TestSamplingTracer:
         # The engine shed sampled-out rounds before building records.
         stats = tracer.controller.stats()
         assert stats["rounds_kept"] < stats["rounds_seen"]
-
-    def test_adaptive_run_is_observational(self):
-        instance = _instance(seed=9, horizon=256, colors=6)
-        plain = simulate(instance, DeltaLRU(), 2, engine="sparse")
-        tracer = SamplingTracer(
-            MemorySink(capacity=None), controller=SamplingController()
-        )
-        sampled = simulate(
-            instance, DeltaLRU(), 2, engine="sparse", tracer=tracer
-        )
-        assert plain.cost.total == sampled.cost.total
-        stats = tracer.controller.stats()
-        assert stats["adaptive"] is True
-        assert stats["rounds_seen"] > 0
 
     def test_profiler_disables_engine_shortcut(self):
         from repro.obs import PhaseProfiler

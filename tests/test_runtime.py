@@ -2,7 +2,7 @@
 
 Three layers:
 
-* seeding / parallel map / telemetry unit tests;
+* seeding and parallel map unit tests;
 * the fast-path contract — ``record="costs"`` must produce *identical*
   :class:`CostBreakdown`s to ``record="full"``, asserted property-style
   over random rate-limited instances and all three paper schemes (and
@@ -27,14 +27,7 @@ from repro.algorithms.greedy import GreedyPendingPolicy
 from repro.algorithms.never import AlwaysReconfigurePolicy
 from repro.analysis.adversary_search import SearchConfig, search_adversary
 from repro.experiments.sweeps import run_matrix
-from repro.runtime import (
-    ParallelRunner,
-    derive_seed,
-    read_bench_json,
-    spawn_seeds,
-    throughput_regressions,
-    write_bench_json,
-)
+from repro.runtime import ParallelRunner, derive_seed, spawn_seeds
 from repro.simulation.engine import simulate
 from repro.simulation.general import simulate_general
 from repro.workloads.random_batched import random_general, random_rate_limited
@@ -135,137 +128,6 @@ class TestParallelRunner:
         # ParallelRunner(chunk_size=-3).map(abs, [1, -2, 3, -4]) ran.
         with pytest.raises(ValueError, match="chunk_size"):
             ParallelRunner(max_workers=2, chunk_size=size)
-
-
-# ------------------------------------------------------------- telemetry
-
-
-class TestTelemetry:
-    def test_round_trip(self, tmp_path):
-        rows = [{"record": "full", "rounds_per_second": 123.0}]
-        path = tmp_path / "BENCH_engine.json"
-        write_bench_json(path, rows, summary={"min_rounds_per_second": 123})
-        payload = read_bench_json(path)
-        assert payload["schema"] == "repro-bench-engine/v3"
-        assert payload["rows"] == rows
-        assert payload["summary"]["min_rounds_per_second"] == 123
-        assert payload["machine"]["cpu_count"] >= 1
-        assert "metrics" not in payload
-
-    def test_round_trip_with_metrics_block(self, tmp_path):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.counter("engine.drops").inc(7)
-        path = tmp_path / "BENCH_engine.json"
-        write_bench_json(path, [], metrics=registry.snapshot())
-        payload = read_bench_json(path)
-        assert payload["metrics"]["counters"]["engine.drops"] == 7
-
-    def test_throughput_regressions_matches_rows_by_key(self):
-        baseline = [
-            {
-                "resources": 8,
-                "colors": 4,
-                "horizon": 256,
-                "record": "costs",
-                "engine": "sparse",
-                "rounds_per_second": 1000.0,
-            },
-            {"kind": "adversary_cache", "score_cache_hit_rate": 0.2},
-        ]
-        fresh = [dict(baseline[0], rounds_per_second=650.0)]
-        regs = throughput_regressions(baseline, fresh, tolerance=0.30)
-        assert len(regs) == 1
-        assert regs[0]["kind"] == "regression"
-        assert regs[0]["ratio"] == pytest.approx(0.65)
-        assert regs[0]["key"]["engine"] == "sparse"
-        # Within tolerance: no report.
-        ok = [dict(baseline[0], rounds_per_second=750.0)]
-        assert throughput_regressions(baseline, ok, tolerance=0.30) == []
-        # A fresh cell with no baseline row (a grid that grew) surfaces
-        # as missing_baseline so it enters the baseline on regeneration.
-        unmatched = [dict(baseline[0], horizon=512, rounds_per_second=1.0)]
-        grown = throughput_regressions(baseline, unmatched)
-        assert [r["kind"] for r in grown] == ["missing_baseline"]
-        assert grown[0]["key"]["horizon"] == 512
-        # Baseline cells with no fresh counterpart stay ignored.
-        assert throughput_regressions(baseline + unmatched, fresh) == [
-            regs[0]
-        ]
-        with pytest.raises(ValueError):
-            throughput_regressions(baseline, fresh, tolerance=1.5)
-
-    def test_throughput_regressions_reports_missing_baseline(self):
-        # A throughput-shaped baseline row without the measurement must
-        # surface as missing_baseline, not silently pass.
-        broken = {
-            "resources": 8,
-            "colors": 4,
-            "horizon": 256,
-            "record": "costs",
-            "engine": "sparse",
-        }
-        fresh = [dict(broken, rounds_per_second=900.0)]
-        regs = throughput_regressions([broken], fresh)
-        assert len(regs) == 1
-        assert regs[0]["kind"] == "missing_baseline"
-        assert regs[0]["key"]["resources"] == 8
-        assert regs[0]["fresh_rounds_per_second"] == pytest.approx(900.0)
-        # Non-throughput rows (e.g. adversary_cache) never match, so a
-        # baseline of only those leaves the fresh cell baseline-less —
-        # which must also surface as missing_baseline, not pass.
-        other = {"kind": "adversary_cache", "score_cache_hit_rate": 0.2}
-        regs = throughput_regressions([other], fresh)
-        assert [r["kind"] for r in regs] == ["missing_baseline"]
-
-    def test_throughput_duplicate_cells_are_rejected(self):
-        # A baseline file with two rows for the same cell (a bad merge
-        # of two regenerations) must raise, not silently guard against
-        # whichever copy came last.
-        row = {
-            "resources": 8,
-            "colors": 4,
-            "horizon": 256,
-            "record": "costs",
-            "engine": "sparse",
-            "rounds_per_second": 1000.0,
-        }
-        fresh = [dict(row)]
-        with pytest.raises(ValueError, match="duplicate throughput cell"):
-            throughput_regressions(
-                [row, dict(row, rounds_per_second=5.0)], fresh
-            )
-        # Duplicates on the fresh side are rejected the same way.
-        with pytest.raises(ValueError, match="duplicate throughput cell"):
-            throughput_regressions([row], [dict(row), dict(row)])
-
-    def test_missing_baseline_fires_once_per_fresh_cell(self):
-        # When a whole dimension grows — e.g. a new engine backend joins
-        # the grid — every new cell gets its own missing_baseline entry,
-        # not one blanket entry per run (and not zero).
-        def cell(engine, horizon, rps):
-            return {
-                "resources": 8,
-                "colors": 4,
-                "horizon": horizon,
-                "record": "costs",
-                "engine": engine,
-                "rounds_per_second": rps,
-            }
-
-        baseline = [cell("sparse", 256, 1000.0), cell("sparse", 512, 900.0)]
-        fresh = baseline + [
-            cell("vectorized", 256, 50000.0),
-            cell("vectorized", 512, 60000.0),
-        ]
-        regs = throughput_regressions(baseline, fresh)
-        assert [r["kind"] for r in regs] == [
-            "missing_baseline",
-            "missing_baseline",
-        ]
-        assert {r["key"]["engine"] for r in regs} == {"vectorized"}
-        assert {r["key"]["horizon"] for r in regs} == {256, 512}
 
 
 # ----------------------------------------------------- fast-path parity

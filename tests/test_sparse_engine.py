@@ -20,7 +20,6 @@ from repro.core.job import JobFactory
 from repro.offline.optimal import optimal_offline, optimal_offline_exhaustive
 from repro.simulation.engine import BatchedEngine, simulate
 from repro.simulation.general import GeneralEngine
-from repro.simulation.vectorized import numpy_available
 from repro.workloads.random_batched import (
     random_batched,
     random_general,
@@ -190,9 +189,6 @@ class TestCalendars:
             assert again._event_rounds is engine._event_rounds
 
 
-@pytest.mark.skipif(
-    not numpy_available(), reason="numpy not installed (repro[vec] extra)"
-)
 class TestVectorizedParity:
     """The vectorized backend against the dense core, bit for bit."""
 

@@ -1,11 +1,9 @@
-"""Vectorized backend: optional-dependency gating, selection, obs parity.
+"""Vectorized backend: selection, obs parity, observer and tail cells.
 
 Bit-identity of the ``CostBreakdown`` against the other cores lives in
 ``test_sparse_engine.py`` / ``test_fixed_point_contract.py``; this file
 covers everything around the backend:
 
-* the ``repro[vec]`` optional-dependency contract — a clear
-  ``RuntimeError`` without numpy, clean skips for the rest of the suite;
 * ``simulate(engine=...)`` selection and validation;
 * obs-stream identity: with instrumentation attached the backend rides
   the faithful sparse core, so its record stream must be byte-identical
@@ -13,16 +11,9 @@ covers everything around the backend:
 * ``reconfig_observer`` support on the columnar fast path (the
   ``record="costs"`` reduction pipelines stream outer costs through it);
 * stable-tail cells and round-accounting sanity.
-
-This module (and the gating tests in it) must import and collect with
-no numpy installed — the random workload generators need numpy, so they
-are imported inside the numpy-marked tests only; the gating tests build
-instances by hand.
 """
 
 from __future__ import annotations
-
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -33,12 +24,10 @@ from repro.algorithms.dlru_edf import DeltaLRUEDF
 from repro.core.instance import BatchMode, make_instance
 from repro.core.job import JobFactory
 from repro.obs import MemorySink, MetricsRegistry, Tracer, diff_traces
+from repro.reductions.distribute import run_distribute
 from repro.simulation.engine import ENGINE_NAMES, BatchedEngine, simulate
-from repro.simulation.vectorized import VectorizedEngine, numpy_available
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not installed (repro[vec] extra)"
-)
+from repro.simulation.vectorized import VectorizedEngine
+from repro.workloads.random_batched import random_batched, random_rate_limited
 
 
 def _cost_fingerprint(result):
@@ -52,47 +41,12 @@ def _cost_fingerprint(result):
 
 
 def _tiny_instance():
-    """A handful of jobs built without the numpy-backed generators."""
+    """A handful of jobs on two colors, built by hand."""
     factory = JobFactory()
     jobs = factory.batch(0, 0, 4, 2) + factory.batch(4, 1, 4, 2)
     return make_instance(
         jobs, {0: 4, 1: 4}, 2, batch_mode=BatchMode.BATCHED, horizon=16
     )
-
-
-class TestOptionalDependency:
-    def test_missing_numpy_raises_clear_error(self, monkeypatch):
-        # Simulate an environment without the repro[vec] extra: a None
-        # entry in sys.modules makes ``import numpy`` raise ImportError.
-        instance = _tiny_instance()
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert not numpy_available()
-        with pytest.raises(RuntimeError, match=r"repro\[vec\]"):
-            VectorizedEngine(instance, DeltaLRUEDF(), 4)
-        with pytest.raises(RuntimeError, match=r"repro\[vec\]"):
-            simulate(instance, DeltaLRUEDF(), 4, engine="vectorized")
-
-    @requires_numpy
-    def test_numpy_available_reports_presence(self):
-        assert numpy_available()
-
-    def test_importing_the_module_needs_no_numpy(self, monkeypatch):
-        # The module itself must import cleanly without numpy so that
-        # ``numpy_available()`` gating works in a bare environment.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        monkeypatch.delitem(sys.modules, "repro.simulation.vectorized")
-        import repro.simulation.vectorized  # noqa: F401
-
-    def test_other_engines_run_without_numpy(self, monkeypatch):
-        # "Rest of package unaffected": the dense and sparse backends of
-        # the batched engine never touch numpy.
-        instance = _tiny_instance()
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        dense = simulate(instance, DeltaLRUEDF(), 4, record="costs", engine="dense")
-        sparse = simulate(
-            instance, DeltaLRUEDF(), 4, record="costs", engine="sparse"
-        )
-        assert dense.cost.summary() == sparse.cost.summary()
 
 
 class TestEngineSelection:
@@ -107,7 +61,6 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="VectorizedEngine"):
             BatchedEngine(_tiny_instance(), DeltaLRUEDF(), 4, engine="vectorized")
 
-    @requires_numpy
     def test_engine_name_is_surfaced(self):
         engine = VectorizedEngine(
             _tiny_instance(), DeltaLRUEDF(), 4, record="costs"
@@ -115,7 +68,6 @@ class TestEngineSelection:
         assert engine.engine_name == "vectorized"
 
 
-@requires_numpy
 class TestObsStreamIdentity:
     """Instrumented runs must be indistinguishable from the sparse core."""
 
@@ -126,8 +78,6 @@ class TestObsStreamIdentity:
         # fallback; the resulting stream must be byte-identical to the
         # sparse core's, modulo the volatile keys (wall_seconds).  The
         # small dense cell mirrors an EXP-S grid point.
-        from repro.workloads.random_batched import random_rate_limited
-
         instance = random_rate_limited(
             4, 4, 128, seed=seed, load=0.8, bound_choices=(2, 4, 8)
         )
@@ -153,8 +103,6 @@ class TestObsStreamIdentity:
         # (fast_forward, cache_hit) and round scaffolding may differ —
         # the same contract the sparse core is held to, so PR-5 monitors
         # attach unchanged.
-        from repro.workloads.random_batched import random_rate_limited
-
         instance = random_rate_limited(
             4, 4, 128, seed=11, load=0.8, bound_choices=(2, 4, 8)
         )
@@ -181,15 +129,11 @@ class TestObsStreamIdentity:
             assert dense_counters.get(name, 0) == vec_counters.get(name, 0)
 
 
-@requires_numpy
 class TestReconfigObserverParity:
     def test_distribute_costs_mode_matches_across_engines(self):
         # The reduction's costs mode streams outer reconfiguration costs
         # through reconfig_observer — supported on the columnar fast
         # path, in event order.
-        from repro.reductions.distribute import run_distribute
-        from repro.workloads.random_batched import random_batched
-
         for seed in (0, 1, 2):
             instance = random_batched(
                 6, 4, 96, seed=seed, load=0.5, bound_choices=(2, 4, 8)
@@ -203,14 +147,11 @@ class TestReconfigObserverParity:
             assert _cost_fingerprint(full) == _cost_fingerprint(vectorized)
 
 
-@requires_numpy
 class TestStableTail:
     def test_dense_cell_reaches_the_columnar_tail(self):
         # Capacity covers every color, so eventually every color is
         # cached and the closed-form tail settles the rest.  Costs must
         # still be bit-identical to the dense core.
-        from repro.workloads.random_batched import random_rate_limited
-
         instance = random_rate_limited(
             8, 4, 4096, seed=2, load=0.9, bound_choices=(2, 4, 8)
         )
