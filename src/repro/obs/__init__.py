@@ -99,7 +99,6 @@ from repro.obs.render import render_series, sparkline
 from repro.obs.sampling import (
     MONITOR_EVENT_NAMES,
     SamplingController,
-    SamplingSink,
     SamplingTracer,
     sample_records,
 )
@@ -151,7 +150,6 @@ __all__ = [
     "RunRecord",
     "RunRegistry",
     "SamplingController",
-    "SamplingSink",
     "SamplingTracer",
     "Series",
     "SeriesPoint",

@@ -5,8 +5,8 @@ scheme, what it cost, how long it took, whether the monitors objected —
 evaporated when the process exited.  The registry gives the repo the
 queryable history a long-running service assumes:
 
-* a :class:`RunRecord` is one frozen summary of a simulate / search /
-  offline / experiment invocation (instance digest, engine, scheme,
+* a :class:`RunRecord` is one frozen summary of a simulate / matrix /
+  search / offline invocation (instance digest, engine, scheme,
   seed, cost breakdown, wall clock, monitor verdict counts, optional
   metrics snapshot);
 * a :class:`RunRegistry` is an append-only store of such records under
@@ -55,8 +55,9 @@ from repro.core.inputs import InputError, UnknownIdError, malformed, read_jsonl
 #: Schema tag stamped into every record line.
 RUN_SCHEMA = "repro-run/v1"
 
-#: Recognized invocation kinds (free-form kinds are allowed but these
-#: are what the built-in recorders emit).
+#: Recognized invocation kinds (free-form kinds are allowed).  The
+#: built-in recorders emit the first four; ``experiment`` records were
+#: written by an earlier recorder and still read.
 RUN_KINDS = ("simulate", "matrix", "search", "offline", "experiment")
 
 
@@ -496,25 +497,6 @@ class RegistrySink:
             wall_seconds=wall_seconds,
             extra=merged,
             **self._instance_fields(instance),
-        )
-        return self._append(record)
-
-    def record_experiment(
-        self,
-        experiment_id: str,
-        *,
-        wall_seconds: float = 0.0,
-        quick: bool = False,
-        extra: Mapping[str, Any] | None = None,
-    ) -> RunRecord:
-        """Record one experiment invocation (``repro run EXP-…``)."""
-        merged = {"experiment_id": experiment_id, "quick": quick}
-        merged.update(extra or {})
-        record = RunRecord(
-            kind="experiment",
-            instance_name=experiment_id,
-            wall_seconds=wall_seconds,
-            extra=merged,
         )
         return self._append(record)
 

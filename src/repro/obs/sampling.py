@@ -209,42 +209,6 @@ class SamplingTracer(Tracer):
         self.sink.emit(record)
 
 
-class SamplingSink(Sink):
-    """Sink-level sampling: wrap any inner sink with the same policy.
-
-    For composition points that receive an already-built record stream —
-    a :class:`~repro.obs.tracing.TeeSink` leg, or post-hoc downsampling
-    of a recorded trace.  Emission-time savings
-    are smaller than :class:`SamplingTracer` (records already exist),
-    but the kept set is identical for equal controller settings.
-    """
-
-    def __init__(
-        self,
-        inner: Sink,
-        *,
-        controller: SamplingController | None = None,
-        **controller_kwargs: Any,
-    ) -> None:
-        if controller is not None and controller_kwargs:
-            raise ValueError(
-                "pass either a controller or controller kwargs, not both"
-            )
-        self.inner = inner
-        self.controller = controller or SamplingController(**controller_kwargs)
-        self.is_null = inner.is_null
-
-    def emit(self, record: TraceRecord) -> None:
-        ctrl = self.controller
-        if not ctrl.admits(record.kind, record.name, record.round_index):
-            return
-        ctrl.emitted += 1
-        self.inner.emit(record)
-
-    def close(self) -> None:
-        self.inner.close()
-
-
 def sample_records(
     records: Iterable[TraceRecord],
     *,

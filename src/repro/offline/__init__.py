@@ -24,7 +24,6 @@ from repro.offline.handcrafted import (
     appendix_b_offline_schedule,
 )
 from repro.offline.lower_bounds import (
-    ColorPhaseBound,
     IntervalPackingRelaxation,
     capacity_lower_bound,
     combined_lower_bound,
@@ -47,7 +46,6 @@ __all__ = [
     "combined_lower_bound",
     "par_edf_drop_lower_bound",
     "per_color_lower_bound",
-    "ColorPhaseBound",
     "IntervalPackingRelaxation",
     "warm_start_incumbent",
     "OptimalResult",

@@ -13,13 +13,12 @@ takes their maximum:
   window (arrival ``>= a``, deadline ``<= b``) exceed the execution
   capacity ``m * (b - a) * speed`` by an amount OFF must drop.
 
-The module also hosts the *search-state* bound layers used by the
-banded layered DP in :mod:`repro.offline.optimal`:
+The module also hosts the two *search-state* bound tiers used by the
+banded layered DP in :mod:`repro.offline.optimal` —
 :func:`pending_drop_floor` and :func:`pending_reconfig_floor` (the
-per-color and capacity suffix floors), :class:`ColorPhaseBound` (a
-reconfigure-or-drop charge per disjoint time interval),
+per-color and capacity suffix floors), and
 :class:`IntervalPackingRelaxation` (a fractional interval-packing
-relaxation of future execution capacity), and
+relaxation of future execution capacity) — and
 :func:`warm_start_incumbent` (a feasible-schedule upper bound that
 opens the search with a tight incumbent instead of infinity).
 
@@ -54,19 +53,22 @@ def par_edf_drop_lower_bound(instance: Instance, num_resources: int) -> int:
     return run_par_edf(instance, num_resources).num_drops * instance.spec.cost.drop_cost
 
 
+#: Window endpoints :func:`capacity_lower_bound` scans per side at most.
+MAX_WINDOW_ENDPOINTS = 512
+
+
 def capacity_lower_bound(
     instance: Instance,
     num_resources: int,
     *,
     speed: int = 1,
-    max_endpoints: int = 512,
 ) -> int:
     """Max over windows of (confined jobs - capacity), vectorized.
 
     Endpoint candidates are the distinct arrivals (window starts) and
     distinct deadlines (window ends); when there are more than
-    ``max_endpoints`` of either, an even subsample is used (still a valid
-    lower bound, possibly looser).
+    :data:`MAX_WINDOW_ENDPOINTS` of either, an even subsample is used
+    (still a valid lower bound, possibly looser).
     """
     jobs = instance.sequence.jobs
     if not jobs:
@@ -76,10 +78,10 @@ def capacity_lower_bound(
 
     starts = np.unique(arrivals)
     ends = np.unique(deadlines)
-    if starts.shape[0] > max_endpoints:
-        starts = starts[:: max(1, starts.shape[0] // max_endpoints)]
-    if ends.shape[0] > max_endpoints:
-        ends = ends[:: max(1, ends.shape[0] // max_endpoints)]
+    if starts.shape[0] > MAX_WINDOW_ENDPOINTS:
+        starts = starts[:: max(1, starts.shape[0] // MAX_WINDOW_ENDPOINTS)]
+    if ends.shape[0] > MAX_WINDOW_ENDPOINTS:
+        ends = ends[:: max(1, ends.shape[0] // MAX_WINDOW_ENDPOINTS)]
 
     capacity_per_round = num_resources * speed
     best = 0
@@ -303,198 +305,6 @@ class IntervalPackingRelaxation:
         return max(best_from, carried + peak) * self.drop_cost
 
 
-class ColorPhaseBound:
-    """Paging-style phase floor on reconfigure-or-drop cost over time.
-
-    The per-color reconfigure floor charges each color *once* over the
-    whole suffix and the packing relaxation prices only capacity drops,
-    so on reconfiguration-dominated instances neither grows with the
-    horizon.  This layer does: partition ``[start, horizon)`` into
-    disjoint intervals and charge each interval for the colors it
-    *encloses* (arrival and effective-deadline window both inside the
-    interval).  A schedule that recolors ``j`` slot-units during an
-    interval holds at most ``m + j`` distinct colors there, so with
-    ``C`` enclosed colors it leaves at least ``C - m - j`` of them
-    unconfigured for the entire interval and drops all their enclosed
-    jobs.  The interval's certified charge is therefore
-
-        min over j >= 0 of  j·Δ + drop · (sum of the C - m - j
-                                          smallest enclosed color counts)
-
-    Intervals are disjoint in both time and jobs, so the charges add,
-    and the backward DP ``P[t] = max(P[t+1], max_e charge(t, e) +
-    P[e+1])`` picks the partition that certifies the most — a floor that
-    grows linearly with the horizon, exactly like the true cost.
-
-    For a concrete search state the first interval is *cache-aware*: the
-    configuration entering ``start`` is known, so only colors outside it
-    count and a single un-cached enclosed demand already forces a charge
-    (no need for ``m + 1`` distinct colors).  Two first-interval
-    candidates are tried — the earliest un-cached enclosed demand
-    (fastest handoff to the generic DP) and the interval enclosing every
-    un-cached pending job (the full reconfigure-or-drop charge on the
-    carried backlog) — and the best is chained onto ``P``.
-
-    The generic DP is precomputed per instance in ``O(H · (H + J·C))``;
-    each :meth:`floor` call is then ``O(|pending| + colors · log J)``.
-    The exact solver in :mod:`repro.offline.optimal` maxes this floor
-    with the per-color suffix floors for every state it scores.
-    """
-
-    def __init__(
-        self,
-        arrivals: Mapping[int, Mapping[tuple[int, int], int]],
-        capacity_slots: int,
-        horizon: int,
-        reconfig_cost: int,
-        drop_cost: int = 1,
-    ) -> None:
-        self.horizon = horizon
-        self.m = capacity_slots
-        self.delta = reconfig_cost
-        self.drop_cost = drop_cost
-        # (arrival, enclosure end, color) -> job count; a job with
-        # deadline d is executable in rounds [arrival, d) and force-dropped
-        # at the horizon, so its enclosure ends at min(d, horizon) - 1.
-        demands: dict[tuple[int, int, int], int] = {}
-        for a, batch in arrivals.items():
-            for (color, deadline), count in batch.items():
-                e = min(deadline, horizon) - 1
-                if e >= a:
-                    key = (a, e, color)
-                    demands[key] = demands.get(key, 0) + count
-        by_end = sorted(
-            ((e, a, color, count) for (a, e, color), count in demands.items())
-        )
-        # P[t]: best certified charge packable into [t, horizon), by a
-        # backward DP whose inner sweep grows the first interval [t, e]
-        # over distinct enclosure ends, pricing each stop with the
-        # j-recoloring exchange above.
-        self._best_from = [0] * (horizon + 2)
-        for t in range(horizon - 1, -1, -1):
-            best = self._best_from[t + 1]
-            counts: dict[int, int] = {}
-            i = 0
-            n = len(by_end)
-            while i < n:
-                e = by_end[i][0]
-                while i < n and by_end[i][0] == e:
-                    _, a, color, count = by_end[i]
-                    if a >= t:
-                        counts[color] = counts.get(color, 0) + count
-                    i += 1
-                if len(counts) > capacity_slots:
-                    charge = self._exchange_charge(sorted(counts.values()))
-                    if charge:
-                        cand = charge + self._best_from[e + 1]
-                        if cand > best:
-                            best = cand
-            self._best_from[t] = best
-        # Per-color (arrivals ascending, suffix-min of enclosure ends) for
-        # the cache-aware first interval.
-        per_color: dict[int, list[tuple[int, int]]] = {}
-        for (a, e, color) in demands:
-            per_color.setdefault(color, []).append((a, e))
-        self._color_arrivals: dict[int, tuple[list[int], list[int]]] = {}
-        for color, pairs in per_color.items():
-            pairs.sort()
-            suffix_min = [0] * len(pairs)
-            acc = horizon
-            for i in range(len(pairs) - 1, -1, -1):
-                acc = min(acc, pairs[i][1])
-                suffix_min[i] = acc
-            self._color_arrivals[color] = ([a for a, _ in pairs], suffix_min)
-
-    def _exchange_charge(self, sorted_counts: list[int], covered: int | None = None) -> int:
-        """``min_j j·Δ + drop · (sum of the C - covered - j smallest counts)``.
-
-        ``covered`` defaults to ``m`` (a fixed configuration); the
-        cache-aware first interval passes 0 because colors already in
-        the cache were excluded from ``sorted_counts`` up front.
-        """
-        free = self.m if covered is None else covered
-        excess = len(sorted_counts) - free
-        if excess <= 0:
-            return 0
-        dropped = 0
-        best = excess * self.delta  # j == excess: recolor everything in.
-        for idx in range(excess):
-            dropped += sorted_counts[idx]
-            # Drop the idx+1 smallest colors, recolor the rest in.
-            cand = dropped * self.drop_cost + (excess - idx - 1) * self.delta
-            if cand < best:
-                best = cand
-        return best
-
-    def _earliest_enclosed(self, color: int, start: int) -> int:
-        """Earliest enclosure end of a ``color`` demand arriving >= start."""
-        entry = self._color_arrivals.get(color)
-        if entry is None:
-            return self.horizon
-        starts, suffix_min = entry
-        i = bisect_left(starts, start)
-        return suffix_min[i] if i < len(starts) else self.horizon
-
-    def floor(
-        self,
-        start_round: int,
-        cache_colors: Iterable[int] = (),
-        pending: Iterable[tuple[tuple[int, int], int]] = (),
-    ) -> int:
-        """Admissible phase floor from ``start_round`` for a search state.
-
-        ``cache_colors`` is the configuration entering the round (a
-        ``"*"`` wildcard disables the cache-aware first interval);
-        ``pending`` iterates ``((color, deadline), count)`` pairs carried
-        into the round, which extend the first interval's demand set.
-        """
-        if start_round >= self.horizon:
-            return 0
-        best = self._best_from[start_round]
-        cached = set(cache_colors)
-        if "*" in cached:
-            return best
-        unit = min(self.delta, self.drop_cost)
-        # Candidate A: hand off to the generic DP at the earliest
-        # un-cached enclosed demand (one charge, fastest restart).
-        first_end = self.horizon
-        uncached_pending: dict[int, tuple[int, int]] = {}  # color -> (count, max end)
-        for (color, deadline), count in pending:
-            if color in cached:
-                continue
-            e = min(deadline, self.horizon) - 1
-            if e < start_round:
-                continue
-            if e < first_end:
-                first_end = e
-            prev = uncached_pending.get(color)
-            uncached_pending[color] = (
-                count if prev is None else prev[0] + count,
-                e if prev is None else max(prev[1], e),
-            )
-        for color in self._color_arrivals:
-            if color in cached:
-                continue
-            e = self._earliest_enclosed(color, start_round)
-            if e < first_end:
-                first_end = e
-        if unit and first_end < self.horizon:
-            cand = unit + self._best_from[first_end + 1]
-            if cand > best:
-                best = cand
-        # Candidate B: enclose the whole un-cached backlog and charge the
-        # full reconfigure-or-drop exchange on it.
-        if uncached_pending:
-            last_end = max(e for _, e in uncached_pending.values())
-            charge = self._exchange_charge(
-                sorted(c for c, _ in uncached_pending.values()), covered=0
-            )
-            cand = charge + self._best_from[last_end + 1]
-            if cand > best:
-                best = cand
-        return best
-
-
 def warm_start_incumbent(instance: Instance, num_resources: int) -> int:
     """Feasible-schedule upper bound on the offline optimum.
 
@@ -541,15 +351,10 @@ def combined_lower_bound(
     num_resources: int,
     *,
     speed: int = 1,
-    use_capacity: bool = True,
 ) -> int:
     """Maximum of the three certified lower bounds."""
-    best = max(
+    return max(
         per_color_lower_bound(instance),
         par_edf_drop_lower_bound(instance, num_resources * speed),
+        capacity_lower_bound(instance, num_resources, speed=speed),
     )
-    if use_capacity:
-        best = max(
-            best, capacity_lower_bound(instance, num_resources, speed=speed)
-        )
-    return best

@@ -30,9 +30,8 @@ facts about the problem:
    layer-mates that are *dominated* — same cache, no cheaper prefix,
    and pending at least as large and urgent colorwise (a coupling
    argument makes their cost-to-go no smaller).  The admissible bound
-   is the max of the per-color suffix floors, the
-   :class:`~repro.offline.lower_bounds.ColorPhaseBound` phase
-   decomposition, and the fractional
+   is the max of two tiers: the per-color and capacity suffix floors,
+   and the fractional
    :class:`~repro.offline.lower_bounds.IntervalPackingRelaxation`,
    evaluated only where its ceiling could change a cut.
 
@@ -66,7 +65,6 @@ from repro.core.job import BLACK, Job
 from repro.core.schedule import Schedule
 from repro.core.validation import verify_schedule
 from repro.offline.lower_bounds import (
-    ColorPhaseBound,
     IntervalPackingRelaxation,
     pending_drop_floor,
     pending_reconfig_floor,
@@ -110,8 +108,8 @@ class OptimalResult:
 
     ``candidates_pruned`` counts states and edges cut without expansion;
     ``bound_source_histogram`` attributes those cuts to the filter that
-    made them (``relaxation``, ``phase``, ``drop_floor``,
-    ``reconfig_floor``, ``dominance``, ``terminal``) — the effectiveness
+    made them (``relaxation``, ``drop_floor``, ``reconfig_floor``,
+    ``dominance``, ``terminal``) — the effectiveness
     metrics exported to the ``offline.*`` telemetry instruments and
     surfaced by ``repro stats``.
     """
@@ -268,23 +266,19 @@ def _future_arrivals_by_color(
 
 
 class _BoundOracle:
-    """Layered admissible bounds on the cost-to-go, with attribution.
+    """Admissible bounds on the cost-to-go, with attribution.
 
-    Three independently admissible layers:
+    Two independently admissible tiers:
 
     * the **suffix floors** (:meth:`suffix_floor`) — per-color
       reconfigure-or-drop over pending *plus future* jobs, max'd with
       the pending capacity drop floor;
-    * the **color-phase floor**
-      (:class:`~repro.offline.lower_bounds.ColorPhaseBound`) — a
-      reconfigure-or-drop charge per disjoint time interval, so it grows
-      with the horizon;
     * the **interval-packing relaxation** (:attr:`packing`) — the
       fractional capacity LP over pending and future jobs jointly, the
-      layer that prices overload.
+      tier that prices overload.
 
-    :meth:`cheap_bound` maxes the first two; the solver adds the third
-    on a candidate row only where
+    The solver adds the relaxation to a candidate row's suffix floor
+    only where
     :meth:`~repro.offline.lower_bounds.IntervalPackingRelaxation.ceiling`
     says it could change the row's cut.  The per-color future job counts
     of a start round are one table per solve (:meth:`future_counts`).
@@ -297,7 +291,6 @@ class _BoundOracle:
         "future_by_color",
         "future_tables",
         "packing",
-        "phases",
     )
 
     def __init__(
@@ -306,7 +299,6 @@ class _BoundOracle:
         m: int,
         delta: int,
         drop_cost: int,
-        horizon: int,
     ) -> None:
         self.m = m
         self.delta = delta
@@ -314,7 +306,6 @@ class _BoundOracle:
         self.future_by_color = _future_arrivals_by_color(arrivals)
         self.future_tables: dict[int, dict[int, int]] = {}
         self.packing = IntervalPackingRelaxation(arrivals, m, drop_cost)
-        self.phases = ColorPhaseBound(arrivals, m, horizon, delta, drop_cost)
 
     def _future_count(self, color: int, start_round: int) -> int:
         entry = self.future_by_color.get(color)
@@ -342,7 +333,13 @@ class _BoundOracle:
     def suffix_floor(
         self, start_round: int, cache: CacheKey, pending: PendingKey
     ) -> tuple[int, str]:
-        """Per-color and capacity floors on the suffix, with attribution."""
+        """Per-color and capacity floors on the suffix, with attribution.
+
+        The packing relaxation is not included.  The solver's sweep
+        evaluates it on the candidate rows where its ceiling could change
+        the cut; the beam walk's ordering and the inactive-stretch jump
+        use these floors alone.
+        """
         per_color = dict(self.future_counts(start_round))
         for (color, _), count in pending:
             per_color[color] = per_color.get(color, 0) + count
@@ -358,22 +355,6 @@ class _BoundOracle:
             if drops > floor:
                 floor, source = drops, "drop_floor"
         return floor, source
-
-    def cheap_bound(
-        self, start_round: int, cache: CacheKey, pending: PendingKey
-    ) -> tuple[int, str]:
-        """Max of the suffix and phase floors and the name of the winner.
-
-        The packing relaxation is not included.  The solver's sweep
-        evaluates it on the candidate rows where its ceiling could change
-        the cut; the beam walk's ordering and the inactive-stretch jump
-        use these layers alone.
-        """
-        best, source = self.suffix_floor(start_round, cache, pending)
-        phased = self.phases.floor(start_round, cache, pending)
-        if phased > best:
-            best, source = phased, "phase"
-        return best, source
 
 
 def _deadline_profile(pending: PendingKey) -> dict[int, tuple[int, ...]]:
@@ -452,9 +433,7 @@ class _LayeredSolver:
         self.horizon = instance.horizon
         self.arrivals = _arrivals_by_round(instance)
         self.arrival_rounds = sorted(self.arrivals)
-        self.oracle = _BoundOracle(
-            self.arrivals, m, self.delta, self.drop_cost, self.horizon
-        )
+        self.oracle = _BoundOracle(self.arrivals, m, self.delta, self.drop_cost)
         #: Witness decisions on the optimal path only (replay reads the
         #: chosen cache and exactness flag; values are not consulted).
         self.memo: dict[
@@ -619,11 +598,11 @@ class _LayeredSolver:
         is exact.  Returns that minimum and its terminal state; the
         back-pointer chain to it is kept for :meth:`_fill_memo`.
 
-        Each candidate row's bound is the oracle's cheap bound, raised to
-        the packing relaxation's floor where that is larger.  The floor
-        is evaluated only where its O(1) ceiling exceeds the cheap bound
-        and would cut the row; elsewhere the floor could neither cut the
-        row nor take a cut's attribution, so the cuts and the
+        Each candidate row's bound is the oracle's suffix floor, raised
+        to the packing relaxation's floor where that is larger.  The
+        relaxation is evaluated only where its O(1) ceiling exceeds the
+        suffix floor and would cut the row; elsewhere it could neither
+        cut the row nor take a cut's attribution, so the cuts and the
         ``bound_source_histogram`` are those of evaluating it everywhere.
         """
         horizon = self.horizon
@@ -675,7 +654,7 @@ class _LayeredSolver:
                         source = "terminal"
                     else:
                         next_k = self.arrival_rounds[nxt]
-                        bound, source = oracle.cheap_bound(next_k, cache, ())
+                        bound, source = oracle.suffix_floor(next_k, cache, ())
                     if g2 + bound > cutoff:
                         self.pruned += 1
                         self.bound_hist[source] = (
@@ -692,7 +671,7 @@ class _LayeredSolver:
                         bound = sum(count for _, count in after) * drop
                         source = "terminal"
                     else:
-                        bound, source = oracle.cheap_bound(k1, cand, after)
+                        bound, source = oracle.suffix_floor(k1, cand, after)
                         ceiling = packing.ceiling(
                             k1, sum(count for _, count in after)
                         )
@@ -729,7 +708,7 @@ class _LayeredSolver:
 
         Identical transitions, no banding, but each layer is truncated
         to the :attr:`beam_width` states with the smallest ``g`` +
-        cheap admissible bound.  Every surviving terminal is the cost of
+        suffix floor.  Every surviving terminal is the cost of
         a concrete feasible schedule, so the minimum is a certified
         incumbent for :meth:`_forward` — usually far tighter than the
         ΔLRU-EDF replay.
@@ -749,7 +728,7 @@ class _LayeredSolver:
                 scored = sorted(
                     layer.items(),
                     key=lambda item: (
-                        item[1] + oracle.cheap_bound(k, *item[0])[0],
+                        item[1] + oracle.suffix_floor(k, *item[0])[0],
                         item[0],
                     ),
                 )
@@ -834,7 +813,7 @@ def optimal_offline(
 
     Runs the banded layered forward DP of the module docstring: the
     ΔLRU-EDF warm start and a beam walk certify an incumbent, then one
-    banded sweep with the layered admissible bounds and dominance
+    banded sweep with the two-tier admissible bound and dominance
     pruning finds the optimum.  ``states_explored`` counts expanded
     decision nodes, the beam walk's included; past ``max_states`` of
     them the solve raises :class:`SearchSpaceExceeded`.

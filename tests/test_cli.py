@@ -175,7 +175,7 @@ def test_offline_rejects_out_of_range_config(capsys, flag, value):
 
 
 def test_offline_check_honors_max_states(capsys):
-    # The default instance's solve expands 1,374 nodes and the exhaustive
+    # The default instance's solve expands 1,404 nodes and the exhaustive
     # check 4,190; a budget between them truncates only the check, which
     # must report it in the solve's format instead of a traceback.
     assert main(["offline", "--max-states", "2000", "--check", "exhaustive"]) == 1

@@ -9,6 +9,8 @@ simulated.  Everything here pins that contract:
   the rounds the dense core does, as do the non-stationary general
   policies;
 * the filtered obs event streams of the two cores are identical;
+* dense mode, the reference, takes no fixed-point skip and no
+  order-cache hit;
 * a hostile scheme that mutates the cache on every call is never
   skipped;
 * ``reset()`` makes back-to-back runs of one scheme instance
@@ -281,6 +283,57 @@ class TestNonStationaryNeverSkipped:
         _assert_costs_identical(dense.cost, sparse.cost)
         assert sparse.rounds_executed == dense.rounds_executed
         assert sparse.rounds_executed == instance.horizon
+
+
+def _pass_counters(run, instance, scheme, m, **kwargs):
+    registry = MetricsRegistry()
+    run(instance, scheme, m, registry=registry, **kwargs)
+    counters = registry.snapshot()["counters"]
+    return (
+        counters.get("engine.fixed_point_skips", 0),
+        counters.get("engine.order_cache_hits", 0),
+    )
+
+
+class TestDenseTakesNoShortcut:
+    """Dense mode is the reference every parity suite compares against.
+
+    Every scheme pass runs in full there: no fixed-point skip and no
+    order-cache hit.  A dense mode that took the sparse shortcuts would
+    leave its costs unchanged (the shortcuts are sound) while every
+    dense-vs-sparse suite compared a mode with itself.
+    """
+
+    @pytest.mark.parametrize("record", ["costs", "full"])
+    @pytest.mark.parametrize("scheme_cls", [DeltaLRUEDF, DeltaLRU, EDF])
+    def test_batched_dense_runs_every_pass(self, scheme_cls, record):
+        instance = random_rate_limited(
+            8, 4, 512, seed=0, load=0.3, bound_choices=(8, 16, 32)
+        )
+        dense = _pass_counters(
+            simulate, instance, scheme_cls(), 4, record=record, engine="dense"
+        )
+        sparse = _pass_counters(
+            simulate, instance, scheme_cls(), 4, record=record, engine="sparse"
+        )
+        assert dense == (0, 0)
+        assert sparse[0] > 0
+
+    @pytest.mark.parametrize("record", ["costs", "full"])
+    def test_general_dense_runs_every_pass(self, record):
+        instance = random_general(
+            6, 4, 512, seed=0, rate=0.1, bound_choices=(8, 16, 32)
+        )
+        dense = _pass_counters(
+            simulate_general, instance, GreedyPendingPolicy(), 3,
+            record=record, engine="dense",
+        )
+        sparse = _pass_counters(
+            simulate_general, instance, GreedyPendingPolicy(), 3,
+            record=record, engine="sparse",
+        )
+        assert dense == (0, 0)
+        assert sparse[0] > 0
 
 
 class TestResetLifecycle:

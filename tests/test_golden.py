@@ -145,12 +145,12 @@ def test_exp_s_quick_costs_and_rounds_pinned():
 #: seed=seed, rate=0.4, bound_choices=(2, 4))`` solved exactly with two
 #: resources: (seed, horizon) -> (cost, nodes expanded).
 OFFLINE_SMOKE = {
-    (0, 48): (23, 1374),
-    (0, 64): (29, 1650),
-    (0, 96): (42, 2256),
-    (1, 48): (17, 503),
-    (1, 64): (21, 627),
-    (1, 96): (27, 800),
+    (0, 48): (23, 1404),
+    (0, 64): (29, 1651),
+    (0, 96): (42, 2258),
+    (1, 48): (17, 481),
+    (1, 64): (21, 620),
+    (1, 96): (27, 786),
 }
 
 

@@ -25,7 +25,6 @@ from repro.workloads.random_batched import random_general
 
 KNOWN_BOUND_SOURCES = {
     "relaxation",
-    "phase",
     "drop_floor",
     "reconfig_floor",
     "dominance",
